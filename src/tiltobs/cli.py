@@ -16,7 +16,9 @@ artifacts alone.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +44,26 @@ def _parse_vec3(text: str) -> np.ndarray:
     if len(values) != 3:
         raise ValueError(f"expected 3 comma-separated numbers, got {text!r}")
     return np.array(values)
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
 def _load(args) -> harness.ExperimentConfig:
@@ -139,8 +161,9 @@ def cmd_sweep(args) -> int:
     path = out / "sweep.csv"
     harness.write_sweep_csv(rows, path)
     harness.save_config(cfg, out / "effective.cfg")
-    ok = sum(1 for r in rows if r["status"] == "ok")
-    print(f"wrote {path} ({ok} ok, {len(rows) - ok} rejected of {len(rows)} cells)")
+    counts = Counter(r["status"] for r in rows)
+    summary = ", ".join(f"{counts[s]} {s}" for s in ("ok", "rejected", "diverged"))
+    print(f"wrote {path} ({summary} of {len(rows)} cells)")
     return 0
 
 
@@ -192,13 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="closed-loop run to CSV and report")
     common(p)
-    p.add_argument("--threshold", type=float, default=0.05,
+    p.add_argument("--threshold", type=_positive_float, default=0.05,
                    help="tilt-error norm defining convergence in the report")
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("analyze", help="stability facts and basin sampling")
     common(p)
-    p.add_argument("--basin-samples", type=int, default=200,
+    p.add_argument("--basin-samples", type=_positive_int, default=200,
                    help="random starts drawn inside the guaranteed basin")
     p.set_defaults(handler=cmd_analyze)
 
@@ -206,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--alphas", required=True, help="comma-separated alpha values")
     p.add_argument("--betas", required=True, help="comma-separated beta values")
-    p.add_argument("--threshold", type=float, default=0.05,
+    p.add_argument("--threshold", type=_positive_float, default=0.05,
                    help="tilt-error norm defining convergence")
     p.set_defaults(handler=cmd_sweep)
 
@@ -215,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verr0", help="initial velocity error, x,y,z")
     p.add_argument("--terr0", help="initial tilt error, x,y,z "
                    "(projected onto the unit-estimate sphere)")
-    p.add_argument("--duration", type=float, help="override config duration")
-    p.add_argument("--dt", type=float, help="override config step")
+    p.add_argument("--duration", type=_positive_float, help="override config duration")
+    p.add_argument("--dt", type=_positive_float, help="override config step")
     p.set_defaults(handler=cmd_error_ode)
 
     return parser

@@ -16,6 +16,8 @@ the single config seed: child stream 0 feeds measurement noise, child stream
 from __future__ import annotations
 
 import copy
+import logging
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -25,8 +27,10 @@ import numpy as np
 
 from . import plant
 from .analysis import convergence_time, lyapunov, lyapunov_rate
-from .observer import ObserverState, make_gains, observer_step
+from .observer import make_gains, run_observer
 from .so3 import rotation_between, rotation_exp
+
+logger = logging.getLogger(__name__)
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -110,7 +114,10 @@ class ExperimentConfig:
 
 
 def _parse_float(s: str) -> float:
-    return float(s)
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {s!r}")
+    return value
 
 
 def _parse_int(s: str) -> int:
@@ -121,7 +128,7 @@ def _parse_vec(s: str) -> np.ndarray:
     parts = [p for p in s.split(",")]
     if len(parts) != 3:
         raise ValueError(f"expected 3 comma-separated numbers, got {s!r}")
-    return np.array([float(p) for p in parts])
+    return np.array([_parse_float(p) for p in parts])
 
 
 def _parse_str(s: str) -> str:
@@ -190,6 +197,11 @@ def load_config(path) -> ExperimentConfig:
 
 def validate_config(cfg: ExperimentConfig) -> None:
     """Reject configs that cannot be run, naming the offending key."""
+    for key, (section, name, parser) in SCHEMA.items():
+        if parser in (_parse_float, _parse_vec):
+            value = getattr(cfg if section is None else getattr(cfg, section), name)
+            if not np.isfinite(value).all():
+                raise ValueError(f"{key} must be finite, got {_format_value(value)}")
     if not (cfg.duration > 0.0):
         raise ValueError(f"duration must be positive, got {cfg.duration}")
     if not (cfg.dt > 0.0):
@@ -269,27 +281,8 @@ class RunLog:
     applied_tilt_err0: np.ndarray
     config: ExperimentConfig
     runtime: float
-
-
-class BuiltinEstimator:
-    """Default estimator: the tilt observer from :mod:`.observer`."""
-
-    def __init__(self, gains, vel_est: np.ndarray, tilt_est: np.ndarray) -> None:
-        self.gains = gains
-        self.state = ObserverState(vel_est=vel_est, tilt_est=tilt_est)
-
-    @property
-    def vel_est(self) -> np.ndarray:
-        return self.state.vel_est
-
-    @property
-    def tilt_est(self) -> np.ndarray:
-        return self.state.tilt_est
-
-    def step(self, pivot_rate, vel_meas, accel, mount_rot, dt) -> None:
-        self.state = observer_step(
-            self.state, self.gains, pivot_rate, vel_meas, accel, mount_rot, dt
-        )
+    timings: dict  # wall seconds per phase: scene, estimator, record
+    steps_per_s: float  # estimator steps per wall second
 
 
 def _trajectory_config(cfg: ExperimentConfig) -> plant.TrajectoryConfig:
@@ -350,13 +343,18 @@ def _initial_conditions(cfg: ExperimentConfig, traj: plant.TrajectoryConfig):
     return R_base, tilt_hat0, applied
 
 
+def _diverged(k: int, dt: float, detail: str) -> RuntimeError:
+    return RuntimeError(f"estimator state diverged by step {k} (t = {k * dt:.6g} s){detail}")
+
+
 def run_simulation(cfg: ExperimentConfig, estimator_factory=None) -> RunLog:
     """Simulate the plant and drive an estimator over it.
 
     ``estimator_factory(gains, vel_est0, tilt_est0)`` may supply a custom
     estimator (anything with ``step(pivot_rate, vel_meas, accel, mount_rot,
     dt)`` plus ``vel_est`` / ``tilt_est`` attributes); the default is the
-    built-in observer.  Pure function of the config: no files, no globals.
+    built-in observer, run by :func:`.observer.run_observer`.  Pure function
+    of the config: no files, no globals.
     """
     wall0 = time.perf_counter()
     validate_config(cfg)
@@ -378,8 +376,14 @@ def run_simulation(cfg: ExperimentConfig, estimator_factory=None) -> RunLog:
     wm_held = plant.mount_rate(traj, t_mid)
     R_c0 = R_base if traj.world_rot is None else traj.world_rot @ R_base
     Rp_mid, Rp = plant.rotation_path(R_c0, w_held, dt)
-    Rm_mid, Rm = plant.rotation_path(np.eye(3), wm_held, dt)
-    pos_mid, vel_mid, acc_mid = plant.mount_translation(traj, motion_noise, t_mid)
+    Rm_mid, _ = plant.rotation_path(np.eye(3), wm_held, dt)
+    # one mount evaluation on the interleaved grid: boundaries at even
+    # indices, midpoints at odd ones
+    t_all = np.empty(2 * n_steps + 1)
+    t_all[0::2] = t_grid
+    t_all[1::2] = t_mid
+    pos_all, vel_all, acc_all = plant.mount_translation(traj, motion_noise, t_all)
+    pos_mid, vel_mid, acc_mid = pos_all[1::2], vel_all[1::2], acc_all[1::2]
     alpha_mid = plant.pivot_accel(traj, t_mid)
 
     gyro_true = plant.gyro_stream(Rp_mid, w_held, Rm_mid, wm_held)
@@ -398,86 +402,74 @@ def run_simulation(cfg: ExperimentConfig, estimator_factory=None) -> RunLog:
     x1 = np.cross(pos_mid, y1) - vel_mid
 
     # ground truth on the record grid
-    pos_g, vel_g, _ = plant.mount_translation(traj, motion_noise, t_grid)
+    pos_g, vel_g = pos_all[0::2], vel_all[0::2]
     rate_loc = np.einsum("nji,nj->ni", Rp, plant.pivot_rate(traj, t_grid))
     x1_true = np.cross(pos_g, rate_loc) - vel_g
     x2_true = Rp[:, 2, :]
-
     vel_hat0 = x1_true[0] - cfg.init.vel_err
-    factory = estimator_factory or BuiltinEstimator
-    est = factory(gains, vel_hat0.copy(), tilt_hat0.copy())
+    wall_scene = time.perf_counter()
 
-    rec_rows = list(range(0, n_steps + 1, cfg.decimation))
-    if rec_rows[-1] != n_steps:
-        rec_rows.append(n_steps)
-    m = len(rec_rows)
-    out = {
-        name: np.empty((m, 3))
-        for name in ("tilt", "tilt_est", "vel_err", "tilt_err", "verr_world",
-                     "terr_world", "gyro", "accel")
-    }
-    out_t = np.empty(m)
-    out_v = np.empty(m)
-    out_vdot = np.empty(m)
-
-    def record(row: int, k: int) -> None:
-        vel_hat = np.asarray(est.vel_est, dtype=float)
-        tilt_hat = np.asarray(est.tilt_est, dtype=float)
-        if not (np.isfinite(vel_hat).all() and np.isfinite(tilt_hat).all()):
-            raise RuntimeError(
-                f"estimator state diverged by step {k} (t = {k * dt:.6g} s); "
-                "check gains against the step size"
-            )
-        x1err = x1_true[k] - vel_hat
-        x2err = x2_true[k] - tilt_hat
-        z1 = Rp[k] @ x1err
-        z2 = Rp[k] @ x2err
-        j = min(k, n_steps - 1)  # final row repeats the last consumed sample
-        out_t[row] = t_grid[k]
-        out["tilt"][row] = x2_true[k]
-        out["tilt_est"][row] = tilt_hat
-        out["vel_err"][row] = x1err
-        out["tilt_err"][row] = x2err
-        out["verr_world"][row] = z1
-        out["terr_world"][row] = z2
-        out["gyro"][row] = gyro_meas[j]
-        out["accel"][row] = accel_meas[j]
-        out_v[row] = lyapunov(z1, z2, gains)
-        out_vdot[row] = lyapunov_rate(z1, z2, gains)
-
-    row = 0
-    k = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
+    # every state (vel_est, tilt_est), the initial one first
+    if estimator_factory is None:
+        accel_robot = np.matmul(Rm_mid, accel_meas[:, :, None])[:, :, 0]
+        states = run_observer(gains, y1, x1, accel_robot, dt, vel_hat0, tilt_hat0)
+    else:
+        est = estimator_factory(gains, vel_hat0.copy(), tilt_hat0.copy())
+        states = np.empty((n_steps + 1, 6))
+        states[0, :3] = est.vel_est
+        states[0, 3:] = est.tilt_est
+        with np.errstate(over="ignore", invalid="ignore"):
             for k in range(n_steps):
-                if rec_rows[row] == k:
-                    record(row, k)
-                    row += 1
-                est.step(y1[k], x1[k], accel_meas[k], Rm_mid[k], dt)
-            record(row, n_steps)
-        except (ValueError, OverflowError, FloatingPointError) as exc:
-            # overflowed states surface as math-domain errors before the next
-            # record row gets a chance to notice them
-            raise RuntimeError(
-                f"estimator state diverged by step {k} (t = {k * dt:.6g} s): {exc}"
-            ) from None
+                try:
+                    est.step(y1[k], x1[k], accel_meas[k], Rm_mid[k], dt)
+                except (ValueError, OverflowError, FloatingPointError) as exc:
+                    # overflowed states surface as math-domain errors
+                    raise _diverged(k, dt, f": {exc}") from None
+                states[k + 1, :3] = est.vel_est
+                states[k + 1, 3:] = est.tilt_est
+    bad = ~np.isfinite(states).all(axis=1)
+    if bad.any():
+        raise _diverged(int(bad.argmax()), dt, "; check gains against the step size")
+    wall_estimator = time.perf_counter()
 
+    rows = np.arange(0, n_steps + 1, cfg.decimation)
+    if rows[-1] != n_steps:
+        rows = np.append(rows, n_steps)
+    vel_hat = states[rows, :3]
+    tilt_hat = states[rows, 3:]
+    x1err = x1_true[rows] - vel_hat
+    x2err = x2_true[rows] - tilt_hat
+    # pivot-rotated errors: one batched matmul on the (m, 3, 2) error pairs
+    z = np.matmul(Rp[rows], np.stack([x1err, x2err], axis=-1))
+    z1, z2 = z[..., 0], z[..., 1]
+    held = np.minimum(rows, n_steps - 1)  # final row repeats the last consumed sample
+    V = lyapunov(z1, z2, gains)
+    Vdot = lyapunov_rate(z1, z2, gains)
+    wall_end = time.perf_counter()
+
+    estimator_s = wall_estimator - wall_scene
     return RunLog(
-        t=out_t,
-        tilt=out["tilt"],
-        tilt_est=out["tilt_est"],
-        vel_err=out["vel_err"],
-        tilt_err=out["tilt_err"],
-        verr_world=out["verr_world"],
-        terr_world=out["terr_world"],
-        V=out_v,
-        Vdot=out_vdot,
-        gyro=out["gyro"],
-        accel=out["accel"],
+        t=t_grid[rows],
+        tilt=x2_true[rows],
+        tilt_est=tilt_hat,
+        vel_err=x1err,
+        tilt_err=x2err,
+        verr_world=z1,
+        terr_world=z2,
+        V=V,
+        Vdot=Vdot,
+        gyro=gyro_meas[held],
+        accel=accel_meas[held],
         requested_tilt_err0=np.asarray(cfg.init.tilt_err, dtype=float).copy(),
         applied_tilt_err0=applied_err0,
         config=cfg,
-        runtime=time.perf_counter() - wall0,
+        runtime=wall_end - wall0,
+        timings={
+            "scene": wall_scene - wall0,
+            "estimator": estimator_s,
+            "record": wall_end - wall_estimator,
+        },
+        steps_per_s=n_steps / estimator_s,
     )
 
 
@@ -537,6 +529,8 @@ def write_report(log: RunLog, path, threshold: float = 0.05) -> None:
         f"v_initial = {float(log.V[0])!r}",
         f"v_final = {float(log.V[-1])!r}",
         f"runtime_s = {log.runtime!r}",
+        *(f"time.{phase}_s = {seconds!r}" for phase, seconds in log.timings.items()),
+        f"steps_per_s = {log.steps_per_s!r}",
     ]
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -558,8 +552,9 @@ def sweep(
     """Run the scenario over a grid of gains.
 
     Gain pairs violating the stability condition are reported as rejected
-    rows instead of aborting the sweep.  Each cell runs with its own seed
-    (base seed XOR cell index) so noisy scenarios stay independent.
+    rows, and runs whose state diverges as diverged rows (the step index goes
+    to the log), instead of aborting the sweep.  Each cell runs with its own
+    seed (base seed XOR cell index) so noisy scenarios stay independent.
     """
     cells = [(i, a, b) for i, (a, b) in enumerate(
         (a, b) for a in alphas for b in betas
@@ -578,9 +573,14 @@ def sweep(
         sub.gains.alpha = a
         sub.gains.beta = b
         sub.seed = cfg.seed ^ i
-        log = run_simulation(sub)
-        norms = np.linalg.norm(log.tilt_err, axis=-1)
         row["gain_ratio"] = gains.gain_ratio
+        try:
+            log = run_simulation(sub)
+        except RuntimeError as exc:
+            logger.warning("sweep cell alpha=%r beta=%r: %s", a, b, exc)
+            row["status"] = "diverged"
+            return row
+        norms = np.linalg.norm(log.tilt_err, axis=-1)
         row["convergence_time"] = convergence_time(log.t, norms, threshold)
         row["final_tilt_err_norm"] = float(norms[-1])
         return row

@@ -105,6 +105,63 @@ def observer_derivative(
     return vel_dot, omega_eff
 
 
+def step_floats(a, b, g, dt, wx, wy, wz, mx, my, mz, fx, fy, fz, vx, vy, vz, tx, ty, tz):
+    """Advance the observer one step on Python floats.
+
+    Takes the gains ``a, b, g`` (alpha, beta, g0), the step ``dt``, the pivot
+    rate ``w``, the velocity-type measurement ``m``, the specific force in the
+    robot frame ``f`` (``mount_rot @ accel``) and the state ``v``, ``t``;
+    returns the new ``(vx, vy, vz, tx, ty, tz)``.  See :func:`observer_step`
+    for the scheme.
+
+    The body is spelled out in scalar arithmetic: a 10 s run at 1 ms steps
+    takes 10^4 of these and numpy dispatch on 3-vectors would dominate the
+    cost.  ``observer_derivative`` is the readable reference; the step test
+    checks one against the other.
+    """
+    # constant part of the velocity dynamics over the step; each stage below
+    # is -pivot_rate x vel - a*vel + g*tilt + const
+    cx = a * mx - fx
+    cy = a * my - fy
+    cz = a * mz - fz
+    h = 0.5 * dt
+    k1x = cx - (wy * vz - wz * vy) - a * vx + g * tx
+    k1y = cy - (wz * vx - wx * vz) - a * vy + g * ty
+    k1z = cz - (wx * vy - wy * vx) - a * vz + g * tz
+    ix = mx - (vx + h * k1x)
+    iy = my - (vy + h * k1y)
+    iz = mz - (vz + h * k1z)
+    ex = wx - b * (ty * iz - tz * iy)
+    ey = wy - b * (tz * ix - tx * iz)
+    ez = wz - b * (tx * iy - ty * ix)
+
+    rx, ry, rz = -h * ex, -h * ey, -h * ez  # half-step rotation vector
+    hx, hy, hz = _rotate3(rx, ry, rz, tx, ty, tz)
+    ux, uy, uz = _rotate3(rx, ry, rz, hx, hy, hz)
+
+    px, py, pz = vx + h * k1x, vy + h * k1y, vz + h * k1z
+    k2x = cx - (wy * pz - wz * py) - a * px + g * hx
+    k2y = cy - (wz * px - wx * pz) - a * py + g * hy
+    k2z = cz - (wx * py - wy * px) - a * pz + g * hz
+    px, py, pz = vx + h * k2x, vy + h * k2y, vz + h * k2z
+    k3x = cx - (wy * pz - wz * py) - a * px + g * hx
+    k3y = cy - (wz * px - wx * pz) - a * py + g * hy
+    k3z = cz - (wx * py - wy * px) - a * pz + g * hz
+    px, py, pz = vx + dt * k3x, vy + dt * k3y, vz + dt * k3z
+    k4x = cx - (wy * pz - wz * py) - a * px + g * ux
+    k4y = cy - (wz * px - wx * pz) - a * py + g * uy
+    k4z = cz - (wx * py - wy * px) - a * pz + g * uz
+    s = dt / 6.0
+    return (
+        vx + s * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
+        vy + s * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
+        vz + s * (k1z + 2.0 * k2z + 2.0 * k3z + k4z),
+        ux,
+        uy,
+        uz,
+    )
+
+
 def observer_step(
     state: ObserverState,
     gains: ObserverGains,
@@ -125,55 +182,36 @@ def observer_step(
     interval, and comparing them with the start-of-step estimate would leak a
     spurious rate proportional to dt times the measurement slope.
 
-    The body is spelled out in scalar arithmetic: a 10 s run at 1 ms steps
-    calls this 10^4 times and numpy dispatch on 3-vectors would dominate the
-    cost.  ``observer_derivative`` is the readable reference; the step test
-    checks one against the other.
+    Array wrapper around :func:`step_floats`, which holds the arithmetic.
+    """
+    new = step_floats(
+        gains.alpha, gains.beta, gains.g0, dt,
+        *pivot_rate.tolist(), *vel_meas.tolist(), *(mount_rot @ accel).tolist(),
+        *state.vel_est.tolist(), *state.tilt_est.tolist(),
+    )
+    return ObserverState(vel_est=np.array(new[:3]), tilt_est=np.array(new[3:]))
+
+
+def run_observer(gains, pivot_rate, vel_meas, accel_robot, dt, vel0, tilt0) -> np.ndarray:
+    """Run :func:`step_floats` over (N, 3) streams of pivot rate, velocity
+    measurement and robot-frame specific force (``mount_rot @ accel``).
+
+    Returns the (N+1, 6) array of every state ``(vel_est, tilt_est)``, the
+    initial one first.  A state that has overflowed ends in a math-domain
+    error inside the rotation; from that step on the rows are NaN, so a
+    caller finds divergence with one finiteness scan.
     """
     a, b, g = gains.alpha, gains.beta, gains.g0
-    ca = mount_rot @ accel
-    wx, wy, wz = pivot_rate
-    mx, my, mz = vel_meas
-    # constant part of the velocity dynamics over the step
-    cx = a * mx - ca[0]
-    cy = a * my - ca[1]
-    cz = a * mz - ca[2]
-    vx, vy, vz = state.vel_est
-    tx, ty, tz = state.tilt_est
-
-    def f(px, py, pz, qx, qy, qz):
-        # -pivot_rate x p - a*p + g*tilt + const
-        return (
-            cx - (wy * pz - wz * py) - a * px + g * qx,
-            cy - (wz * px - wx * pz) - a * py + g * qy,
-            cz - (wx * py - wy * px) - a * pz + g * qz,
-        )
-
-    h = 0.5 * dt
-    k1x, k1y, k1z = f(vx, vy, vz, tx, ty, tz)
-    ix = mx - (vx + h * k1x)
-    iy = my - (vy + h * k1y)
-    iz = mz - (vz + h * k1z)
-    ex = wx - b * (ty * iz - tz * iy)
-    ey = wy - b * (tz * ix - tx * iz)
-    ez = wz - b * (tx * iy - ty * ix)
-
-    rx, ry, rz = -h * ex, -h * ey, -h * ez  # half-step rotation vector
-    hx, hy, hz = _rotate3(rx, ry, rz, tx, ty, tz)
-    ux, uy, uz = _rotate3(rx, ry, rz, hx, hy, hz)
-
-    k2x, k2y, k2z = f(vx + h * k1x, vy + h * k1y, vz + h * k1z, hx, hy, hz)
-    k3x, k3y, k3z = f(vx + h * k2x, vy + h * k2y, vz + h * k2z, hx, hy, hz)
-    k4x, k4y, k4z = f(vx + dt * k3x, vy + dt * k3y, vz + dt * k3z, ux, uy, uz)
-    s = dt / 6.0
-    vel_new = np.array(
-        [
-            vx + s * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-            vy + s * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
-            vz + s * (k1z + 2.0 * k2z + 2.0 * k3z + k4z),
-        ]
-    )
-    return ObserverState(vel_est=vel_new, tilt_est=np.array([ux, uy, uz]))
+    n = len(pivot_rate)
+    s = (*np.asarray(vel0, dtype=float).tolist(), *np.asarray(tilt0, dtype=float).tolist())
+    states = [s]
+    try:
+        for w, m, f in zip(pivot_rate.tolist(), vel_meas.tolist(), accel_robot.tolist()):
+            s = step_floats(a, b, g, dt, *w, *m, *f, *s)
+            states.append(s)
+    except (ValueError, OverflowError):
+        states.extend([(math.nan,) * 6] * (n + 1 - len(states)))
+    return np.array(states)
 
 
 def tilt_estimate(state: ObserverState) -> np.ndarray:

@@ -180,23 +180,36 @@ class MountNoise:
         self.std = float(std)
         self.tau = float(tau)
 
+    def series(self, t, kp: float):
+        """``(value, deriv, lag_response)`` at time(s) t, plus ``lag_response(0)``.
+
+        One sin/cos basis of ``omega * t`` serves all three: angle addition,
+        ``sin(w t + p) = sin(w t) cos(p) + cos(w t) sin(p)``, folds the phases,
+        amplitudes and per-signal factors into (64, 9) weights, so the signals
+        come from two matmuls.  At t = 0 the basis is ``sin = 0``, ``cos = 1``.
+        """
+        w = self.omega[:, None]
+        a = self.amp[:, None]
+        cp = np.cos(self.phase).T
+        sp = np.sin(self.phase).T
+        lag = a / (kp * kp + w**2)
+        # value: a sin(wt+p); deriv: a w cos(wt+p);
+        # lag_response: a (kp sin(wt+p) - w cos(wt+p)) / (kp^2 + w^2)
+        w_sin = np.hstack([a * cp, -a * w * sp, lag * (kp * cp + w * sp)])
+        w_cos = np.hstack([a * sp, a * w * cp, lag * (kp * sp - w * cp)])
+        wt = np.asarray(t, dtype=float)[..., None] * self.omega
+        out = np.sin(wt) @ w_sin + np.cos(wt) @ w_cos
+        return out[..., 0:3], out[..., 3:6], out[..., 6:9], w_cos[:, 6:9].sum(axis=0)
+
     def value(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        arg = self.omega * t[..., None, None] + self.phase
-        return np.sum(self.amp * np.sin(arg), axis=-1)
+        return self.series(t, 0.0)[0]
 
     def deriv(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        arg = self.omega * t[..., None, None] + self.phase
-        return np.sum(self.amp * self.omega * np.cos(arg), axis=-1)
+        return self.series(t, 0.0)[1]
 
     def lag_response(self, t, kp: float) -> np.ndarray:
         """Particular solution of ``qdot + kp q = value(t)``, per axis."""
-        t = np.asarray(t, dtype=float)
-        arg = self.omega * t[..., None, None] + self.phase
-        denom = kp * kp + self.omega**2
-        num = kp * np.sin(arg) - self.omega * np.cos(arg)
-        return np.sum(self.amp * num / denom, axis=-1)
+        return self.series(t, kp)[2]
 
 
 def mount_translation(cfg: TrajectoryConfig, noise: MountNoise, t):
@@ -206,12 +219,11 @@ def mount_translation(cfg: TrajectoryConfig, noise: MountNoise, t):
     response plus exponentially decaying homogeneous part.
     """
     t = np.asarray(t, dtype=float)
-    q = noise.lag_response(t, cfg.kp)
-    q0 = noise.lag_response(np.asarray(0.0), cfg.kp)
+    value, deriv, q, q0 = noise.series(t, cfg.kp)
     decay = np.exp(-cfg.kp * t)[..., None]
     pos = cfg.p_ref + (cfg.p0 - cfg.p_ref - q0) * decay + q
-    vel = noise.value(t) + cfg.kp * (cfg.p_ref - pos)
-    acc = noise.deriv(t) - cfg.kp * vel
+    vel = value + cfg.kp * (cfg.p_ref - pos)
+    acc = deriv - cfg.kp * vel
     return pos, vel, acc
 
 

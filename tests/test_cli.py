@@ -68,6 +68,39 @@ def test_sweep_grid(tmp_path):
     assert ",rejected," in lines[2]
 
 
+def test_sweep_diverged_cell_keeps_the_sweep(tmp_path, capsys):
+    cfg_path = tmp_path / "short.cfg"
+    cfg_path.write_text("duration = 0.5\n")
+    rc = main([
+        "sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+        "--alphas", "19.8,5000", "--betas", "1",
+    ])
+    assert rc == 0
+    lines = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
+    assert [line.split(",")[2] for line in lines[1:]] == ["ok", "diverged"]
+    assert "1 diverged" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["analyze", "--basin-samples", "0"], "--basin-samples"),
+        (["analyze", "--basin-samples", "-3"], "--basin-samples"),
+        (["simulate", "--threshold", "-1"], "--threshold"),
+        (["sweep", "--alphas", "19.8", "--betas", "10", "--threshold", "-1"], "--threshold"),
+        (["error-ode", "--dt", "0"], "--dt"),
+        (["error-ode", "--duration", "-1"], "--duration"),
+        (["error-ode", "--dt", "nan"], "--dt"),
+    ],
+)
+def test_bad_numeric_flag_names_the_flag(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--out", str(tmp_path)])
+    assert info.value.code != 0
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_error_ode_default_start_matches_simulator(tmp_path):
     rc = main(["error-ode", "--out", str(tmp_path), "--duration", "1"])
     assert rc == 0

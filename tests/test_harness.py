@@ -7,6 +7,8 @@ closed loop.
 """
 
 import copy
+import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from tiltobs.harness import (
     write_report,
     write_sweep_csv,
 )
+from tiltobs.observer import ObserverState, observer_step
 
 
 def zero_error_config() -> ExperimentConfig:
@@ -86,6 +89,30 @@ def test_bad_config_names_the_problem(line, fragment):
     with pytest.raises(ValueError) as info:
         parse_config(line)
     assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "line,key",
+    [
+        ("noise.gyro_std = nan", "noise.gyro_std"),
+        ("mount.p0 = inf, 0, 1", "mount.p0"),
+        ("gains.alpha = -inf", "gains.alpha"),
+        ("duration = nan", "duration"),
+        ("init.tilt_err = 0, nan, 0", "init.tilt_err"),
+    ],
+)
+def test_non_finite_config_value_names_key_and_line(line, key):
+    with pytest.raises(ValueError) as info:
+        parse_config("# scenario\n" + line)
+    assert key in str(info.value)
+    assert "line 2" in str(info.value)
+
+
+def test_non_finite_value_set_in_code_is_rejected_by_key():
+    cfg = ExperimentConfig()
+    cfg.noise.gyro_std = float("nan")
+    with pytest.raises(ValueError, match="noise.gyro_std"):
+        run_simulation(cfg)
 
 
 def test_config_text_round_trip():
@@ -281,8 +308,68 @@ def test_blowup_aborts_with_step_index():
         run_simulation(cfg)
 
 
+@pytest.mark.filterwarnings("error")
+def test_blowup_leaks_no_warning_on_either_path():
+    cfg = ExperimentConfig()
+    cfg.gains.alpha = 5000.0
+    cfg.gains.beta = 1.0
+    for factory in (None, ObserverStepEstimator):
+        with pytest.raises(RuntimeError, match=r"step \d+"):
+            run_simulation(cfg, estimator_factory=factory)
+
+
+def test_phase_timings_add_up_to_runtime(tmp_path):
+    cfg = ExperimentConfig()
+    cfg.duration = 1.0
+    log = run_simulation(cfg)
+    assert set(log.timings) == {"scene", "estimator", "record"}
+    assert all(v >= 0.0 for v in log.timings.values())
+    assert sum(log.timings.values()) == pytest.approx(log.runtime, rel=0.05)
+    assert log.steps_per_s == pytest.approx(1000 / log.timings["estimator"])
+
+    path = tmp_path / "report.txt"
+    write_report(log, path)
+    keys = [line.split(" = ", 1)[0] for line in path.read_text().splitlines()]
+    i = keys.index("runtime_s")
+    assert keys[i + 1 :] == ["time.scene_s", "time.estimator_s", "time.record_s", "steps_per_s"]
+
+
 # ---------------------------------------------------------------------------
 # estimator hook
+
+
+class ObserverStepEstimator:
+    """The built-in observer, driven one ``observer_step`` call at a time."""
+
+    def __init__(self, gains, vel_est, tilt_est):
+        self.gains = gains
+        self.state = ObserverState(vel_est=vel_est, tilt_est=tilt_est)
+
+    @property
+    def vel_est(self):
+        return self.state.vel_est
+
+    @property
+    def tilt_est(self):
+        return self.state.tilt_est
+
+    def step(self, pivot_rate, vel_meas, accel, mount_rot, dt):
+        self.state = observer_step(
+            self.state, self.gains, pivot_rate, vel_meas, accel, mount_rot, dt
+        )
+
+
+def test_step_hook_reproduces_builtin_loop():
+    cfg = load_config(Path(__file__).parent.parent / "configs" / "noisy.cfg")
+    builtin = run_simulation(cfg)
+    stepped = run_simulation(cfg, estimator_factory=ObserverStepEstimator)
+    for name in ("t", "tilt", "tilt_est", "vel_err", "tilt_err", "verr_world",
+                 "terr_world", "V", "Vdot", "gyro", "accel",
+                 "requested_tilt_err0", "applied_tilt_err0"):
+        a, b = getattr(builtin, name), getattr(stepped, name)
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-12, name
+
 
 
 class RecordingEstimator:
@@ -362,3 +449,20 @@ def test_sweep_deterministic_and_seed_varied():
     # cells get different seeds, so equal gains in different cells would
     # see different noise; spot-check the seeds actually differ
     assert rows1[0]["final_tilt_err_norm"] != rows1[1]["final_tilt_err_norm"]
+
+
+def test_sweep_reports_diverged_cell(tmp_path, caplog):
+    cfg = ExperimentConfig()
+    cfg.duration = 0.5
+    with caplog.at_level(logging.WARNING, logger="tiltobs.harness"):
+        rows = sweep(cfg, alphas=[19.8, 5000.0], betas=[1.0], threshold=0.5)
+    assert [r["status"] for r in rows] == ["ok", "diverged"]
+    assert rows[1]["final_tilt_err_norm"] is None
+    assert any("alpha=5000.0" in m and "step" in m for m in caplog.messages)
+
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(rows, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == SWEEP_HEADER
+    assert lines[2].startswith("5000.00000,1.00000000,diverged,")
+    assert lines[2].endswith(",,")

@@ -8,6 +8,7 @@ from tiltobs.observer import (
     make_gains,
     observer_derivative,
     observer_step,
+    run_observer,
     tilt_estimate,
 )
 from tiltobs.so3 import rotation_exp
@@ -119,6 +120,35 @@ def test_static_world_convergence():
         st = observer_step(st, g, np.zeros(3), np.zeros(3), accel, EYE, dt)
     assert np.linalg.norm(st.tilt_est - tilt_true) < 1e-6
     assert np.linalg.norm(st.vel_est) < 1e-6
+
+
+def test_run_observer_is_the_step_repeated():
+    g = make_gains(19.8, 10.0)
+    rng = np.random.default_rng(13)
+    n = 200
+    rate = 0.3 * rng.standard_normal((n, 3))
+    vel_meas = 0.1 * rng.standard_normal((n, 3))
+    accel = np.array([0.0, 0.0, 9.81]) + rng.standard_normal((n, 3))
+    st = ObserverState(vel_est=rng.standard_normal(3), tilt_est=np.array([0.6, 0.0, 0.8]))
+    states = run_observer(g, rate, vel_meas, accel, 1e-3, st.vel_est, st.tilt_est)
+    assert states.shape == (n + 1, 6)
+    assert np.array_equal(states[0], np.concatenate([st.vel_est, st.tilt_est]))
+    for k in range(n):
+        st = observer_step(st, g, rate[k], vel_meas[k], accel[k], EYE, 1e-3)
+        assert np.array_equal(states[k + 1], np.concatenate([st.vel_est, st.tilt_est]))
+
+
+def test_run_observer_overflow_leaves_nan_rows():
+    # alpha*dt = 5 is far outside RK4's stability region: the state overflows
+    g = make_gains(5000.0, 1.0)
+    n = 2000
+    rate = np.tile([0.3, -0.4, 0.2], (n, 1))
+    accel = np.tile([0.0, 0.5, 9.81], (n, 1))
+    states = run_observer(g, rate, np.zeros((n, 3)), accel, 1e-3, np.ones(3), EZ)
+    finite = np.isfinite(states).all(axis=1)
+    first_bad = int(np.argmin(finite))
+    assert 0 < first_bad < n
+    assert not finite[first_bad:].any()
 
 
 def test_tilt_estimate_is_unit():
