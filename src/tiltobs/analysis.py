@@ -12,23 +12,29 @@ with ``S(w)`` the cross-product matrix, so the observer's convergence can be
 studied independently of any particular robot motion.  The module provides
 the vector field, its Lyapunov function with a closed-form decay rate, the
 two equilibria with their linearizations, an exponential convergence bound,
-and a direct integrator of the error dynamics for cross-checks against the
-full simulation.
+and an integrator of the error dynamics for cross-checks against the full
+simulation.  The integrator has no step of its own: these dynamics are the
+observer at rest, so it runs :func:`observer.step_floats` on rest-case
+inputs, on Python floats for one start and on (B,) arrays for a batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .observer import ObserverGains
-from .so3 import rotate_by_exp
+from .observer import ObserverGains, rotate3_arrays, step_floats
 
 EZ = np.array([0.0, 0.0, 1.0])
 
 # how far |e_z - terr| may deviate from 1 before a point is rejected
 MANIFOLD_TOL = 1e-9
+
+# RK4's stability limit on the negative real axis (the root of
+# 1 + z + z^2/2 + z^3/6 + z^4/24 = 1 is z = -2.7853), rounded down
+RK4_REAL_LIMIT = 2.785
 
 
 @dataclass
@@ -194,19 +200,22 @@ def integrate_error_ode(
     dt: float = 1e-3,
     duration: float = 10.0,
     record_every: int = 1,
-    stop_when_below: float | None = None,
 ) -> ErrorTrajectory:
-    """Integrate the error dynamics directly, batched over leading axes.
+    """Integrate the error dynamics, batched over leading axes.
 
-    Matches the stepping of the full observer exactly: per step the tilt
-    error moves along the exact rotation flow of its (frozen) effective rate,
-    so ``|e_z - terr|`` stays 1 to machine precision, and the velocity error
-    takes a 4-stage Runge-Kutta step with the tilt sampled on that flow.
+    These dynamics are the observer at rest (tilt ``e_z``, zero pivot rate,
+    ``vel_meas = 0``, specific force ``g0 * e_z``) with ``vel_est = -verr``
+    and ``tilt_est = e_z - terr``, so each step is
+    :func:`observer.step_floats`: on Python floats for a single start, on
+    (B,) component arrays for a batch.  The tilt error moves along an exact
+    rotation flow, so ``|e_z - terr|`` stays 1 to machine precision.
 
-    ``stop_when_below`` ends the run early once every batch member has both
-    error norms under the given value (checked every 50 steps).
+    Raises ``ValueError`` unless ``alpha * dt`` is below 2.785, RK4's real
+    stability limit, past which the -alpha mode grows without bound.  The
+    limit is necessary, not sufficient: just under it the Lyapunov function
+    can still rise along some basin starts.
     """
-    v = np.atleast_2d(np.asarray(verr0, dtype=float)).copy()
+    v = np.atleast_2d(np.asarray(verr0, dtype=float))
     terr0 = np.asarray(terr0, dtype=float)
     single = terr0.ndim == 1
     u = EZ - np.atleast_2d(terr0)
@@ -215,50 +224,34 @@ def integrate_error_ode(
     norms = np.linalg.norm(u, axis=-1)
     if np.any(np.abs(norms - 1.0) > MANIFOLD_TOL):
         raise ValueError("tilt error off manifold: |e_z - terr| must be 1")
-
     a, b, g = gains.alpha, gains.beta, gains.g0
-    n_steps = int(round(duration / dt))
-    rec_t = [0.0]
-    rec_v = [v.copy()]
-    rec_u = [u.copy()]
-    for k in range(n_steps):
-        k1 = -a * v + g * (EZ - u)
-        vh = v + 0.5 * dt * k1
-        # rate frozen over the step, steering taken at the velocity midpoint
-        # (matches the observer discretization step for step)
-        w = (0.5 * dt * b) * np.cross(u, vh)
-        u_h = rotate_by_exp(w, u)
-        u_1 = rotate_by_exp(w, u_h)
-        k2 = -a * vh + g * (EZ - u_h)
-        vh = v + 0.5 * dt * k2
-        k3 = -a * vh + g * (EZ - u_h)
-        vh = v + dt * k3
-        k4 = -a * vh + g * (EZ - u_1)
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        u = u_1
-        last = k == n_steps - 1
-        if (k + 1) % record_every == 0 or last:
-            rec_t.append((k + 1) * dt)
-            rec_v.append(v.copy())
-            rec_u.append(u.copy())
-        if stop_when_below is not None and not last and (k + 1) % 50 == 0:
-            vmax = np.sqrt(np.sum(v * v, axis=-1).max())
-            z2 = EZ - u
-            tmax = np.sqrt(np.sum(z2 * z2, axis=-1).max())
-            if vmax < stop_when_below and tmax < stop_when_below:
-                if (k + 1) % record_every != 0:
-                    rec_t.append((k + 1) * dt)
-                    rec_v.append(v.copy())
-                    rec_u.append(u.copy())
-                break
+    if not a * dt < RK4_REAL_LIMIT:
+        raise ValueError(
+            f"dt = {dt!r} is too large: alpha*dt = {a * dt!r} must be below "
+            f"{RK4_REAL_LIMIT} (RK4 stability limit)"
+        )
 
-    t = np.array(rec_t)
-    verr = np.stack(rec_v, axis=-2)  # (B, M, 3)
-    terr = EZ - np.stack(rec_u, axis=-2)
+    n_steps = int(round(duration / dt))
+    marks = list(range(0, n_steps + 1, record_every))
+    if marks[-1] != n_steps:
+        marks.append(n_steps)
+    rec = np.empty((len(marks), 6, len(u)))  # (vel_est, tilt_est) components
+    rec[0] = np.concatenate([-v, u], axis=1).T
+    if len(u) == 1:  # one start: the step on Python floats
+        out, s, step = rec[:, :, 0], tuple(rec[0, :, 0].tolist()), step_floats
+    else:  # a batch: the same step on (B,) component arrays
+        out, s, step = rec, tuple(rec[0]), partial(step_floats, rotate=rotate3_arrays)
+    for j in range(1, len(marks)):
+        for _ in range(marks[j] - marks[j - 1]):
+            s = step(a, b, g, dt, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, g, *s)
+        out[j] = s
+
+    np.negative(rec[:, :3], out=rec[:, :3])  # in place: the states become errors
+    np.subtract(EZ[:, None], rec[:, 3:], out=rec[:, 3:])
+    err = rec.transpose(2, 0, 1)  # (B, M, 6)
     if single:
-        verr = verr[0]
-        terr = terr[0]
-    return ErrorTrajectory(t=t, verr=verr, terr=terr)
+        err = err[0]
+    return ErrorTrajectory(t=np.array(marks) * dt, verr=err[..., :3], terr=err[..., 3:])
 
 
 def sample_basin(

@@ -47,6 +47,25 @@ def _rotate3(wx, wy, wz, vx, vy, vz):
     )
 
 
+def rotate3_arrays(wx, wy, wz, vx, vy, vz):
+    """:func:`_rotate3` on (B,) component arrays, its branch as ``np.where``."""
+    t2 = wx * wx + wy * wy + wz * wz
+    small = t2 < 1e-24
+    safe = np.where(small, 1.0, t2)
+    t = np.sqrt(safe)
+    sc = np.where(small, 1.0 - t2 / 6.0, np.sin(t) / t)
+    vc = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(t)) / safe)
+    cx = wy * vz - wz * vy
+    cy = wz * vx - wx * vz
+    cz = wx * vy - wy * vx
+    d = wx * vx + wy * vy + wz * vz
+    return (
+        vx + sc * cx + vc * (d * wx - t2 * vx),
+        vy + sc * cy + vc * (d * wy - t2 * vy),
+        vz + sc * cz + vc * (d * wz - t2 * vz),
+    )
+
+
 @dataclass(frozen=True)
 class ObserverGains:
     alpha: float
@@ -105,7 +124,8 @@ def observer_derivative(
     return vel_dot, omega_eff
 
 
-def step_floats(a, b, g, dt, wx, wy, wz, mx, my, mz, fx, fy, fz, vx, vy, vz, tx, ty, tz):
+def step_floats(a, b, g, dt, wx, wy, wz, mx, my, mz, fx, fy, fz, vx, vy, vz, tx, ty, tz,
+                rotate=_rotate3):
     """Advance the observer one step on Python floats.
 
     Takes the gains ``a, b, g`` (alpha, beta, g0), the step ``dt``, the pivot
@@ -118,6 +138,10 @@ def step_floats(a, b, g, dt, wx, wy, wz, mx, my, mz, fx, fy, fz, vx, vy, vz, tx,
     takes 10^4 of these and numpy dispatch on 3-vectors would dominate the
     cost.  ``observer_derivative`` is the readable reference; the step test
     checks one against the other.
+
+    With ``rotate=rotate3_arrays`` the same body steps B observers at once:
+    any argument may then be a (B,) array, per-row gains included, and the
+    result holds (B,) arrays.
     """
     # constant part of the velocity dynamics over the step; each stage below
     # is -pivot_rate x vel - a*vel + g*tilt + const
@@ -136,8 +160,8 @@ def step_floats(a, b, g, dt, wx, wy, wz, mx, my, mz, fx, fy, fz, vx, vy, vz, tx,
     ez = wz - b * (tx * iy - ty * ix)
 
     rx, ry, rz = -h * ex, -h * ey, -h * ez  # half-step rotation vector
-    hx, hy, hz = _rotate3(rx, ry, rz, tx, ty, tz)
-    ux, uy, uz = _rotate3(rx, ry, rz, hx, hy, hz)
+    hx, hy, hz = rotate(rx, ry, rz, tx, ty, tz)
+    ux, uy, uz = rotate(rx, ry, rz, hx, hy, hz)
 
     px, py, pz = vx + h * k1x, vy + h * k1y, vz + h * k1z
     k2x = cx - (wy * pz - wz * py) - a * px + g * hx
@@ -212,9 +236,3 @@ def run_observer(gains, pivot_rate, vel_meas, accel_robot, dt, vel0, tilt0) -> n
     except (ValueError, OverflowError):
         states.extend([(math.nan,) * 6] * (n + 1 - len(states)))
     return np.array(states)
-
-
-def tilt_estimate(state: ObserverState) -> np.ndarray:
-    """Unit-norm tilt estimate (renormalized copy, guards roundoff drift)."""
-    t = state.tilt_est
-    return t / np.linalg.norm(t)

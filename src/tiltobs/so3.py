@@ -73,22 +73,6 @@ def rotation_exp_batch(w: np.ndarray) -> np.ndarray:
     return _EYE3 + a[..., None, None] * W + b[..., None, None] * (W @ W)
 
 
-def rotate_by_exp(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply ``rotation_exp(w)`` to ``v`` without forming the matrix.
-
-    Broadcasts over leading axes: ``w`` and ``v`` may be stacks of vectors
-    with shape (..., 3).  Used by the batched integrators.
-    """
-    theta2 = np.sum(w * w, axis=-1, keepdims=True)
-    small = theta2 < SMALL_ANGLE * SMALL_ANGLE
-    safe2 = np.where(small, 1.0, theta2)
-    theta = np.sqrt(safe2)
-    a = np.where(small, 1.0 - theta2 / 6.0, np.sin(theta) / theta)
-    b = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(theta)) / safe2)
-    wxv = np.cross(w, v)
-    return v + a * wxv + b * np.cross(w, wxv)
-
-
 def integrate_rotation(R: np.ndarray, omega: np.ndarray, dt: float) -> np.ndarray:
     """One step of ``Rdot = S(omega) @ R`` with the world-frame rate ``omega``
     held constant over ``dt``."""

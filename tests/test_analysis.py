@@ -266,14 +266,16 @@ def test_integrator_batch_matches_single():
     assert_allclose(batch.t, np.arange(11) * 0.02, atol=1e-12)
 
 
-def test_integrator_early_stop():
+def test_integrator_rejects_steps_past_rk4_limit():
     verr0, terr0 = reference_start()
-    traj = integrate_error_ode(
-        verr0, terr0, GAINS, dt=1e-3, duration=10.0, record_every=100, stop_when_below=1e-6
-    )
-    assert traj.t[-1] < 10.0
-    assert np.linalg.norm(traj.verr[-1]) < 1e-6
-    assert np.linalg.norm(traj.terr[-1]) < 1e-6
+    # alpha*dt = 3.96: RK4 multiplies the -alpha mode by R(-3.96) = 4.8 per step
+    with pytest.raises(ValueError, match=r"dt = 0\.2 .*alpha\*dt = 3\.96"):
+        integrate_error_ode(verr0, terr0, GAINS, dt=0.2, duration=4.0)
+    with pytest.raises(ValueError, match="alpha\\*dt"):
+        integrate_error_ode(verr0, terr0, GAINS, dt=2.786 / GAINS.alpha, duration=1.0)
+    # just under the limit the run is bounded
+    traj = integrate_error_ode(verr0, terr0, GAINS, dt=2.78 / GAINS.alpha, duration=4.0)
+    assert np.isfinite(traj.verr).all() and np.isfinite(traj.terr).all()
 
 
 # --- basin sampling and report ---------------------------------------------

@@ -132,6 +132,15 @@ def test_error_ode_degenerate_start_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_error_ode_step_past_rk4_limit_fails_cleanly(tmp_path, capsys):
+    # alpha*dt = 19.8 * 0.2 = 3.96 is past RK4's 2.785: the run would blow up
+    rc = main(["error-ode", "--out", str(tmp_path), "--dt", "0.2", "--duration", "4"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: dt = 0.2 ") and "alpha*dt = 3.96" in err
+    assert not (tmp_path / "error_ode.csv").exists()
+
+
 def test_bad_config_file_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("gains.alpha = -5\n")

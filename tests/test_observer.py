@@ -8,10 +8,12 @@ from tiltobs.observer import (
     make_gains,
     observer_derivative,
     observer_step,
+    _rotate3,
+    rotate3_arrays,
     run_observer,
-    tilt_estimate,
+    step_floats,
 )
-from tiltobs.so3 import rotation_exp
+from tiltobs.so3 import rotation_exp, rotation_exp_batch
 
 EZ = np.array([0.0, 0.0, 1.0])
 EYE = np.eye(3)
@@ -151,7 +153,41 @@ def test_run_observer_overflow_leaves_nan_rows():
     assert not finite[first_bad:].any()
 
 
-def test_tilt_estimate_is_unit():
-    st = ObserverState(vel_est=np.zeros(3), tilt_est=np.array([0.0, 0.0, 1.0 + 3e-13]))
-    t = tilt_estimate(st)
-    assert abs(np.linalg.norm(t) - 1.0) < 1e-15
+def test_rotate3_arrays_matches_matrix_action():
+    rng = np.random.default_rng(6)
+    w = rng.standard_normal((40, 3)) * rng.uniform(0.0, np.pi, (40, 1))
+    w[7] = 0.0  # exercise the zero-rotation row
+    w[8] *= 1e-13 / np.linalg.norm(w[8])  # and the series branch
+    v = rng.standard_normal((40, 3))
+    expected = np.einsum("bij,bj->bi", rotation_exp_batch(w), v)
+    assert_allclose(np.array(rotate3_arrays(*w.T, *v.T)).T, expected, atol=1e-13)
+    # the float twin on single rows
+    for i in (0, 7, 8):
+        assert_allclose(_rotate3(*w[i].tolist(), *v[i].tolist()), expected[i], atol=1e-13)
+
+
+def test_step_on_arrays_matches_float_path_on_a_moving_scene():
+    # B observers, each with its own gains, driven by their own moving scene:
+    # every row of the array step is the float step run on that row alone
+    rng = np.random.default_rng(14)
+    n_obs, n, dt, g0 = 5, 300, 1e-3, 9.81
+    a = rng.uniform(5.0, 30.0, n_obs)
+    b = rng.uniform(0.1, 0.9, n_obs) * a * a / g0
+    rate = 0.5 * rng.standard_normal((n, 3, n_obs))
+    vel_meas = 0.2 * rng.standard_normal((n, 3, n_obs))
+    force = g0 * EZ[:, None] + rng.standard_normal((n, 3, n_obs))
+    tilt0 = rng.standard_normal((3, n_obs))
+    tilt0 /= np.linalg.norm(tilt0, axis=0)
+    s = (*rng.standard_normal((3, n_obs)), *tilt0)
+    rows = np.array(s).T.tolist()
+    for k in range(n):
+        s = step_floats(a, b, g0, dt, *rate[k], *vel_meas[k], *force[k], *s,
+                        rotate=rotate3_arrays)
+        rows = [
+            step_floats(a[i], b[i], g0, dt, *rate[k, :, i].tolist(),
+                        *vel_meas[k, :, i].tolist(), *force[k, :, i].tolist(), *rows[i])
+            for i in range(n_obs)
+        ]
+        assert np.abs(np.array(s).T - np.array(rows)).max() <= 1e-14
+    # the scene did move the estimates
+    assert np.abs(np.array(s)[3:] - tilt0).min() > 1e-3

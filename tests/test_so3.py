@@ -6,7 +6,6 @@ from tiltobs.so3 import (
     integrate_rotation,
     is_rotation,
     reorthonormalize,
-    rotate_by_exp,
     rotation_between,
     rotation_exp,
     rotation_exp_batch,
@@ -81,17 +80,6 @@ def test_exp_small_angle_branch_is_continuous():
     for mag in (1e-10, 1e-9, 9e-9, 1.1e-8, 1e-7):
         w = np.array([0.6, -0.8, 0.0]) * mag
         assert_allclose(rotation_exp(w), series_exp(skew(w)), atol=1e-15)
-
-
-def test_rotate_by_exp_matches_matrix_action():
-    rng = np.random.default_rng(6)
-    w = rng.standard_normal((40, 3)) * rng.uniform(0.0, np.pi, (40, 1))
-    w[7] = 0.0  # exercise the zero-rotation row
-    v = rng.standard_normal((40, 3))
-    expected = np.stack([rotation_exp(wi) @ vi for wi, vi in zip(w, v)])
-    assert_allclose(rotate_by_exp(w, v), expected, atol=1e-13)
-    # scalar call
-    assert_allclose(rotate_by_exp(w[0], v[0]), expected[0], atol=1e-13)
 
 
 def test_rotation_exp_batch_matches_scalar():
