@@ -37,23 +37,6 @@ MANIFOLD_TOL = 1e-9
 RK4_REAL_LIMIT = 2.785
 
 
-@dataclass
-class ErrorPoint:
-    """A point of the error dynamics; validates the tilt-error constraint."""
-
-    verr: np.ndarray
-    terr: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.verr = np.asarray(self.verr, dtype=float)
-        self.terr = np.asarray(self.terr, dtype=float)
-        if self.verr.shape != (3,) or self.terr.shape != (3,):
-            raise ValueError("verr and terr must be 3-vectors")
-        n = np.linalg.norm(EZ - self.terr)
-        if abs(n - 1.0) > MANIFOLD_TOL:
-            raise ValueError(f"tilt error off manifold: |e_z - terr| = {n!r}, expected 1")
-
-
 def error_field(verr: np.ndarray, terr: np.ndarray, gains: ObserverGains):
     """Right-hand side of the error dynamics.  Broadcasts over leading axes."""
     w = EZ - terr
@@ -287,70 +270,3 @@ def sample_basin(
         terr[got : got + take] = z2[:take]
         got += take
     return verr, terr
-
-
-@dataclass
-class StabilityReport:
-    """Summary of one error-dynamics run plus the gain-level facts."""
-
-    gain_ratio: float
-    unstable_root: float
-    equilibrium_flipped_verr: np.ndarray
-    v_initial: float
-    v_final: float
-    in_basin: bool
-    epsilon: float
-    exp_rate: float
-    v_monotone: bool
-    bound_satisfied: bool | None
-    convergence_time: float | None
-    duration: float
-    dt: float
-    threshold: float
-
-
-def stability_report(
-    verr0,
-    terr0,
-    gains: ObserverGains,
-    dt: float = 1e-3,
-    duration: float = 10.0,
-    threshold: float = 1e-3,
-    record_every: int = 10,
-) -> StabilityReport:
-    """Integrate the error dynamics from one start and grade the run."""
-    point = ErrorPoint(verr0, terr0)
-    traj = integrate_error_ode(point.verr, point.terr, gains, dt=dt, duration=duration,
-                               record_every=record_every)
-    v_series = lyapunov(traj.verr, traj.terr, gains)
-    v0 = float(v_series[0])
-    v_sep = 2.0 * gains.g0**2
-    in_basin = v0 < v_sep
-    eps = estimate_epsilon(traj.terr)
-    rate = decay_rate(eps, gains)
-    slack = 1e-9 * max(1.0, v0)
-    v_monotone = bool(np.all(np.diff(v_series) <= slack))
-    bound = None
-    if in_basin:
-        envelope = exponential_bound(v0, traj.t, eps, gains)
-        bound = bool(np.all(v_series <= envelope + slack))
-    err_norms = np.maximum(
-        np.linalg.norm(traj.verr, axis=-1), np.linalg.norm(traj.terr, axis=-1)
-    )
-    t_conv = convergence_time(traj.t, err_norms, threshold)
-    return StabilityReport(
-        gain_ratio=gains.gain_ratio,
-        unstable_root=unstable_root(gains),
-        equilibrium_flipped_verr=equilibria(gains)[1][0],
-        v_initial=v0,
-        v_final=float(v_series[-1]),
-        in_basin=in_basin,
-        epsilon=eps,
-        exp_rate=rate,
-        v_monotone=v_monotone,
-        bound_satisfied=bound,
-        convergence_time=t_conv,
-        duration=duration,
-        dt=dt,
-        threshold=threshold,
-    )

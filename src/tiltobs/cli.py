@@ -56,14 +56,19 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """Argparse type for integers >= ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _load(args) -> harness.ExperimentConfig:
@@ -211,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="config file (defaults when absent)")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, help="override the config seed")
+        p.add_argument("--seed", type=_int_at_least(0), help="override the config seed")
 
     p = sub.add_parser("simulate", help="closed-loop run to CSV and report")
     common(p)
@@ -221,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="stability facts and basin sampling")
     common(p)
-    p.add_argument("--basin-samples", type=_positive_int, default=200,
+    p.add_argument("--basin-samples", type=_int_at_least(1), default=200,
                    help="random starts drawn inside the guaranteed basin")
     p.set_defaults(handler=cmd_analyze)
 

@@ -198,16 +198,24 @@ def load_config(path) -> ExperimentConfig:
 def validate_config(cfg: ExperimentConfig) -> None:
     """Reject configs that cannot be run, naming the offending key."""
     for key, (section, name, parser) in SCHEMA.items():
-        if parser in (_parse_float, _parse_vec):
-            value = getattr(cfg if section is None else getattr(cfg, section), name)
-            if not np.isfinite(value).all():
-                raise ValueError(f"{key} must be finite, got {_format_value(value)}")
+        value = getattr(cfg if section is None else getattr(cfg, section), name)
+        if parser in (_parse_float, _parse_vec) and not np.isfinite(value).all():
+            raise ValueError(f"{key} must be finite, got {_format_value(value)}")
+        # a text value must read back unchanged from its config line
+        if parser is _parse_str and (
+            "#" in value or value != value.strip() or len(value.splitlines()) > 1
+        ):
+            raise ValueError(
+                f"{key} must not hold '#', line breaks or surrounding spaces, got {value!r}"
+            )
     if not (cfg.duration > 0.0):
         raise ValueError(f"duration must be positive, got {cfg.duration}")
     if not (cfg.dt > 0.0):
         raise ValueError(f"dt must be positive, got {cfg.dt}")
     if int(round(cfg.duration / cfg.dt)) < 1:
         raise ValueError("duration shorter than one step")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.decimation < 1:
         raise ValueError(f"decimation must be >= 1, got {cfg.decimation}")
     if not (cfg.gains.alpha > 0.0):
@@ -299,8 +307,6 @@ def _trajectory_config(cfg: ExperimentConfig) -> plant.TrajectoryConfig:
         kp=cfg.mount.kp,
         p_ref=cfg.mount.p_ref,
         p0=cfg.mount.p0,
-        noise_std=cfg.mount.noise_std,
-        noise_tau=cfg.mount.noise_tau,
         g0=cfg.gains.g0,
         world_rot=world_rot,
     )
@@ -398,13 +404,13 @@ def run_simulation(cfg: ExperimentConfig, estimator_factory=None) -> RunLog:
     accel_meas = accel_true + cfg.noise.accel_std * draws[:, 1]
 
     # measured pivot rate and velocity-type measurement, robot frame
-    y1 = np.einsum("nij,nj->ni", Rm_mid, gyro_meas) - wm_held
-    x1 = np.cross(pos_mid, y1) - vel_mid
+    y1 = plant.pivot_rate_from_gyro(gyro_meas, Rm_mid, wm_held)
+    x1 = plant.velocity_measurement(pos_mid, vel_mid, y1)
 
     # ground truth on the record grid
     pos_g, vel_g = pos_all[0::2], vel_all[0::2]
     rate_loc = np.einsum("nji,nj->ni", Rp, plant.pivot_rate(traj, t_grid))
-    x1_true = np.cross(pos_g, rate_loc) - vel_g
+    x1_true = plant.velocity_measurement(pos_g, vel_g, rate_loc)
     x2_true = Rp[:, 2, :]
     vel_hat0 = x1_true[0] - cfg.init.vel_err
     wall_scene = time.perf_counter()

@@ -256,9 +256,8 @@ def test_criterion_09_sensor_model_oracles(criterion):
         mount_rate_amp=[0.5, 0.4, 0.6],
         mount_rate_freq=[0.9, 0.6, 1.2],
         mount_rate_phase=[0.9, 0.2, 1.7],
-        noise_std=0.05,
     )
-    noise = plant.MountNoise(cfg.noise_std, cfg.noise_tau, seed=7)
+    noise = plant.MountNoise(0.05, 0.2, seed=7)
     fine = 2e-6
     n = int(round(0.21 / fine))
     tg = np.arange(n) * fine
@@ -269,15 +268,12 @@ def test_criterion_09_sensor_model_oracles(criterion):
         pos, _, _ = plant.mount_translation(cfg, noise, i * fine)
         return Rp[i] @ pos
 
+    # the harness's own sensor formulas, on one sample
     i0 = int(round(0.2 / fine))
-    pos, vel, acc = plant.mount_translation(cfg, noise, i0 * fine)
-    pv = plant.PivotState(
-        R=Rp[i0], omega=plant.pivot_rate(cfg, i0 * fine), alpha=plant.pivot_accel(cfg, i0 * fine)
-    )
-    mt = plant.MountKinematics(
-        pos=pos, vel=vel, acc=acc, R=Rm[i0], omega=plant.mount_rate(cfg, i0 * fine)
-    )
-    ya = plant.synth_accel(pv, mt, cfg.g0)
+    t0 = i0 * fine
+    pos, vel, acc = plant.mount_translation(cfg, noise, t0)
+    w0, a0 = plant.pivot_rate(cfg, t0), plant.pivot_accel(cfg, t0)
+    ya = plant.accel_stream(Rp[i0], w0, a0, pos, vel, acc, Rm[i0], cfg.g0)
     errs = []
     for h_steps in (500, 250):  # central differences at h = 1e-3 and 5e-4
         h = h_steps * fine
@@ -289,20 +285,12 @@ def test_criterion_09_sensor_model_oracles(criterion):
     rng = np.random.default_rng(31)
     gyro_gap = 0.0
     for _ in range(20):
-        pv = plant.PivotState(
-            R=rotation_exp(rng.standard_normal(3)),
-            omega=rng.standard_normal(3),
-            alpha=rng.standard_normal(3),
-        )
-        mt = plant.MountKinematics(
-            pos=rng.standard_normal(3),
-            vel=rng.standard_normal(3),
-            acc=rng.standard_normal(3),
-            R=rotation_exp(rng.standard_normal(3)),
-            omega=rng.standard_normal(3),
-        )
-        rate = plant.pivot_rate_from_gyro(plant.synth_gyro(pv, mt), mt)
-        gyro_gap = max(gyro_gap, float(np.abs(rate - pv.R.T @ pv.omega).max()))
+        Rp_k = rotation_exp(rng.standard_normal(3))
+        w_k = rng.standard_normal(3)
+        Rm_k = rotation_exp(rng.standard_normal(3))
+        wm_k = rng.standard_normal(3)
+        rate = plant.pivot_rate_from_gyro(plant.gyro_stream(Rp_k, w_k, Rm_k, wm_k), Rm_k, wm_k)
+        gyro_gap = max(gyro_gap, float(np.abs(rate - Rp_k.T @ w_k).max()))
     criterion(
         9,
         errs[0] < 5e-5 and 3.0 < ratio < 5.0 and gyro_gap < 1e-12,

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from tiltobs.analysis import (
     EZ,
-    ErrorPoint,
     char_poly_flipped,
     convergence_time,
     decay_rate,
@@ -17,7 +16,6 @@ from tiltobs.analysis import (
     lyapunov,
     lyapunov_rate,
     sample_basin,
-    stability_report,
     unstable_root,
 )
 from tiltobs.observer import make_gains
@@ -33,24 +31,6 @@ def on_manifold_samples(n: int, seed: int, verr_scale: float = 1.0):
     terr = EZ - u
     verr = verr_scale * rng.standard_normal((n, 3))
     return verr, terr
-
-
-# --- point validation ----------------------------------------------------
-
-
-def test_error_point_accepts_manifold_points():
-    ErrorPoint(np.ones(3), np.zeros(3))
-    ErrorPoint(np.zeros(3), 2.0 * EZ)
-    ErrorPoint(np.zeros(3), EZ - np.array([1.0, 0.0, 0.0]))
-
-
-def test_error_point_rejects_off_manifold():
-    with pytest.raises(ValueError):
-        ErrorPoint(np.zeros(3), 0.5 * EZ)
-    with pytest.raises(ValueError):
-        ErrorPoint(np.zeros(3), np.array([3.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        ErrorPoint(np.zeros(2), np.zeros(3))
 
 
 # --- vector field and Lyapunov function ----------------------------------
@@ -235,6 +215,28 @@ def test_integrator_rejects_off_manifold_start():
         integrate_error_ode(np.zeros(3), 0.3 * EZ, GAINS, duration=0.01)
 
 
+def test_error_point_accepts_manifold_points():
+    # error states on the tilt-error sphere, the flipped point included, are
+    # valid starts and are recorded as given
+    for verr0, terr0 in (
+        (np.ones(3), np.zeros(3)),
+        (np.zeros(3), 2.0 * EZ),
+        (np.zeros(3), EZ - np.array([1.0, 0.0, 0.0])),
+    ):
+        traj = integrate_error_ode(verr0, terr0, GAINS, duration=0.01)
+        assert (traj.verr[0] == verr0).all() and (traj.terr[0] == terr0).all()
+
+
+def test_error_point_rejects_off_manifold():
+    for verr0, terr0 in (
+        (np.zeros(3), 0.5 * EZ),
+        (np.zeros(3), np.array([3.0, 0.0, 0.0])),
+        (np.zeros(2), np.zeros(3)),  # shapes disagree
+    ):
+        with pytest.raises(ValueError):
+            integrate_error_ode(verr0, terr0, GAINS, duration=0.01)
+
+
 def test_integrator_stays_on_manifold_and_converges():
     verr0, terr0 = reference_start()
     traj = integrate_error_ode(verr0, terr0, GAINS, dt=1e-3, duration=10.0, record_every=100)
@@ -278,7 +280,7 @@ def test_integrator_rejects_steps_past_rk4_limit():
     assert np.isfinite(traj.verr).all() and np.isfinite(traj.terr).all()
 
 
-# --- basin sampling and report ---------------------------------------------
+# --- basin sampling --------------------------------------------------------
 
 
 def test_sample_basin_respects_level_set():
@@ -294,27 +296,15 @@ def test_sample_basin_respects_level_set():
     assert (verr == v2).all() and (terr == t2).all()
 
 
-def test_stability_report_in_basin():
-    verr0, terr0 = reference_start()  # V0 = 133.4 < 192.5: inside the basin
-    rep = stability_report(verr0, terr0, GAINS, dt=1e-3, duration=10.0, threshold=1e-3)
-    assert rep.in_basin
-    assert rep.v_monotone
-    assert rep.bound_satisfied
-    assert rep.convergence_time is not None and 0.0 < rep.convergence_time < 5.0
-    assert_allclose(rep.gain_ratio, 98.1 / 392.04, rtol=1e-12)
-    assert_allclose(rep.unstable_root, 6.1251155, atol=1e-6)
-    assert_allclose(rep.exp_rate, decay_rate(rep.epsilon, GAINS), rtol=1e-12)
-    assert rep.v_final < 1e-12
-
-
-def test_stability_report_outside_basin():
+def test_start_outside_basin_still_converges():
     # start near the flipped point (tilt error norm ~1.99): V0 exceeds the
-    # basin level, so no decay bound is claimed, yet the run still converges
+    # basin level, so no decay bound applies, yet the run still converges
     theta = 0.2
     u0 = np.array([np.sin(theta), 0.0, -np.cos(theta)])
     terr0 = EZ - u0
-    rep = stability_report(np.zeros(3), terr0, GAINS, duration=10.0)
-    assert not rep.in_basin
-    assert rep.bound_satisfied is None
-    assert rep.v_final < 1e-9
-    assert rep.convergence_time is not None
+    traj = integrate_error_ode(np.zeros(3), terr0, GAINS, duration=10.0, record_every=10)
+    V = lyapunov(traj.verr, traj.terr, GAINS)
+    assert V[0] > 2.0 * GAINS.g0**2
+    assert V[-1] < 1e-9
+    norms = np.maximum(np.linalg.norm(traj.verr, axis=-1), np.linalg.norm(traj.terr, axis=-1))
+    assert convergence_time(traj.t, norms, 1e-3) is not None

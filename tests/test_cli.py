@@ -1,11 +1,14 @@
 """CLI behavior: files written, exit codes, flag handling."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tiltobs
 from tiltobs.cli import main
 from tiltobs.harness import CSV_HEADER, SWEEP_HEADER, config_text, load_config
 
@@ -101,6 +104,25 @@ def test_bad_numeric_flag_names_the_flag(tmp_path, capsys, argv, flag):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "command", [["simulate"], ["sweep", "--alphas", "19.8", "--betas", "10"]]
+)
+def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main(command + ["--seed", "-1", "--out", str(tmp_path)])
+    assert info.value.code == 2
+    assert "argument --seed: must be an integer >= 0" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_negative_seed_in_config_names_the_key(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("seed = -3\n")
+    rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -3\n"
+
+
 def test_error_ode_default_start_matches_simulator(tmp_path):
     rc = main(["error-ode", "--out", str(tmp_path), "--duration", "1"])
     assert rc == 0
@@ -168,9 +190,13 @@ def test_usage_errors_exit_2(tmp_path):
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports the same sources as this test, however pytest found them
+    src = str(Path(tiltobs.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "tiltobs", "simulate", "--out", str(tmp_path)],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "run.csv").exists()

@@ -8,12 +8,17 @@ closed loop.
 
 import copy
 import logging
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 
 from tiltobs.harness import (
+    ATTITUDE_MODES,
     CSV_HEADER,
     SWEEP_HEADER,
     ExperimentConfig,
@@ -25,6 +30,7 @@ from tiltobs.harness import (
     run_simulation,
     save_config,
     sweep,
+    validate_config,
     write_report,
     write_sweep_csv,
 )
@@ -83,6 +89,7 @@ def test_config_assignments_and_comments():
         ("init.attitude_mode = sideways", "init.attitude_mode"),
         ("duration = soon", "duration"),
         ("no equals sign here", "key = value"),
+        ("seed = -3", "seed"),
     ],
 )
 def test_bad_config_names_the_problem(line, fragment):
@@ -115,6 +122,16 @@ def test_non_finite_value_set_in_code_is_rejected_by_key():
         run_simulation(cfg)
 
 
+@pytest.mark.parametrize("name", ["run#1.csv", " run.csv", "run.csv\n", "a\nb.csv"])
+def test_text_value_that_cannot_read_back_is_rejected_by_key(name):
+    # config_text would write these so that parse_config reads back another
+    # name ('#' starts a comment, values are stripped, lines are split)
+    cfg = ExperimentConfig()
+    cfg.output.csv = name
+    with pytest.raises(ValueError, match="output.csv"):
+        validate_config(cfg)
+
+
 def test_config_text_round_trip():
     cfg = ExperimentConfig()
     cfg.gains.alpha = 7.25
@@ -122,6 +139,54 @@ def test_config_text_round_trip():
     cfg.seed = 42
     cfg.init.tilt_err = np.array([0.3, -0.1, 1.7])
     cfg.mount.noise_std = 0.0125
+    text = config_text(cfg)
+    assert config_text(parse_config(text)) == text
+
+
+@st.composite
+def valid_configs(draw):
+    """Random finite configs that pass validation."""
+    num = partial(st.floats, allow_nan=False, allow_infinity=False)
+
+    def vec(bound=1e6):
+        coord = num(min_value=-bound, max_value=bound)
+        return st.lists(coord, min_size=3, max_size=3).map(np.array)
+
+    file_name = st.text(min_size=1, max_size=12).filter(
+        lambda s: "#" not in s and s == s.strip() and len(s.splitlines()) == 1
+    )
+    cfg = ExperimentConfig()
+    cfg.dt = draw(num(min_value=1e-6, max_value=1.0))
+    cfg.duration = cfg.dt * draw(num(min_value=1.0, max_value=1e4))
+    cfg.decimation = draw(st.integers(1, 10_000))
+    cfg.seed = draw(st.integers(0, 2**63))
+    cfg.gains.alpha = draw(num(min_value=1e-3, max_value=1e3))
+    cfg.gains.g0 = draw(num(min_value=0.1, max_value=100.0))
+    ratio = draw(num(min_value=1e-3, max_value=0.999))
+    cfg.gains.beta = ratio * cfg.gains.alpha**2 / cfg.gains.g0
+    cfg.noise.gyro_std = draw(num(min_value=0.0, max_value=10.0))
+    cfg.noise.accel_std = draw(num(min_value=0.0, max_value=10.0))
+    cfg.init.vel_err = draw(vec())
+    cfg.init.tilt_err = draw(vec(1.15))  # norm below 2 by construction
+    cfg.init.attitude_mode = draw(st.sampled_from(ATTITUDE_MODES))
+    cfg.init.attitude_rotvec = draw(vec())
+    for name in ("accel_amp", "accel_freq", "accel_phase", "rate0", "world_rotvec"):
+        setattr(cfg.pivot, name, draw(vec()))
+    for name in ("rate_amp", "rate_freq", "rate_phase", "p_ref", "p0"):
+        setattr(cfg.mount, name, draw(vec()))
+    cfg.mount.kp = draw(num(min_value=0.0, max_value=100.0))
+    cfg.mount.noise_std = draw(num(min_value=0.0, max_value=1.0))
+    cfg.mount.noise_tau = draw(num(min_value=1e-6, max_value=100.0))
+    cfg.output.csv = draw(file_name)
+    cfg.output.report = draw(file_name)
+    return cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_configs())
+def test_config_text_round_trip_property(cfg):
+    # configs hold arrays, so compare their text rather than the objects
+    validate_config(cfg)
     text = config_text(cfg)
     assert config_text(parse_config(text)) == text
 
@@ -239,6 +304,21 @@ def test_noise_channels_independent():
     # only the gyro channel was switched on
     assert np.array_equal(quiet.accel, noisy.accel)
     assert not np.array_equal(quiet.gyro, noisy.gyro)
+
+
+def test_noise_draw_order_is_pinned():
+    # measurement noise comes from child stream 0 of the seed, one (2, 3)
+    # block per step: three gyro draws, then three accel draws
+    n, seed, gyro_std, accel_std = 500, 5, 0.04, 0.2
+    quiet = short_run(seed=seed, decimation=7)
+    noisy = short_run(
+        seed=seed, decimation=7, **{"noise.gyro_std": gyro_std, "noise.accel_std": accel_std}
+    )
+    rows = np.rint(quiet.t / 1e-3).astype(int)
+    held = np.minimum(rows, n - 1)  # the final row repeats the last sample
+    draws = np.random.default_rng([seed, 0]).standard_normal((n, 2, 3))
+    assert_allclose(noisy.gyro - quiet.gyro, gyro_std * draws[held, 0], rtol=0, atol=1e-14)
+    assert_allclose(noisy.accel - quiet.accel, accel_std * draws[held, 1], rtol=0, atol=1e-13)
 
 
 def test_report_contents(tmp_path):

@@ -1,39 +1,30 @@
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
-from tiltobs import plant
 from tiltobs.plant import (
-    ImuMeasurement,
-    MountKinematics,
     MountNoise,
-    NoiseSpec,
-    PivotState,
     TrajectoryConfig,
-    add_noise,
-    mount_init,
-    mount_midstate,
+    accel_stream,
+    gyro_stream,
     mount_rate,
     mount_translation,
     pivot_accel,
-    pivot_init,
-    pivot_midstate,
     pivot_rate,
     pivot_rate_from_gyro,
     rotation_path,
-    step_mount,
-    step_pivot,
-    synth_accel,
-    synth_gyro,
     velocity_measurement,
 )
 from tiltobs.so3 import rotation_exp
 
 EZ = np.array([0.0, 0.0, 1.0])
 G0 = 9.81
+NOISE_STD = 0.05
+NOISE_TAU = 0.2
+I3 = np.eye(3)
+ZERO = np.zeros(3)
 
 
-def moving_config(noise_std: float = 0.05) -> TrajectoryConfig:
+def moving_config() -> TrajectoryConfig:
     return TrajectoryConfig(
         pivot_accel_amp=[0.50, 0.45, 0.40],
         pivot_accel_freq=[0.7, 1.1, 1.3],
@@ -45,18 +36,21 @@ def moving_config(noise_std: float = 0.05) -> TrajectoryConfig:
         kp=2.0,
         p_ref=[0.0, 0.0, 1.3],
         p0=[0.0, 0.0, 1.3],
-        noise_std=noise_std,
-        noise_tau=0.2,
     )
 
 
-def static_mount(pos) -> MountKinematics:
-    return MountKinematics(
-        pos=np.asarray(pos, dtype=float),
-        vel=np.zeros(3),
-        acc=np.zeros(3),
-        R=np.eye(3),
-        omega=np.zeros(3),
+def midpoint_readings(cfg: TrajectoryConfig, R0: np.ndarray, noise: MountNoise, n: int, dt: float):
+    """(gyro, accel) at the first n step midpoints, sampled as the harness
+    samples them."""
+    t_mid = (np.arange(n) + 0.5) * dt
+    w = pivot_rate(cfg, t_mid)
+    wm = mount_rate(cfg, t_mid)
+    Rp_mid, _ = rotation_path(R0, w, dt)
+    Rm_mid, _ = rotation_path(I3, wm, dt)
+    pos, vel, acc = mount_translation(cfg, noise, t_mid)
+    return (
+        gyro_stream(Rp_mid, w, Rm_mid, wm),
+        accel_stream(Rp_mid, w, pivot_accel(cfg, t_mid), pos, vel, acc, Rm_mid, cfg.g0),
     )
 
 
@@ -64,10 +58,9 @@ def static_mount(pos) -> MountKinematics:
 
 
 def test_static_scene_measurements():
-    pv = PivotState(R=np.eye(3), omega=np.zeros(3), alpha=np.zeros(3))
-    mt = static_mount([0.0, 0.0, 1.3])
-    assert_allclose(synth_gyro(pv, mt), np.zeros(3), atol=0)
-    assert_allclose(synth_accel(pv, mt, G0), [0.0, 0.0, G0], atol=0)
+    pos = np.array([0.0, 0.0, 1.3])
+    assert_allclose(gyro_stream(I3, ZERO, I3, ZERO), np.zeros(3), atol=0)
+    assert_allclose(accel_stream(I3, ZERO, ZERO, pos, ZERO, ZERO, I3, G0), [0.0, 0.0, G0], atol=0)
 
 
 def test_steady_spin_centripetal():
@@ -75,50 +68,48 @@ def test_steady_spin_centripetal():
     # sees the centripetal pull -w^2 r plus gravity
     w = 2.0
     r = 0.3
-    pv = PivotState(R=np.eye(3), omega=np.array([0.0, 0.0, w]), alpha=np.zeros(3))
-    mt = static_mount([r, 0.0, 1.0])
-    assert_allclose(synth_gyro(pv, mt), [0.0, 0.0, w], atol=1e-15)
-    assert_allclose(synth_accel(pv, mt, G0), [-w * w * r, 0.0, G0], atol=1e-12)
+    rate = np.array([0.0, 0.0, w])
+    pos = np.array([r, 0.0, 1.0])
+    assert_allclose(gyro_stream(I3, rate, I3, ZERO), [0.0, 0.0, w], atol=1e-15)
+    assert_allclose(
+        accel_stream(I3, rate, ZERO, pos, ZERO, ZERO, I3, G0), [-w * w * r, 0.0, G0], atol=1e-12
+    )
 
 
 def test_gyro_roundtrip_recovers_pivot_rate():
+    # on a stack of 20 random samples at once: the formulas broadcast
     rng = np.random.default_rng(31)
-    for _ in range(20):
-        pv = PivotState(
-            R=rotation_exp(rng.standard_normal(3)),
-            omega=rng.standard_normal(3),
-            alpha=rng.standard_normal(3),
-        )
-        mt = MountKinematics(
-            pos=rng.standard_normal(3),
-            vel=rng.standard_normal(3),
-            acc=rng.standard_normal(3),
-            R=rotation_exp(rng.standard_normal(3)),
-            omega=rng.standard_normal(3),
-        )
-        rate = pivot_rate_from_gyro(synth_gyro(pv, mt), mt)
-        assert_allclose(rate, pv.R.T @ pv.omega, atol=1e-13)
+    Rp = rotation_exp(rng.standard_normal((20, 3)))
+    Rm = rotation_exp(rng.standard_normal((20, 3)))
+    w, wm = rng.standard_normal((2, 20, 3))
+    rate = pivot_rate_from_gyro(gyro_stream(Rp, w, Rm, wm), Rm, wm)
+    assert rate.shape == (20, 3)
+    assert_allclose(rate, np.einsum("nji,nj->ni", Rp, w), atol=1e-13)
+    # one row of the stack is one sample on its own
+    assert_allclose(
+        pivot_rate_from_gyro(gyro_stream(Rp[4], w[4], Rm[4], wm[4]), Rm[4], wm[4]), rate[4], atol=0
+    )
 
 
 def test_velocity_measurement_example():
-    mt = static_mount([0.0, 0.0, 1.3])
+    pos = np.array([0.0, 0.0, 1.3])
     y1 = np.array([1.0, 0.0, 0.0])
     # cross((0,0,1.3), e_x) = 1.3 e_y
-    assert_allclose(velocity_measurement(mt, y1), [0.0, 1.3, 0.0], atol=1e-15)
-    mt.vel = np.array([0.1, 0.0, 0.0])
-    assert_allclose(velocity_measurement(mt, y1), [-0.1, 1.3, 0.0], atol=1e-15)
+    assert_allclose(velocity_measurement(pos, ZERO, y1), [0.0, 1.3, 0.0], atol=1e-15)
+    vel = np.array([0.1, 0.0, 0.0])
+    assert_allclose(velocity_measurement(pos, vel, y1), [-0.1, 1.3, 0.0], atol=1e-15)
 
 
 def test_accel_matches_finite_difference_of_world_position():
     # oracle: second central difference of the IMU world position along a
     # finely integrated trajectory; the model must match at O(h^2)
     cfg = moving_config()
-    noise = MountNoise(cfg.noise_std, cfg.noise_tau, seed=7)
+    noise = MountNoise(NOISE_STD, NOISE_TAU, seed=7)
     fine = 2e-6
     n = int(round(0.21 / fine))
     tg = np.arange(n) * fine
-    _, Rp = rotation_path(np.eye(3), pivot_rate(cfg, tg + 0.5 * fine), fine)
-    _, Rm = rotation_path(np.eye(3), mount_rate(cfg, tg + 0.5 * fine), fine)
+    _, Rp = rotation_path(I3, pivot_rate(cfg, tg + 0.5 * fine), fine)
+    _, Rm = rotation_path(I3, mount_rate(cfg, tg + 0.5 * fine), fine)
 
     def world_pos(i):
         pos, _, _ = mount_translation(cfg, noise, i * fine)
@@ -127,9 +118,9 @@ def test_accel_matches_finite_difference_of_world_position():
     i0 = int(round(0.2 / fine))
     t0 = i0 * fine
     pos, vel, acc = mount_translation(cfg, noise, t0)
-    pv = PivotState(R=Rp[i0], omega=pivot_rate(cfg, t0), alpha=pivot_accel(cfg, t0))
-    mt = MountKinematics(pos=pos, vel=vel, acc=acc, R=Rm[i0], omega=mount_rate(cfg, t0))
-    ya = synth_accel(pv, mt, cfg.g0)
+    ya = accel_stream(
+        Rp[i0], pivot_rate(cfg, t0), pivot_accel(cfg, t0), pos, vel, acc, Rm[i0], cfg.g0
+    )
 
     errs = []
     for h_steps in (500, 250):  # h = 1e-3 and 5e-4
@@ -146,8 +137,8 @@ def test_accel_matches_finite_difference_of_world_position():
 
 
 def test_mount_setpoint_approach_is_exact_exponential():
-    cfg = TrajectoryConfig(kp=1.0, p_ref=[0.0, 0.0, 1.3], p0=[0.0, 0.0, 1.0], noise_std=0.0)
-    noise = MountNoise(0.0, cfg.noise_tau, seed=0)
+    cfg = TrajectoryConfig(kp=1.0, p_ref=[0.0, 0.0, 1.3], p0=[0.0, 0.0, 1.0])
+    noise = MountNoise(0.0, NOISE_TAU, seed=0)
     t = np.array([0.0, 0.5, 1.0, 3.0])
     pos, vel, acc = mount_translation(cfg, noise, t)
     assert_allclose(pos[:, 2], 1.3 - 0.3 * np.exp(-t), rtol=1e-14)
@@ -158,7 +149,7 @@ def test_mount_setpoint_approach_is_exact_exponential():
 
 def test_mount_translation_derivatives_consistent():
     cfg = moving_config()
-    noise = MountNoise(cfg.noise_std, cfg.noise_tau, seed=8)
+    noise = MountNoise(NOISE_STD, NOISE_TAU, seed=8)
     h = 1e-5
     for t0 in (0.1, 0.9, 2.3):
         pp, vp, _ = mount_translation(cfg, noise, t0 + h)
@@ -170,112 +161,115 @@ def test_mount_translation_derivatives_consistent():
 
 def test_mount_noise_statistics_and_smoothness():
     noise = MountNoise(0.05, 0.2, seed=9)
+    kp = 2.0
+
+    def value(t):
+        return noise.series(t, kp)[0]
+
+    def deriv(t):
+        return noise.series(t, kp)[1]
+
+    def lag(t):
+        return noise.series(t, kp)[2]
+
     # over one full period of the harmonic series the empirical power equals
     # the requested variance exactly (cross terms integrate away)
     t = np.arange(512) / 512.0 * 16.0
-    vals = noise.value(t)
-    assert_allclose(np.mean(vals**2, axis=0), 0.05**2, rtol=1e-10)
+    assert_allclose(np.mean(value(t) ** 2, axis=0), 0.05**2, rtol=1e-10)
     # derivative really is the derivative
     h = 1e-7
-    fd = (noise.value(0.37 + h) - noise.value(0.37 - h)) / (2 * h)
-    assert_allclose(fd, noise.deriv(0.37), atol=1e-5)
-    # lag response solves qdot + kp q = n
-    kp = 2.0
-    q_fd = (noise.lag_response(0.37 + h, kp) - noise.lag_response(0.37 - h, kp)) / (2 * h)
-    assert_allclose(q_fd + kp * noise.lag_response(0.37, kp), noise.value(0.37), atol=1e-5)
+    fd = (value(0.37 + h) - value(0.37 - h)) / (2 * h)
+    assert_allclose(fd, deriv(0.37), atol=1e-5)
+    # the lag signal solves qdot + kp q = value, and its t = 0 sample is
+    # returned on its own
+    q_fd = (lag(0.37 + h) - lag(0.37 - h)) / (2 * h)
+    assert_allclose(q_fd + kp * lag(0.37), value(0.37), atol=1e-5)
+    assert_allclose(noise.series(0.37, kp)[3], lag(0.0), atol=1e-15)
 
 
 def test_mount_noise_deterministic_and_zero():
-    a = MountNoise(0.05, 0.2, seed=9).value(np.linspace(0, 5, 7))
-    b = MountNoise(0.05, 0.2, seed=9).value(np.linspace(0, 5, 7))
+    t = np.linspace(0, 5, 7)
+    a = MountNoise(0.05, 0.2, seed=9).series(t, 2.0)[0]
+    b = MountNoise(0.05, 0.2, seed=9).series(t, 2.0)[0]
     assert (a == b).all()
-    c = MountNoise(0.05, 0.2, seed=10).value(np.linspace(0, 5, 7))
+    c = MountNoise(0.05, 0.2, seed=10).series(t, 2.0)[0]
     assert np.abs(a - c).max() > 1e-3
-    assert (MountNoise(0.0, 0.2, seed=9).value(np.linspace(0, 5, 7)) == 0.0).all()
+    assert (MountNoise(0.0, 0.2, seed=9).series(t, 2.0)[0] == 0.0).all()
 
 
-# --- stepping ----------------------------------------------------------------
+# --- rotation paths ----------------------------------------------------------
 
 
 def test_constant_rate_pivot_is_exact():
+    # closed form for a constant world rate: R(t) = exp(S(w) t) R0
     cfg = TrajectoryConfig(pivot_rate0=[0.0, 0.0, 0.7])
-    st = pivot_init(cfg)
+    R0 = rotation_exp(np.array([0.3, -0.2, 0.5]))
     dt = 1e-2
-    for k in range(100):
-        st = step_pivot(st, cfg, k * dt, dt)
-    assert_allclose(st.R, rotation_exp(np.array([0.0, 0.0, 0.7])), atol=1e-13)
-    assert_allclose(st.omega, [0.0, 0.0, 0.7], atol=0)
+    w = pivot_rate(cfg, (np.arange(100) + 0.5) * dt)
+    assert_allclose(w, np.tile([0.0, 0.0, 0.7], (100, 1)), atol=0)
+    R_mid, R = rotation_path(R0, w, dt)
+    for k in (1, 37, 100):
+        assert_allclose(R[k], rotation_exp(w[0] * (k * dt)) @ R0, atol=1e-13)
+    assert_allclose(R_mid[49], rotation_exp(w[0] * (49.5 * dt)) @ R0, atol=1e-13)
 
 
 def test_midstate_lies_on_step_path():
+    # per step: the midpoint sample is half the step's rotation applied to
+    # the step's start, and the full step is the whole rotation
     cfg = moving_config()
-    st = pivot_init(cfg)
-    t, dt = 0.3, 1e-3
-    # walk to t first
-    cur = st
-    for k in range(300):
-        cur = step_pivot(cur, cfg, k * dt, dt)
-    mid = pivot_midstate(cur, cfg, t, dt)
-    nxt = step_pivot(cur, cfg, t, dt)
-    w = pivot_rate(cfg, t + 0.5 * dt)
-    assert_allclose(mid.R, rotation_exp(0.5 * dt * w) @ cur.R, atol=1e-15)
-    assert_allclose(nxt.R, rotation_exp(dt * w) @ cur.R, atol=1e-14)
-    assert_allclose(mid.omega, w, atol=0)
+    dt = 1e-3
+    n = 400
+    w = pivot_rate(cfg, (np.arange(n) + 0.5) * dt)
+    R_mid, R = rotation_path(I3, w, dt)
+    for k in range(n):
+        assert_allclose(R_mid[k], rotation_exp(0.5 * dt * w[k]) @ R[k], atol=1e-15)
+        assert_allclose(R[k + 1], rotation_exp(dt * w[k]) @ R[k], atol=1e-14)
 
 
 def test_pivot_path_converges_under_refinement():
     cfg = moving_config()
-    paths = {}
+    final = {}
     for dt in (1e-3, 1e-5):
-        st = pivot_init(cfg)
         n = int(round(0.5 / dt))
-        for k in range(n):
-            st = step_pivot(st, cfg, k * dt, dt)
-        paths[dt] = st.R
-    assert np.abs(paths[1e-3] - paths[1e-5]).max() < 1e-6
+        _, R = rotation_path(I3, pivot_rate(cfg, (np.arange(n) + 0.5) * dt), dt)
+        final[dt] = R[-1]
+    assert np.abs(final[1e-3] - final[1e-5]).max() < 1e-6
 
 
 def test_rotation_path_matches_sequential_steps():
+    # oracle: the attitude accumulated one single-vector step at a time
     cfg = moving_config()
     dt = 1e-3
     n = 200
-    tg = np.arange(n) * dt
-    R_mid, R = rotation_path(np.eye(3), pivot_rate(cfg, tg + 0.5 * dt), dt)
-    st = pivot_init(cfg)
+    w = pivot_rate(cfg, (np.arange(n) + 0.5) * dt)
+    R0 = rotation_exp(np.array([0.1, 0.2, -0.3]))
+    R_mid, R = rotation_path(R0, w, dt)
+    cur = R0
     for k in range(n):
-        mid = pivot_midstate(st, cfg, k * dt, dt)
-        st = step_pivot(st, cfg, k * dt, dt)
-        assert np.abs(R_mid[k] - mid.R).max() < 1e-14
-        assert np.abs(R[k + 1] - st.R).max() < 1e-14
+        half = rotation_exp(w[k] * (0.5 * dt))
+        mid = half @ cur
+        cur = half @ mid
+        assert np.abs(R_mid[k] - mid).max() < 1e-14
+        assert np.abs(R[k + 1] - cur).max() < 1e-14
 
 
 def test_mount_step_and_midstate():
+    # the harness evaluates the mount once on the interleaved grid of step
+    # boundaries and midpoints; slicing it must give each grid on its own
     cfg = moving_config()
-    noise = MountNoise(cfg.noise_std, cfg.noise_tau, seed=11)
-    st = mount_init(cfg, noise)
+    noise = MountNoise(NOISE_STD, NOISE_TAU, seed=11)
     dt = 1e-3
-    for k in range(100):
-        mid = mount_midstate(st, cfg, k * dt, dt, noise)
-        pos_mid, vel_mid, _ = mount_translation(cfg, noise, k * dt + 0.5 * dt)
-        assert_allclose(mid.pos, pos_mid, atol=0)
-        assert_allclose(mid.vel, vel_mid, atol=0)
-        st = step_mount(st, cfg, k * dt, dt, noise)
-    # attitude stays orthonormal and follows the commanded rate direction
-    assert np.abs(st.R.T @ st.R - np.eye(3)).max() < 1e-12
-
-
-# --- measurement noise --------------------------------------------------------
-
-
-def test_add_noise_draw_order_and_determinism():
-    meas = ImuMeasurement(gyro=np.zeros(3), accel=np.zeros(3))
-    spec = NoiseSpec(gyro_std=0.04, accel_std=0.2, seed=42)
-    noisy = add_noise(meas, spec, np.random.default_rng(42))
-    ref = np.random.default_rng(42)
-    assert_allclose(noisy.gyro, 0.04 * ref.standard_normal(3), atol=0)
-    assert_allclose(noisy.accel, 0.2 * ref.standard_normal(3), atol=0)
-    clean = add_noise(meas, NoiseSpec(0.0, 0.0, 0), np.random.default_rng(0))
-    assert (clean.gyro == 0.0).all() and (clean.accel == 0.0).all()
+    n = 100
+    t_all = np.arange(2 * n + 1) * (0.5 * dt)
+    joint = mount_translation(cfg, noise, t_all)
+    mid = mount_translation(cfg, noise, (np.arange(n) + 0.5) * dt)
+    bound = mount_translation(cfg, noise, np.arange(n + 1) * dt)
+    for j, m, b in zip(joint, mid, bound):
+        assert_allclose(j[1::2], m, atol=1e-15)
+        assert_allclose(j[0::2], b, atol=1e-15)
+    # the mount attitude stays orthonormal along its path
+    _, Rm = rotation_path(I3, mount_rate(cfg, (np.arange(n) + 0.5) * dt), dt)
+    assert np.abs(np.swapaxes(Rm, 1, 2) @ Rm - I3).max() < 1e-12
 
 
 # --- fixed world rotation -----------------------------------------------------
@@ -287,24 +281,16 @@ def test_world_rotation_about_z_leaves_measurements_unchanged():
     yaw = rotation_exp(np.array([0.0, 0.0, 1.1]))
     cfg_rot = moving_config()
     cfg_rot.world_rot = yaw
-    noise = MountNoise(cfg.noise_std, cfg.noise_tau, seed=12)
-
-    pv_a, pv_b = pivot_init(cfg), pivot_init(cfg_rot)
-    mt = mount_init(cfg, noise)
+    noise = MountNoise(NOISE_STD, NOISE_TAU, seed=12)
     dt = 1e-3
-    for k in range(200):
-        mid_a = pivot_midstate(pv_a, cfg, k * dt, dt)
-        mid_b = pivot_midstate(pv_b, cfg_rot, k * dt, dt)
-        mid_m = mount_midstate(mt, cfg, k * dt, dt, noise)
-        assert_allclose(synth_gyro(mid_b, mid_m), synth_gyro(mid_a, mid_m), atol=1e-12)
-        assert_allclose(
-            synth_accel(mid_b, mid_m, cfg.g0), synth_accel(mid_a, mid_m, cfg.g0), atol=1e-12
-        )
-        pv_a = step_pivot(pv_a, cfg, k * dt, dt)
-        pv_b = step_pivot(pv_b, cfg_rot, k * dt, dt)
-        mt = step_mount(mt, cfg, k * dt, dt, noise)
-        # the rotated attitude is exactly the yaw times the base attitude
-        assert np.abs(pv_b.R - yaw @ pv_a.R).max() < 1e-13
+    gyro_a, accel_a = midpoint_readings(cfg, I3, noise, 200, dt)
+    gyro_b, accel_b = midpoint_readings(cfg_rot, yaw, noise, 200, dt)
+    assert_allclose(gyro_b, gyro_a, atol=1e-12)
+    assert_allclose(accel_b, accel_a, atol=1e-12)
+    # the rotated attitude is exactly the yaw times the base attitude
+    _, Rp_a = rotation_path(I3, pivot_rate(cfg, (np.arange(200) + 0.5) * dt), dt)
+    _, Rp_b = rotation_path(yaw, pivot_rate(cfg_rot, (np.arange(200) + 0.5) * dt), dt)
+    assert np.abs(Rp_b - yaw @ Rp_a).max() < 1e-13
 
 
 def test_world_rotation_off_vertical_changes_accel():
@@ -312,11 +298,7 @@ def test_world_rotation_off_vertical_changes_accel():
     cfg = moving_config()
     cfg_rot = moving_config()
     cfg_rot.world_rot = rotation_exp(np.array([1.1, 0.0, 0.0]))
-    noise = MountNoise(cfg.noise_std, cfg.noise_tau, seed=12)
-    pv_a, pv_b = pivot_init(cfg), pivot_init(cfg_rot)
-    mt = mount_init(cfg, noise)
-    mid_a = pivot_midstate(pv_a, cfg, 0.0, 1e-3)
-    mid_b = pivot_midstate(pv_b, cfg_rot, 0.0, 1e-3)
-    mid_m = mount_midstate(mt, cfg, 0.0, 1e-3, noise)
-    d = np.abs(synth_accel(mid_b, mid_m, cfg.g0) - synth_accel(mid_a, mid_m, cfg.g0)).max()
-    assert d > 1.0
+    noise = MountNoise(NOISE_STD, NOISE_TAU, seed=12)
+    _, accel_a = midpoint_readings(cfg, I3, noise, 1, 1e-3)
+    _, accel_b = midpoint_readings(cfg_rot, cfg_rot.world_rot, noise, 1, 1e-3)
+    assert np.abs(accel_b - accel_a).max() > 1.0
