@@ -36,6 +36,26 @@ MANIFOLD_TOL = 1e-9
 # 1 + z + z^2/2 + z^3/6 + z^4/24 = 1 is z = -2.7853), rounded down
 RK4_REAL_LIMIT = 2.785
 
+# the most steps one run may take: 1000 s at the default 1 ms step.  A
+# closed-loop run holds about 2 kB per step, so this also keeps its memory
+# near 2 GB.
+MAX_STEPS = 10**6
+
+
+def step_count(duration: float, dt: float) -> int:
+    """Steps of ``dt`` in ``duration``, checked before anything is allocated.
+
+    Raises ``ValueError`` naming ``duration``/``dt`` unless the count is
+    finite, non-negative and at most :data:`MAX_STEPS`.
+    """
+    n = duration / dt if dt > 0.0 else float("inf")
+    if not 0.0 <= n <= MAX_STEPS:
+        raise ValueError(
+            f"duration / dt = {duration!r} / {dt!r} must be a step count "
+            f"between 0 and {MAX_STEPS}"
+        )
+    return int(round(n))
+
 
 def error_field(verr: np.ndarray, terr: np.ndarray, gains: ObserverGains):
     """Right-hand side of the error dynamics.  Broadcasts over leading axes."""
@@ -214,7 +234,7 @@ def integrate_error_ode(
             f"{RK4_REAL_LIMIT} (RK4 stability limit)"
         )
 
-    n_steps = int(round(duration / dt))
+    n_steps = step_count(duration, dt)
     marks = list(range(0, n_steps + 1, record_every))
     if marks[-1] != n_steps:
         marks.append(n_steps)

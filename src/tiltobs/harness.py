@@ -19,14 +19,13 @@ import copy
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import plant
-from .analysis import convergence_time, lyapunov, lyapunov_rate
+from .analysis import convergence_time, lyapunov, lyapunov_rate, step_count
 from .observer import make_gains, run_observer
 from .so3 import rotation_between, rotation_exp
 
@@ -212,7 +211,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError(f"duration must be positive, got {cfg.duration}")
     if not (cfg.dt > 0.0):
         raise ValueError(f"dt must be positive, got {cfg.dt}")
-    if int(round(cfg.duration / cfg.dt)) < 1:
+    if step_count(cfg.duration, cfg.dt) < 1:
         raise ValueError("duration shorter than one step")
     if cfg.seed < 0:
         raise ValueError(f"seed must be >= 0, got {cfg.seed}")
@@ -289,7 +288,7 @@ class RunLog:
     applied_tilt_err0: np.ndarray
     config: ExperimentConfig
     runtime: float
-    timings: dict  # wall seconds per phase: scene, estimator, record
+    timings: dict  # wall seconds per phase: rotation, mount, sensors, estimator, record
     steps_per_s: float  # estimator steps per wall second
 
 
@@ -367,7 +366,7 @@ def run_simulation(cfg: ExperimentConfig, estimator_factory=None) -> RunLog:
     gains = make_gains(cfg.gains.alpha, cfg.gains.beta, cfg.gains.g0)
     traj = _trajectory_config(cfg)
     dt = cfg.dt
-    n_steps = int(round(cfg.duration / dt))
+    n_steps = step_count(cfg.duration, dt)
 
     motion_noise = plant.MountNoise(
         cfg.mount.noise_std, cfg.mount.noise_tau, seed=[cfg.seed, 1]
@@ -383,6 +382,7 @@ def run_simulation(cfg: ExperimentConfig, estimator_factory=None) -> RunLog:
     R_c0 = R_base if traj.world_rot is None else traj.world_rot @ R_base
     Rp_mid, Rp = plant.rotation_path(R_c0, w_held, dt)
     Rm_mid, _ = plant.rotation_path(np.eye(3), wm_held, dt)
+    wall_rotation = time.perf_counter()
     # one mount evaluation on the interleaved grid: boundaries at even
     # indices, midpoints at odd ones
     t_all = np.empty(2 * n_steps + 1)
@@ -390,6 +390,7 @@ def run_simulation(cfg: ExperimentConfig, estimator_factory=None) -> RunLog:
     t_all[1::2] = t_mid
     pos_all, vel_all, acc_all = plant.mount_translation(traj, motion_noise, t_all)
     pos_mid, vel_mid, acc_mid = pos_all[1::2], vel_all[1::2], acc_all[1::2]
+    wall_mount = time.perf_counter()
     alpha_mid = plant.pivot_accel(traj, t_mid)
 
     gyro_true = plant.gyro_stream(Rp_mid, w_held, Rm_mid, wm_held)
@@ -413,7 +414,7 @@ def run_simulation(cfg: ExperimentConfig, estimator_factory=None) -> RunLog:
     x1_true = plant.velocity_measurement(pos_g, vel_g, rate_loc)
     x2_true = Rp[:, 2, :]
     vel_hat0 = x1_true[0] - cfg.init.vel_err
-    wall_scene = time.perf_counter()
+    wall_sensors = time.perf_counter()
 
     # every state (vel_est, tilt_est), the initial one first
     if estimator_factory is None:
@@ -453,7 +454,7 @@ def run_simulation(cfg: ExperimentConfig, estimator_factory=None) -> RunLog:
     Vdot = lyapunov_rate(z1, z2, gains)
     wall_end = time.perf_counter()
 
-    estimator_s = wall_estimator - wall_scene
+    estimator_s = wall_estimator - wall_sensors
     return RunLog(
         t=t_grid[rows],
         tilt=x2_true[rows],
@@ -471,7 +472,9 @@ def run_simulation(cfg: ExperimentConfig, estimator_factory=None) -> RunLog:
         config=cfg,
         runtime=wall_end - wall0,
         timings={
-            "scene": wall_scene - wall0,
+            "rotation": wall_rotation - wall0,
+            "mount": wall_mount - wall_rotation,
+            "sensors": wall_sensors - wall_mount,
             "estimator": estimator_s,
             "record": wall_end - wall_estimator,
         },
@@ -516,7 +519,7 @@ def write_report(log: RunLog, path, threshold: float = 0.05) -> None:
     lines = [
         f"duration = {cfg.duration!r}",
         f"dt = {cfg.dt!r}",
-        f"steps = {int(round(cfg.duration / cfg.dt))}",
+        f"steps = {step_count(cfg.duration, cfg.dt)}",
         f"decimation = {cfg.decimation}",
         f"seed = {cfg.seed}",
         f"gains.alpha = {cfg.gains.alpha!r}",
@@ -553,7 +556,6 @@ def sweep(
     alphas,
     betas,
     threshold: float = 0.05,
-    max_workers: int | None = None,
 ):
     """Run the scenario over a grid of gains.
 
@@ -561,6 +563,8 @@ def sweep(
     rows, and runs whose state diverges as diverged rows (the step index goes
     to the log), instead of aborting the sweep.  Each cell runs with its own
     seed (base seed XOR cell index) so noisy scenarios stay independent.
+    Cells run one after another: a run is GIL-bound Python, so threads only
+    add memory.
     """
     cells = [(i, a, b) for i, (a, b) in enumerate(
         (a, b) for a in alphas for b in betas
@@ -591,8 +595,7 @@ def sweep(
         row["final_tilt_err_norm"] = float(norms[-1])
         return row
 
-    with ThreadPoolExecutor(max_workers=max_workers or min(8, len(cells))) as pool:
-        return list(pool.map(run_cell, cells))
+    return [run_cell(cell) for cell in cells]
 
 
 def write_sweep_csv(rows, path) -> None:

@@ -19,11 +19,12 @@ accurate and lets sensors be sampled anywhere on a step's rotation path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .so3 import rotation_exp
+from .so3 import rotation_exp, rotation_exp_increment
 
 
 @dataclass
@@ -141,8 +142,11 @@ class MountNoise:
         ``lag`` the particular solution of ``qdot + kp q = value``, per axis.
         One sin/cos basis of ``omega * t`` serves all three: angle addition,
         ``sin(w t + p) = sin(w t) cos(p) + cos(w t) sin(p)``, folds the phases,
-        amplitudes and per-signal factors into (64, 9) weights, so the signals
-        come from two matmuls.  At t = 0 the basis is ``sin = 0``, ``cos = 1``.
+        amplitudes and per-signal factors into (128, 9) weights, so the signals
+        come from one matmul per block of samples.  The frequencies are the
+        multiples ``m * omega[0]``, so the basis needs ``sin``/``cos`` of the
+        fundamental only (see :func:`_harmonic_basis`).  At t = 0 the basis is
+        exactly ``sin = 0``, ``cos = 1``.
         """
         w = self.omega[:, None]
         a = self.amp[:, None]
@@ -153,9 +157,40 @@ class MountNoise:
         # lag: a (kp sin(wt+p) - w cos(wt+p)) / (kp^2 + w^2)
         w_sin = np.hstack([a * cp, -a * w * sp, lag * (kp * cp + w * sp)])
         w_cos = np.hstack([a * sp, a * w * cp, lag * (kp * sp - w * cp)])
-        wt = np.asarray(t, dtype=float)[..., None] * self.omega
-        out = np.sin(wt) @ w_sin + np.cos(wt) @ w_cos
+        weights = np.vstack([w_sin, w_cos])
+        t = np.asarray(t, dtype=float)
+        x = self.omega[0] * t.ravel()
+        out = np.empty((x.size, 9))
+        for i in range(0, x.size, BASIS_CHUNK):
+            basis = _harmonic_basis(x[i : i + BASIS_CHUNK], len(self.omega))
+            np.matmul(basis.T, weights, out=out[i : i + BASIS_CHUNK])
+        out = out.reshape(t.shape + (9,))
         return out[..., 0:3], out[..., 3:6], out[..., 6:9], w_cos[:, 6:9].sum(axis=0)
+
+
+# samples per harmonic basis block: a (128, 2048) block is 2 MB, so the
+# basis never grows with the run length
+BASIS_CHUNK = 2048
+
+
+def _harmonic_basis(x, m: int) -> np.ndarray:
+    """Rows ``sin(k x)`` for k = 1..m, then ``cos(k x)``: (2m, len(x)).
+
+    ``sin``/``cos`` run on ``x`` only; angle addition from harmonic k fills
+    harmonics k + 1..2k, so the filled count doubles (1, 2, 4, ... 64).
+    """
+    basis = np.empty((2 * m, x.size))
+    s, c = basis[:m], basis[m:]
+    s[0] = np.sin(x)
+    c[0] = np.cos(x)
+    k = 1
+    while k < m:
+        j = min(k, m - k)
+        sk, ck = s[k - 1], c[k - 1]
+        s[k : k + j] = sk * c[:j] + ck * s[:j]
+        c[k : k + j] = ck * c[:j] - sk * s[:j]
+        k += j
+    return basis
 
 
 def mount_translation(cfg: TrajectoryConfig, noise: MountNoise, t):
@@ -177,29 +212,44 @@ def mount_translation(cfg: TrajectoryConfig, noise: MountNoise, t):
 # rotation paths
 
 # Each step advances a rotation by holding the midpoint rate: the increment is
-# exp(S(w_mid) dt) applied as two identical half rotations, so a state sampled
-# mid-step lies exactly on the step's rotation path.
+# exp(S(w_mid) dt), and the mid-step sample is the half rotation
+# exp(S(w_mid) dt/2) applied to the step's start, so it lies on the step's
+# rotation path.
 
 
 def rotation_path(R0: np.ndarray, w_held: np.ndarray, dt: float):
     """Integrate a rotation along per-step held rates ``w_held`` (N, 3).
 
     Returns ``(R_mid, R)``: the (N, 3, 3) midpoint samples and the (N+1, 3, 3)
-    step-boundary attitudes of the same path: ``R_mid[k]`` is
-    ``exp(S(w_k) dt/2) @ R[k]`` and ``R[k + 1]`` is ``exp(S(w_k) dt/2) @ R_mid[k]``.
+    step-boundary attitudes of the same path: ``R[k + 1]`` is
+    ``exp(S(w_k) dt) @ R[k]`` and ``R_mid[k]`` is ``exp(S(w_k) dt/2) @ R[k]``.
+
+    The step products are a blocked prefix scan, so the Python loops run
+    about 2 sqrt(N) times, each a batched matmul.  Steps are split into
+    blocks of about sqrt(N); the running product inside every block is taken
+    at once, then carried across blocks.  Every partial product inside a
+    block is kept as an increment ``Q`` on the identity, ``(I + Q_i)(I + Q_j)
+    = I + Q_i + Q_j + Q_i Q_j``, starting from each step's
+    :func:`.so3.rotation_exp_increment`, so roundoff scales with the small
+    increment instead of with the unit diagonal.
     """
     n = w_held.shape[0]
-    halves = rotation_exp(w_held * (0.5 * dt))
-    R_mid = np.empty((n, 3, 3))
+    size = math.isqrt(max(n - 1, 0)) + 1  # ceil(sqrt(n)) steps per block
+    blocks = max(1, -(-n // size))
+    Q = np.zeros((blocks * size, 3, 3))  # padded steps are the identity
+    Q[:n] = rotation_exp_increment(w_held * dt)
+    Q = Q.reshape(blocks, size, 3, 3)
+    for i in range(1, size):  # I + Q[:, i] becomes the product of steps i..0 of its block
+        prev, cur = Q[:, i - 1], Q[:, i]
+        cur += prev + cur @ prev
+    C = np.empty((blocks, 3, 3))  # attitude at the start of each block
+    C[0] = R0
+    for j in range(1, blocks):
+        C[j] = C[j - 1] + Q[j - 1, -1] @ C[j - 1]
     R = np.empty((n + 1, 3, 3))
     R[0] = R0
-    cur = np.asarray(R0, dtype=float)
-    for k in range(n):
-        h = halves[k]
-        mid = h @ cur
-        cur = h @ mid
-        R_mid[k] = mid
-        R[k + 1] = cur
+    R[1:] = (C[:, None] + Q @ C[:, None]).reshape(-1, 3, 3)[:n]
+    R_mid = rotation_exp(w_held * (0.5 * dt)) @ R[:-1]
     return R_mid, R
 
 

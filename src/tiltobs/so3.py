@@ -2,9 +2,9 @@
 rotation between two directions.
 
 Everything works on plain float64 numpy arrays; rotations are 3x3 matrices,
-rotation vectors are length-3 arrays (axis * angle, radians).  ``skew`` and
-``rotation_exp`` broadcast over leading axes, so one vector gives one matrix
-and an (N, 3) stack gives N of them.
+rotation vectors are length-3 arrays (axis * angle, radians).  ``skew``,
+``rotation_exp`` and ``rotation_exp_increment`` broadcast over leading axes,
+so one vector gives one matrix and an (N, 3) stack gives N of them.
 """
 
 from __future__ import annotations
@@ -36,20 +36,36 @@ def skew(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def rotation_exp(w: np.ndarray) -> np.ndarray:
-    """Rotation matrix for the rotation vector ``w`` (Rodrigues formula).
-
-    Broadcasts over leading axes: (..., 3) -> (..., 3, 3).  Exact identity
-    for ``w = 0``; orthonormal to machine precision for any input magnitude.
-    """
+def _rodrigues(w: np.ndarray):
+    """``(a, b, S(w))`` with ``exp(S(w)) = I + a S(w) + b S(w)^2``; a and b
+    carry two trailing unit axes so they broadcast over the matrices."""
     w = np.asarray(w, dtype=float)
     theta2 = np.sum(w * w, axis=-1)
     small = theta2 < SMALL_ANGLE * SMALL_ANGLE
     theta = np.sqrt(np.where(small, 1.0, theta2))
     a = np.where(small, 1.0 - theta2 / 6.0, np.sin(theta) / theta)
     b = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(theta)) / np.where(small, 1.0, theta2))
-    W = skew(w)
-    return _EYE3 + a[..., None, None] * W + b[..., None, None] * (W @ W)
+    return a[..., None, None], b[..., None, None], skew(w)
+
+
+def rotation_exp(w: np.ndarray) -> np.ndarray:
+    """Rotation matrix for the rotation vector ``w`` (Rodrigues formula).
+
+    Broadcasts over leading axes: (..., 3) -> (..., 3, 3).  Exact identity
+    for ``w = 0``; orthonormal to machine precision for any input magnitude.
+    """
+    a, b, W = _rodrigues(w)
+    return _EYE3 + a * W + b * (W @ W)
+
+
+def rotation_exp_increment(w: np.ndarray) -> np.ndarray:
+    """``rotation_exp(w) - I``, without the roundoff of subtracting I.
+
+    For a small rotation the diagonal of ``rotation_exp`` is 1 plus a small
+    term, rounded to the precision of 1; the increment skips that rounding.
+    """
+    a, b, W = _rodrigues(w)
+    return a * W + b * (W @ W)
 
 
 def rotation_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -163,6 +163,19 @@ def test_error_ode_step_past_rk4_limit_fails_cleanly(tmp_path, capsys):
     assert not (tmp_path / "error_ode.csv").exists()
 
 
+def test_overflowing_step_count_fails_cleanly(tmp_path, capsys):
+    # duration / dt overflows to inf: an error line naming both, no traceback
+    cfg_path = tmp_path / "huge.cfg"
+    cfg_path.write_text("duration = 1e300\ndt = 1e-300\n")
+    rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "s")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: duration / dt = 1e+300 / 1e-300 ")
+    rc = main(["error-ode", "--out", str(tmp_path / "e"), "--duration", "1e300", "--dt", "1e-300"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: duration / dt = 1e+300 / 1e-300 ")
+    assert not (tmp_path / "e" / "error_ode.csv").exists()
+
+
 def test_bad_config_file_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("gains.alpha = -5\n")

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from tiltobs.analysis import MAX_STEPS
 from tiltobs.harness import (
     ATTITUDE_MODES,
     CSV_HEADER,
@@ -113,6 +114,20 @@ def test_non_finite_config_value_names_key_and_line(line, key):
         parse_config("# scenario\n" + line)
     assert key in str(info.value)
     assert "line 2" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "duration = 1e300\ndt = 1e-300",  # the step count overflows to inf
+        "duration = 100.0001\ndt = 1e-4",  # one step past the cap
+    ],
+)
+def test_step_count_past_the_cap_is_rejected_by_key(text):
+    # rejected before anything is allocated; no huge run is ever started
+    with pytest.raises(ValueError, match="duration / dt") as info:
+        parse_config(text)
+    assert str(MAX_STEPS) in str(info.value)
 
 
 def test_non_finite_value_set_in_code_is_rejected_by_key():
@@ -402,7 +417,7 @@ def test_phase_timings_add_up_to_runtime(tmp_path):
     cfg = ExperimentConfig()
     cfg.duration = 1.0
     log = run_simulation(cfg)
-    assert set(log.timings) == {"scene", "estimator", "record"}
+    assert list(log.timings) == ["rotation", "mount", "sensors", "estimator", "record"]
     assert all(v >= 0.0 for v in log.timings.values())
     assert sum(log.timings.values()) == pytest.approx(log.runtime, rel=0.05)
     assert log.steps_per_s == pytest.approx(1000 / log.timings["estimator"])
@@ -411,7 +426,14 @@ def test_phase_timings_add_up_to_runtime(tmp_path):
     write_report(log, path)
     keys = [line.split(" = ", 1)[0] for line in path.read_text().splitlines()]
     i = keys.index("runtime_s")
-    assert keys[i + 1 :] == ["time.scene_s", "time.estimator_s", "time.record_s", "steps_per_s"]
+    assert keys[i + 1 :] == [
+        "time.rotation_s",
+        "time.mount_s",
+        "time.sensors_s",
+        "time.estimator_s",
+        "time.record_s",
+        "steps_per_s",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,12 @@
+from pathlib import Path
+
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from tiltobs.harness import load_config
 from tiltobs.plant import (
     MountNoise,
     TrajectoryConfig,
@@ -22,6 +28,7 @@ NOISE_STD = 0.05
 NOISE_TAU = 0.2
 I3 = np.eye(3)
 ZERO = np.zeros(3)
+NOISY_CFG = Path(__file__).resolve().parents[1] / "configs" / "noisy.cfg"
 
 
 def moving_config() -> TrajectoryConfig:
@@ -197,6 +204,35 @@ def test_mount_noise_deterministic_and_zero():
     assert (MountNoise(0.0, 0.2, seed=9).series(t, 2.0)[0] == 0.0).all()
 
 
+def direct_series(noise: MountNoise, t, kp: float):
+    """Oracle: (value, deriv, lag) from sin/cos of every ``omega * t + phase``."""
+    arg = np.asarray(t, dtype=float)[..., None, None] * noise.omega[:, None] + noise.phase.T
+    a = noise.amp[:, None]
+    w = noise.omega[:, None]
+    sin, cos = np.sin(arg), np.cos(arg)
+    lag = a / (kp * kp + w**2) * (kp * sin - w * cos)
+    return (a * sin).sum(axis=-2), (a * w * cos).sum(axis=-2), lag.sum(axis=-2)
+
+
+@pytest.mark.parametrize("shape", [(), (5001,), (1500, 3)])
+def test_mount_noise_doubled_basis_matches_direct_evaluation(shape):
+    # harmonics filled by angle doubling from the fundamental agree with a
+    # direct sin/cos(omega t) on t in [0, 10] s, across basis blocks
+    noise = MountNoise(0.05, 0.2, seed=[0, 1])
+    kp = 2.0
+    t = np.linspace(0.0, 10.0, int(np.prod(shape))).reshape(shape) if shape else 7.3
+    value, deriv, lag, lag0 = noise.series(t, kp)
+    d_value, d_deriv, d_lag = direct_series(noise, t, kp)
+    assert value.shape == deriv.shape == lag.shape == np.shape(t) + (3,)
+    assert np.abs(value - d_value).max() <= 1e-14
+    assert np.abs(deriv - d_deriv).max() <= 1e-13
+    assert np.abs(lag - d_lag).max() <= 1e-14
+    # at t = 0 the basis is exactly sin = 0, cos = 1
+    at_zero = noise.series(0.0, kp)[2]
+    assert_allclose(at_zero, direct_series(noise, 0.0, kp)[2], rtol=0, atol=1e-17)
+    assert_allclose(lag0, at_zero, rtol=0, atol=1e-17)
+
+
 # --- rotation paths ----------------------------------------------------------
 
 
@@ -236,21 +272,85 @@ def test_pivot_path_converges_under_refinement():
     assert np.abs(final[1e-3] - final[1e-5]).max() < 1e-6
 
 
+def sequential_path(R0, w, dt):
+    """Oracle: the attitude accumulated one single-vector step at a time."""
+    R_mid, R = [], [R0]
+    cur = R0
+    for wk in w:
+        half = rotation_exp(wk * (0.5 * dt))
+        R_mid.append(half @ cur)
+        cur = half @ R_mid[-1]
+        R.append(cur)
+    return np.reshape(R_mid, (len(w), 3, 3)), np.array(R)
+
+
 def test_rotation_path_matches_sequential_steps():
-    # oracle: the attitude accumulated one single-vector step at a time
     cfg = moving_config()
     dt = 1e-3
     n = 200
     w = pivot_rate(cfg, (np.arange(n) + 0.5) * dt)
     R0 = rotation_exp(np.array([0.1, 0.2, -0.3]))
     R_mid, R = rotation_path(R0, w, dt)
-    cur = R0
-    for k in range(n):
-        half = rotation_exp(w[k] * (0.5 * dt))
-        mid = half @ cur
-        cur = half @ mid
-        assert np.abs(R_mid[k] - mid).max() < 1e-14
-        assert np.abs(R[k + 1] - cur).max() < 1e-14
+    mid, cur = sequential_path(R0, w, dt)
+    assert np.abs(R_mid - mid).max() < 1e-14
+    assert np.abs(R - cur).max() < 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 10**4])
+def test_block_scan_matches_sequential_steps(n):
+    # block lengths are ceil(sqrt(n)): perfect squares, one either side (a
+    # padded last block), and the reference run's length
+    cfg = moving_config()
+    dt = 1e-3
+    w = pivot_rate(cfg, (np.arange(n) + 0.5) * dt)
+    R0 = rotation_exp(np.array([0.1, 0.2, -0.3]))
+    R_mid, R = rotation_path(R0, w, dt)
+    mid, cur = sequential_path(R0, w, dt)
+    assert R_mid.shape == (n, 3, 3) and R.shape == (n + 1, 3, 3)
+    assert (R[0] == R0).all()
+    # over 10^4 steps both products random-walk in roundoff; the sequential
+    # one itself drifts 2e-14 off orthonormality there
+    tol = 1e-14 if n <= 300 else 3e-14
+    assert np.abs(R_mid - mid).max() < tol
+    assert np.abs(R - cur).max() < tol
+
+
+def test_block_scan_roundoff_on_the_reference_run():
+    # the reference run's pivot rates at 10^4 steps: no worse than the
+    # sequential product (2.0e-14 drift, 1.5e-14 yaw equivariance)
+    cfg = load_config(NOISY_CFG)
+    traj = TrajectoryConfig(
+        pivot_accel_amp=cfg.pivot.accel_amp,
+        pivot_accel_freq=cfg.pivot.accel_freq,
+        pivot_accel_phase=cfg.pivot.accel_phase,
+        pivot_rate0=cfg.pivot.rate0,
+    )
+    dt = cfg.dt
+    n = 10**4
+    w = pivot_rate(traj, (np.arange(n) + 0.5) * dt)
+    R0 = rotation_exp(np.array([0.1, 0.2, -0.3]))
+    _, R = rotation_path(R0, w, dt)
+    assert np.abs(np.swapaxes(R, 1, 2) @ R - I3).max() <= 2e-14
+    yaw = rotation_exp(np.array([0.0, 0.0, 1.1]))
+    _, R_yaw = rotation_path(yaw @ R0, w @ yaw.T, dt)
+    assert np.abs(R_yaw - yaw @ R).max() <= 2e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    scale=st.floats(min_value=0.0, max_value=10.0),
+)
+def test_block_scan_matches_sequential_steps_for_random_rates(n, seed, scale):
+    rng = np.random.default_rng(seed)
+    w = scale * rng.standard_normal((n, 3))
+    R0 = rotation_exp(rng.standard_normal(3))
+    dt = 1e-3
+    R_mid, R = rotation_path(R0, w, dt)
+    mid, cur = sequential_path(R0, w, dt)
+    assert np.abs(R_mid - mid).max() <= 1e-14
+    assert np.abs(R - cur).max() <= 1e-14
 
 
 def test_mount_step_and_midstate():

@@ -1,7 +1,7 @@
 import numpy as np
 from numpy.testing import assert_allclose
 
-from tiltobs.so3 import rotation_between, rotation_exp, skew
+from tiltobs.so3 import rotation_between, rotation_exp, rotation_exp_increment, skew
 
 
 def series_exp(W: np.ndarray, terms: int = 26) -> np.ndarray:
@@ -80,6 +80,28 @@ def test_exp_small_angle_branch_is_continuous():
     for mag in (1e-10, 1e-9, 9e-9, 1.1e-8, 1e-7):
         w = np.array([0.6, -0.8, 0.0]) * mag
         assert_allclose(rotation_exp(w), series_exp(skew(w)), atol=1e-15)
+
+
+def test_exp_increment_keeps_small_rotations_precise():
+    # per-step sized rotations, both sides of the series/trig switch, against
+    # the series oracle's terms past I summed without the I: the increment
+    # stays within 7e-17, where rotation_exp(w) - I reads up to 1.1e-16
+    rng = np.random.default_rng(6)
+    w = rng.standard_normal((200, 3))
+    w *= np.exp(rng.uniform(np.log(1e-10), np.log(0.1), (200, 1))) / np.linalg.norm(
+        w, axis=-1, keepdims=True
+    )
+    w[0] = 0.0
+    Q = rotation_exp_increment(w)
+    assert (Q[0] == 0.0).all()
+    for wi, Qi in zip(w, Q):
+        W = skew(wi)
+        term, oracle = np.eye(3), np.zeros((3, 3))
+        for k in range(1, 26):
+            term = term @ W / k
+            oracle = oracle + term
+        assert np.abs(Qi - oracle).max() <= 7e-17
+    assert np.abs(np.eye(3) + Q - rotation_exp(w)).max() <= 1.2e-16
 
 
 def test_exp_broadcasts_over_leading_axes():
