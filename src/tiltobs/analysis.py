@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .observer import ObserverGains, rotate3_arrays, step_floats
+from .observer import ObserverGains, rotate_twice_arrays, step_floats
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -41,6 +41,10 @@ RK4_REAL_LIMIT = 2.785
 # near 2 GB.
 MAX_STEPS = 10**6
 
+# the most float64 values one error-ODE record may hold (480 MB): 10^4 basin
+# starts at 1001 records each.  `analyze` at 9990 starts peaks near 1.2 GB.
+MAX_RECORD_VALUES = 6 * 10**7
+
 
 def step_count(duration: float, dt: float) -> int:
     """Steps of ``dt`` in ``duration``, checked before anything is allocated.
@@ -55,6 +59,25 @@ def step_count(duration: float, dt: float) -> int:
             f"between 0 and {MAX_STEPS}"
         )
     return int(round(n))
+
+
+def record_marks(n_steps: int, record_every: int, batch: int = 1) -> list:
+    """Step indices an error-ODE run records: every ``record_every``-th step
+    and the last one.
+
+    Raises ``ValueError`` naming the batch size when the record, six values
+    per start and mark, would be over :data:`MAX_RECORD_VALUES`; nothing is
+    allocated before the check.
+    """
+    marks = list(range(0, n_steps + 1, record_every))
+    if marks[-1] != n_steps:
+        marks.append(n_steps)
+    if len(marks) * 6 * batch > MAX_RECORD_VALUES:
+        raise ValueError(
+            f"a batch of {batch} starts recorded at {len(marks)} marks is "
+            f"{len(marks) * 6 * batch} values, over the cap of {MAX_RECORD_VALUES}"
+        )
+    return marks
 
 
 def error_field(verr: np.ndarray, terr: np.ndarray, gains: ObserverGains):
@@ -171,20 +194,26 @@ def estimate_epsilon(terr) -> float:
     return eps
 
 
-def convergence_time(t: np.ndarray, err_norms: np.ndarray, threshold: float):
-    """First time after which ``err_norms`` stays below ``threshold``.
+def convergence_times(t: np.ndarray, err_norms: np.ndarray, threshold: float) -> np.ndarray:
+    """First time after which ``err_norms`` stays below ``threshold``, per
+    trajectory: ``err_norms`` is (..., M) over the M times ``t``.
 
-    Returns ``t[0]`` if it never reaches the threshold, ``None`` if it is
+    Gives ``t[0]`` where it never reaches the threshold, NaN where it is
     still at or above it at the final sample.
     """
     t = np.asarray(t, dtype=float)
-    err_norms = np.asarray(err_norms, dtype=float)
-    above = np.nonzero(err_norms >= threshold)[0]
-    if above.size == 0:
-        return float(t[0])
-    if above[-1] == len(err_norms) - 1:
-        return None
-    return float(t[above[-1] + 1])
+    above = np.asarray(err_norms, dtype=float) >= threshold
+    m = above.shape[-1]
+    # the sample after the last one at or above the threshold (0 if none)
+    after = np.where(above.any(axis=-1), m - np.argmax(above[..., ::-1], axis=-1), 0)
+    return np.where(after < m, t[np.minimum(after, m - 1)], np.nan)
+
+
+def convergence_time(t: np.ndarray, err_norms: np.ndarray, threshold: float):
+    """:func:`convergence_times` of one trajectory: a float, or ``None``
+    if it is still at or above the threshold at the final sample."""
+    first = float(convergence_times(t, err_norms, threshold))
+    return None if np.isnan(first) else first
 
 
 @dataclass
@@ -216,7 +245,9 @@ def integrate_error_ode(
     Raises ``ValueError`` unless ``alpha * dt`` is below 2.785, RK4's real
     stability limit, past which the -alpha mode grows without bound.  The
     limit is necessary, not sufficient: just under it the Lyapunov function
-    can still rise along some basin starts.
+    can still rise along some basin starts.  Also raises, before allocating
+    anything, when the step count or the record is over its cap (see
+    :func:`step_count`, :func:`record_marks`).
     """
     v = np.atleast_2d(np.asarray(verr0, dtype=float))
     terr0 = np.asarray(terr0, dtype=float)
@@ -234,16 +265,13 @@ def integrate_error_ode(
             f"{RK4_REAL_LIMIT} (RK4 stability limit)"
         )
 
-    n_steps = step_count(duration, dt)
-    marks = list(range(0, n_steps + 1, record_every))
-    if marks[-1] != n_steps:
-        marks.append(n_steps)
+    marks = record_marks(step_count(duration, dt), record_every, len(u))
     rec = np.empty((len(marks), 6, len(u)))  # (vel_est, tilt_est) components
     rec[0] = np.concatenate([-v, u], axis=1).T
     if len(u) == 1:  # one start: the step on Python floats
         out, s, step = rec[:, :, 0], tuple(rec[0, :, 0].tolist()), step_floats
     else:  # a batch: the same step on (B,) component arrays
-        out, s, step = rec, tuple(rec[0]), partial(step_floats, rotate=rotate3_arrays)
+        out, s, step = rec, tuple(rec[0]), partial(step_floats, rotate=rotate_twice_arrays)
     for j in range(1, len(marks)):
         for _ in range(marks[j] - marks[j - 1]):
             s = step(a, b, g, dt, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, g, *s)

@@ -104,6 +104,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _seconds(t: float) -> str:
+    return repr(t) if math.isfinite(t) else "none"
+
+
 def cmd_analyze(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
@@ -114,19 +118,26 @@ def cmd_analyze(args) -> int:
     lam = analysis.unstable_root(gains)
     eig = np.linalg.eigvals(analysis.linearization(v_flip, t_flip, gains))
 
+    record_every = max(1, cfg.decimation)
+    n_steps = analysis.step_count(10.0, cfg.dt)
+    try:  # before the basin is drawn: a huge batch fails here, allocating nothing
+        analysis.record_marks(n_steps, record_every, args.basin_samples)
+    except ValueError as exc:
+        raise ValueError(f"--basin-samples {args.basin_samples}: {exc}") from None
     rng = np.random.default_rng(cfg.seed)
     verr0, terr0 = analysis.sample_basin(args.basin_samples, gains, rng)
     traj = analysis.integrate_error_ode(
-        verr0, terr0, gains, duration=10.0, dt=cfg.dt, record_every=max(1, cfg.decimation)
+        verr0, terr0, gains, duration=10.0, dt=cfg.dt, record_every=record_every
     )
     xi = np.sqrt(
         np.linalg.norm(traj.verr, axis=-1) ** 2
         + np.linalg.norm(traj.terr, axis=-1) ** 2
     )
     converged = int(np.sum(xi[:, -1] < 1e-3))
-    reached = xi < 1e-3
-    first = np.where(reached.any(axis=1), reached.argmax(axis=1), -1)
-    slowest = float(traj.t[first.max()]) if (first >= 0).all() else None
+    # never converged: +inf, so a quantile it reaches reads "none"
+    conv = np.nan_to_num(analysis.convergence_times(traj.t, xi, 1e-3), nan=np.inf)
+    slowest = float(conv.max())
+    p50, p90, p99 = np.percentile(conv, [50, 90, 99], method="inverted_cdf").tolist()
     V = analysis.lyapunov(traj.verr, traj.terr, gains)
     dV = np.diff(V, axis=1)
     monotone = bool((dV <= 1e-9 * np.maximum(1.0, V[:, :1])).all())
@@ -146,7 +157,10 @@ def cmd_analyze(args) -> int:
         + ", ".join(repr(float(x)) for x in sorted(eig.real)),
         f"basin_samples = {args.basin_samples}",
         f"basin_converged = {converged}",
-        f"basin_slowest_convergence_s = {'none' if slowest is None else repr(slowest)}",
+        f"basin_slowest_convergence_s = {_seconds(slowest)}",
+        f"basin_convergence_s.p50 = {_seconds(p50)}",
+        f"basin_convergence_s.p90 = {_seconds(p90)}",
+        f"basin_convergence_s.p99 = {_seconds(p99)}",
         f"basin_v_monotone = {monotone}",
         f"basin_epsilon_min = {float(eps.min())!r}",
     ]

@@ -21,20 +21,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 
-def _rotate3(wx, wy, wz, vx, vy, vz):
-    """Rotate the vector v by the rotation vector w (scalar Rodrigues)."""
-    t2 = wx * wx + wy * wy + wz * wz
+def _coefficients(t2):
+    """Rodrigues coefficients ``sin(t)/t``, ``(1 - cos(t))/t^2`` of ``t2 = t^2``."""
     if t2 < 1e-24:
-        sc = 1.0 - t2 / 6.0  # sin(t)/t
-        vc = 0.5 - t2 / 24.0  # (1 - cos(t))/t^2
-    else:
-        t = math.sqrt(t2)
-        sc = math.sin(t) / t
-        vc = (1.0 - math.cos(t)) / t2
+        return 1.0 - t2 / 6.0, 0.5 - t2 / 24.0  # series
+    t = math.sqrt(t2)
+    return math.sin(t) / t, (1.0 - math.cos(t)) / t2
+
+
+def _coefficients_arrays(t2):
+    """:func:`_coefficients` on (B,) arrays, its branch as ``np.where``."""
+    small = t2 < 1e-24
+    safe = np.where(small, 1.0, t2)
+    t = np.sqrt(safe)
+    sc = np.where(small, 1.0 - t2 / 6.0, np.sin(t) / t)
+    return sc, np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(t)) / safe)
+
+
+def _apply(sc, vc, t2, wx, wy, wz, vx, vy, vz):
+    """Rotate v by w given the coefficients of ``t2 = |w|^2``."""
     cx = wy * vz - wz * vy
     cy = wz * vx - wx * vz
     cz = wx * vy - wy * vx
@@ -47,23 +57,17 @@ def _rotate3(wx, wy, wz, vx, vy, vz):
     )
 
 
-def rotate3_arrays(wx, wy, wz, vx, vy, vz):
-    """:func:`_rotate3` on (B,) component arrays, its branch as ``np.where``."""
+def rotate_twice(wx, wy, wz, vx, vy, vz, coefficients=_coefficients):
+    """``R v`` and ``R R v`` for R the rotation by the rotation vector w, as
+    ``(hx, hy, hz, ux, uy, uz)``, from one evaluation of the coefficients."""
     t2 = wx * wx + wy * wy + wz * wz
-    small = t2 < 1e-24
-    safe = np.where(small, 1.0, t2)
-    t = np.sqrt(safe)
-    sc = np.where(small, 1.0 - t2 / 6.0, np.sin(t) / t)
-    vc = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(t)) / safe)
-    cx = wy * vz - wz * vy
-    cy = wz * vx - wx * vz
-    cz = wx * vy - wy * vx
-    d = wx * vx + wy * vy + wz * vz
-    return (
-        vx + sc * cx + vc * (d * wx - t2 * vx),
-        vy + sc * cy + vc * (d * wy - t2 * vy),
-        vz + sc * cz + vc * (d * wz - t2 * vz),
-    )
+    sc, vc = coefficients(t2)
+    hx, hy, hz = _apply(sc, vc, t2, wx, wy, wz, vx, vy, vz)
+    return (hx, hy, hz, *_apply(sc, vc, t2, wx, wy, wz, hx, hy, hz))
+
+
+# the same on (B,) component arrays
+rotate_twice_arrays = partial(rotate_twice, coefficients=_coefficients_arrays)
 
 
 @dataclass(frozen=True)
@@ -125,7 +129,7 @@ def observer_derivative(
 
 
 def step_floats(a, b, g, dt, wx, wy, wz, mx, my, mz, fx, fy, fz, vx, vy, vz, tx, ty, tz,
-                rotate=_rotate3):
+                rotate=rotate_twice):
     """Advance the observer one step on Python floats.
 
     Takes the gains ``a, b, g`` (alpha, beta, g0), the step ``dt``, the pivot
@@ -136,12 +140,12 @@ def step_floats(a, b, g, dt, wx, wy, wz, mx, my, mz, fx, fy, fz, vx, vy, vz, tx,
 
     The body is spelled out in scalar arithmetic: a 10 s run at 1 ms steps
     takes 10^4 of these and numpy dispatch on 3-vectors would dominate the
-    cost.  ``observer_derivative`` is the readable reference; the step test
-    checks one against the other.
+    cost.  ``observer_derivative`` is the readable reference the tests check.
 
-    With ``rotate=rotate3_arrays`` the same body steps B observers at once:
-    any argument may then be a (B,) array, per-row gains included, and the
-    result holds (B,) arrays.
+    One :func:`rotate_twice` call gives the tilt at the half and the full
+    step from one sin/cos evaluation.  With ``rotate=rotate_twice_arrays`` the
+    body steps B observers at once: any argument may be a (B,) array, per-row
+    gains included, and the result holds (B,) arrays.
     """
     # constant part of the velocity dynamics over the step; each stage below
     # is -pivot_rate x vel - a*vel + g*tilt + const
@@ -152,25 +156,23 @@ def step_floats(a, b, g, dt, wx, wy, wz, mx, my, mz, fx, fy, fz, vx, vy, vz, tx,
     k1x = cx - (wy * vz - wz * vy) - a * vx + g * tx
     k1y = cy - (wz * vx - wx * vz) - a * vy + g * ty
     k1z = cz - (wx * vy - wy * vx) - a * vz + g * tz
-    ix = mx - (vx + h * k1x)
-    iy = my - (vy + h * k1y)
-    iz = mz - (vz + h * k1z)
+    px, py, pz = vx + h * k1x, vy + h * k1y, vz + h * k1z  # half-step prediction
+    ix, iy, iz = mx - px, my - py, mz - pz
     ex = wx - b * (ty * iz - tz * iy)
     ey = wy - b * (tz * ix - tx * iz)
     ez = wz - b * (tx * iy - ty * ix)
 
     rx, ry, rz = -h * ex, -h * ey, -h * ez  # half-step rotation vector
-    hx, hy, hz = rotate(rx, ry, rz, tx, ty, tz)
-    ux, uy, uz = rotate(rx, ry, rz, hx, hy, hz)
+    hx, hy, hz, ux, uy, uz = rotate(rx, ry, rz, tx, ty, tz)
 
-    px, py, pz = vx + h * k1x, vy + h * k1y, vz + h * k1z
-    k2x = cx - (wy * pz - wz * py) - a * px + g * hx
-    k2y = cy - (wz * px - wx * pz) - a * py + g * hy
-    k2z = cz - (wx * py - wy * px) - a * pz + g * hz
+    gx, gy, gz = g * hx, g * hy, g * hz
+    k2x = cx - (wy * pz - wz * py) - a * px + gx
+    k2y = cy - (wz * px - wx * pz) - a * py + gy
+    k2z = cz - (wx * py - wy * px) - a * pz + gz
     px, py, pz = vx + h * k2x, vy + h * k2y, vz + h * k2z
-    k3x = cx - (wy * pz - wz * py) - a * px + g * hx
-    k3y = cy - (wz * px - wx * pz) - a * py + g * hy
-    k3z = cz - (wx * py - wy * px) - a * pz + g * hz
+    k3x = cx - (wy * pz - wz * py) - a * px + gx
+    k3y = cy - (wz * px - wx * pz) - a * py + gy
+    k3z = cz - (wx * py - wy * px) - a * pz + gz
     px, py, pz = vx + dt * k3x, vy + dt * k3y, vz + dt * k3z
     k4x = cx - (wy * pz - wz * py) - a * px + g * ux
     k4y = cy - (wz * px - wx * pz) - a * py + g * uy
@@ -180,9 +182,7 @@ def step_floats(a, b, g, dt, wx, wy, wz, mx, my, mz, fx, fy, fz, vx, vy, vz, tx,
         vx + s * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
         vy + s * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
         vz + s * (k1z + 2.0 * k2z + 2.0 * k3z + k4z),
-        ux,
-        uy,
-        uz,
+        ux, uy, uz,
     )
 
 

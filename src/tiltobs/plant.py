@@ -160,11 +160,11 @@ class MountNoise:
         weights = np.vstack([w_sin, w_cos])
         t = np.asarray(t, dtype=float)
         x = self.omega[0] * t.ravel()
-        out = np.empty((x.size, 9))
+        out = np.empty((9, x.size))
         for i in range(0, x.size, BASIS_CHUNK):
             basis = _harmonic_basis(x[i : i + BASIS_CHUNK], len(self.omega))
-            np.matmul(basis.T, weights, out=out[i : i + BASIS_CHUNK])
-        out = out.reshape(t.shape + (9,))
+            np.matmul(weights.T, basis, out=out[:, i : i + BASIS_CHUNK])
+        out = out.T.reshape(t.shape + (9,))
         return out[..., 0:3], out[..., 3:6], out[..., 6:9], w_cos[:, 6:9].sum(axis=0)
 
 

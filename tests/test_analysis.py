@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,7 +7,9 @@ from numpy.testing import assert_allclose
 from tiltobs.analysis import (
     EZ,
     char_poly_flipped,
+    MAX_RECORD_VALUES,
     convergence_time,
+    convergence_times,
     decay_rate,
     equilibria,
     error_field,
@@ -15,6 +19,7 @@ from tiltobs.analysis import (
     linearization,
     lyapunov,
     lyapunov_rate,
+    record_marks,
     sample_basin,
     unstable_root,
 )
@@ -201,6 +206,23 @@ def test_convergence_time_cases():
     assert convergence_time(np.arange(3.0), np.array([0.5, 1.0, 0.5]), 1.0) == 2.0
 
 
+def test_convergence_times_grade_rows_by_the_stays_below_rule():
+    t = np.arange(6.0)
+    rows = np.array([
+        [5, 0.5, 0.2, 2, 0.5, 0.2],  # dips below, rises again, then stays
+        [5, 3, 0.5, 2, 0.5, 1.2],  # dips below but ends above
+        [0.1] * 6,  # below from the start
+        [5, 4, 3, 2, 1.0, 0.5],  # reaches it at the last sample
+    ])
+    times = convergence_times(t, rows, 1.0)
+    assert_allclose(times, [4.0, np.nan, 0.0, 5.0])
+    for row, c in zip(rows, times):
+        expect = convergence_time(t, row, 1.0)
+        assert (np.isnan(c) and expect is None) or c == expect
+    # leading axes broadcast
+    assert convergence_times(t, rows.reshape(2, 2, 6), 1.0).shape == (2, 2)
+
+
 # --- direct integration ----------------------------------------------------
 
 
@@ -278,6 +300,26 @@ def test_integrator_rejects_steps_past_rk4_limit():
     # just under the limit the run is bounded
     traj = integrate_error_ode(verr0, terr0, GAINS, dt=2.78 / GAINS.alpha, duration=4.0)
     assert np.isfinite(traj.verr).all() and np.isfinite(traj.terr).all()
+
+
+def test_record_over_budget_is_rejected_before_allocating():
+    # 10 s at 1 ms, every 10th step: 1001 marks of 6 values per start
+    assert len(record_marks(10_000, 10, 9990)) == 1001
+    assert 1001 * 6 * 9991 > MAX_RECORD_VALUES
+    with pytest.raises(ValueError, match="batch of 9991 starts"):
+        record_marks(10_000, 10, 9991)
+    # 20000 starts, every step kept: a 9.6 GB record, refused with the
+    # starts as the only sizeable allocation
+    verr0 = np.zeros((20_000, 3))
+    terr0 = np.zeros((20_000, 3))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="batch of 20000 starts"):
+            integrate_error_ode(verr0, terr0, GAINS, duration=10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * verr0.nbytes
 
 
 # --- basin sampling --------------------------------------------------------

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,24 @@ def test_analyze_report_facts(tmp_path):
     assert float(report["field_norm_at_flipped"]) <= 1e-12
     assert report["basin_converged"] == "50"
     assert report["basin_v_monotone"] == "True"
+    quantiles = [float(report[f"basin_convergence_s.p{q}"]) for q in (50, 90, 99)]
+    assert quantiles == sorted(quantiles)
+    assert 0.0 < quantiles[0] and quantiles[-1] <= float(report["basin_slowest_convergence_s"])
+
+
+def test_analyze_huge_basin_fails_cleanly(tmp_path, capsys):
+    # a 4.8 GB record: refused before the basin is drawn
+    tracemalloc.start()
+    try:
+        rc = main(["analyze", "--out", str(tmp_path), "--basin-samples", "100000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --basin-samples 100000: a batch of 100000 starts")
+    assert peak < 1_000_000
+    assert not (tmp_path / "analysis.txt").exists()
 
 
 def test_sweep_grid(tmp_path):

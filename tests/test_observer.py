@@ -8,8 +8,8 @@ from tiltobs.observer import (
     make_gains,
     observer_derivative,
     observer_step,
-    _rotate3,
-    rotate3_arrays,
+    rotate_twice,
+    rotate_twice_arrays,
     run_observer,
     step_floats,
 )
@@ -153,17 +153,41 @@ def test_run_observer_overflow_leaves_nan_rows():
     assert not finite[first_bad:].any()
 
 
-def test_rotate3_arrays_matches_matrix_action():
+def test_rotate_twice_matches_matrix_action():
     rng = np.random.default_rng(6)
     w = rng.standard_normal((40, 3)) * rng.uniform(0.0, np.pi, (40, 1))
     w[7] = 0.0  # exercise the zero-rotation row
     w[8] *= 1e-13 / np.linalg.norm(w[8])  # and the series branch
     v = rng.standard_normal((40, 3))
-    expected = np.einsum("bij,bj->bi", rotation_exp(w), v)
-    assert_allclose(np.array(rotate3_arrays(*w.T, *v.T)).T, expected, atol=1e-13)
-    # the float twin on single rows
-    for i in (0, 7, 8):
-        assert_allclose(_rotate3(*w[i].tolist(), *v[i].tolist()), expected[i], atol=1e-13)
+    R = rotation_exp(w)
+    once = np.einsum("bij,bj->bi", R, v)
+    twice = np.einsum("bij,bj->bi", R, once)
+    out = np.array(rotate_twice_arrays(*w.T, *v.T)).T
+    assert_allclose(out[:, :3], once, atol=1e-13)
+    assert_allclose(out[:, 3:], twice, atol=1e-13)
+    # the float twin is the same arithmetic: every row agrees to the bit
+    for i in range(len(w)):
+        assert rotate_twice(*w[i].tolist(), *v[i].tolist()) == tuple(out[i].tolist())
+
+
+@pytest.mark.parametrize("batch", [None, 4])
+def test_step_evaluates_the_rotation_once(batch):
+    # sin/cos cost a numpy dispatch each on arrays: one rotate call per step
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return (rotate_twice if batch is None else rotate_twice_arrays)(*args)
+
+    g = make_gains(19.8, 10.0)
+    s = (0.1, -0.2, 0.3, 0.6, 0.0, 0.8)
+    if batch is not None:
+        s = tuple(np.full(batch, x) for x in s)
+    for k in range(5):
+        s = step_floats(g.alpha, g.beta, g.g0, 1e-3, 0.3, -0.4, 0.2, 0.1, 0.2, -0.1,
+                        0.0, 0.5, 9.81, *s, rotate=counting)
+        assert len(calls) == k + 1
+    assert all(np.shape(x) == (() if batch is None else (batch,)) for x in s)
 
 
 def test_step_on_arrays_matches_float_path_on_a_moving_scene():
@@ -182,7 +206,7 @@ def test_step_on_arrays_matches_float_path_on_a_moving_scene():
     rows = np.array(s).T.tolist()
     for k in range(n):
         s = step_floats(a, b, g0, dt, *rate[k], *vel_meas[k], *force[k], *s,
-                        rotate=rotate3_arrays)
+                        rotate=rotate_twice_arrays)
         rows = [
             step_floats(a[i], b[i], g0, dt, *rate[k, :, i].tolist(),
                         *vel_meas[k, :, i].tolist(), *force[k, :, i].tolist(), *rows[i])
