@@ -242,10 +242,11 @@ def integrate_error_ode(
     (B,) component arrays for a batch.  The tilt error moves along an exact
     rotation flow, so ``|e_z - terr|`` stays 1 to machine precision.
 
-    Raises ``ValueError`` unless ``alpha * dt`` is below 2.785, RK4's real
-    stability limit, past which the -alpha mode grows without bound.  The
-    limit is necessary, not sufficient: just under it the Lyapunov function
-    can still rise along some basin starts.  Also raises, before allocating
+    Raises ``ValueError`` on a non-finite start or one whose ``|e_z - terr|``
+    is not 1, and unless ``alpha * dt`` is below 2.785, RK4's real stability
+    limit, past which the -alpha mode grows without bound.  The limit is
+    necessary, not sufficient: just under it the Lyapunov function can still
+    rise along some basin starts.  Also raises, before allocating
     anything, when the step count or the record is over its cap (see
     :func:`step_count`, :func:`record_marks`).
     """
@@ -255,8 +256,10 @@ def integrate_error_ode(
     u = EZ - np.atleast_2d(terr0)
     if v.shape != u.shape:
         raise ValueError("verr0 and terr0 shapes disagree")
+    if not np.isfinite(v).all():
+        raise ValueError("verr0 must be finite")
     norms = np.linalg.norm(u, axis=-1)
-    if np.any(np.abs(norms - 1.0) > MANIFOLD_TOL):
+    if not (np.abs(norms - 1.0) <= MANIFOLD_TOL).all():  # a NaN or inf terr fails too
         raise ValueError("tilt error off manifold: |e_z - terr| must be 1")
     a, b, g = gains.alpha, gains.beta, gains.g0
     if not a * dt < RK4_REAL_LIMIT:

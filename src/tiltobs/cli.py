@@ -29,21 +29,25 @@ from .observer import make_gains
 ERROR_ODE_HEADER = "t,verr_x,verr_y,verr_z,terr_x,terr_y,terr_z,V,Vdot"
 
 
-def _parse_floats(text: str):
-    try:
-        values = [float(p) for p in text.split(",") if p.strip()]
-    except ValueError:
-        raise ValueError(f"expected comma-separated numbers, got {text!r}") from None
+def _flag(parse):
+    """Argparse type from a config value parser: its ``ValueError`` becomes
+    a usage error naming the flag."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
+def _float_list(text: str) -> list:
+    """Comma-separated finite numbers, at least one; empty items are skipped."""
+    values = [harness._parse_float(p) for p in text.split(",") if p.strip()]
     if not values:
         raise ValueError(f"expected at least one number, got {text!r}")
     return values
-
-
-def _parse_vec3(text: str) -> np.ndarray:
-    values = _parse_floats(text)
-    if len(values) != 3:
-        raise ValueError(f"expected 3 comma-separated numbers, got {text!r}")
-    return np.array(values)
 
 
 def _positive_float(text: str) -> float:
@@ -129,10 +133,11 @@ def cmd_analyze(args) -> int:
     traj = analysis.integrate_error_ode(
         verr0, terr0, gains, duration=10.0, dt=cfg.dt, record_every=record_every
     )
-    xi = np.sqrt(
-        np.linalg.norm(traj.verr, axis=-1) ** 2
-        + np.linalg.norm(traj.terr, axis=-1) ** 2
-    )
+    # one (B, M) buffer: |terr|^2, then |verr|^2 + |terr|^2, then its root
+    sq = np.einsum("...i,...i->...", traj.terr, traj.terr)
+    eps = 1.0 - sq.max(axis=1) / 4.0
+    sq += np.einsum("...i,...i->...", traj.verr, traj.verr)
+    xi = np.sqrt(sq, out=sq)
     converged = int(np.sum(xi[:, -1] < 1e-3))
     # never converged: +inf, so a quantile it reaches reads "none"
     conv = np.nan_to_num(analysis.convergence_times(traj.t, xi, 1e-3), nan=np.inf)
@@ -141,7 +146,6 @@ def cmd_analyze(args) -> int:
     V = analysis.lyapunov(traj.verr, traj.terr, gains)
     dV = np.diff(V, axis=1)
     monotone = bool((dV <= 1e-9 * np.maximum(1.0, V[:, :1])).all())
-    eps = 1.0 - np.linalg.norm(traj.terr, axis=-1).max(axis=1) ** 2 / 4.0
 
     lines = [
         f"gains.alpha = {gains.alpha!r}",
@@ -174,9 +178,7 @@ def cmd_analyze(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
-    alphas = _parse_floats(args.alphas)
-    betas = _parse_floats(args.betas)
-    rows = harness.sweep(cfg, alphas, betas, threshold=args.threshold)
+    rows = harness.sweep(cfg, args.alphas, args.betas, threshold=args.threshold)
     path = out / "sweep.csv"
     harness.write_sweep_csv(rows, path)
     harness.save_config(cfg, out / "effective.cfg")
@@ -191,8 +193,8 @@ def cmd_error_ode(args) -> int:
     out = _outdir(args)
     gains = make_gains(cfg.gains.alpha, cfg.gains.beta, cfg.gains.g0)
 
-    verr0 = _parse_vec3(args.verr0) if args.verr0 else np.asarray(cfg.init.vel_err, float)
-    raw = _parse_vec3(args.terr0) if args.terr0 else np.asarray(cfg.init.tilt_err, float)
+    verr0 = cfg.init.vel_err if args.verr0 is None else args.verr0
+    raw = cfg.init.tilt_err if args.terr0 is None else args.terr0
     # place the tilt error on its sphere the same way the simulator does
     direction = analysis.EZ - raw
     n = float(np.linalg.norm(direction))
@@ -246,16 +248,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="grid over gains, one row per cell")
     common(p)
-    p.add_argument("--alphas", required=True, help="comma-separated alpha values")
-    p.add_argument("--betas", required=True, help="comma-separated beta values")
+    p.add_argument("--alphas", type=_flag(_float_list), required=True,
+                   help="comma-separated alpha values")
+    p.add_argument("--betas", type=_flag(_float_list), required=True,
+                   help="comma-separated beta values")
     p.add_argument("--threshold", type=_positive_float, default=0.05,
                    help="tilt-error norm defining convergence")
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("error-ode", help="integrate the error dynamics directly")
     common(p)
-    p.add_argument("--verr0", help="initial velocity error, x,y,z")
-    p.add_argument("--terr0", help="initial tilt error, x,y,z "
+    p.add_argument("--verr0", type=_flag(harness._parse_vec),
+                   help="initial velocity error, x,y,z")
+    p.add_argument("--terr0", type=_flag(harness._parse_vec), help="initial tilt error, x,y,z "
                    "(projected onto the unit-estimate sphere)")
     p.add_argument("--duration", type=_positive_float, help="override config duration")
     p.add_argument("--dt", type=_positive_float, help="override config step")

@@ -19,13 +19,13 @@ import copy
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import plant
-from .analysis import convergence_time, lyapunov, lyapunov_rate, step_count
+from .analysis import convergence_time, lyapunov, lyapunov_rate, record_marks, step_count
 from .observer import make_gains, run_observer
 from .so3 import rotation_between, rotation_exp
 
@@ -40,10 +40,6 @@ CSV_HEADER = (
 )
 
 ATTITUDE_MODES = ("identity", "consistent", "rotvec")
-
-
-def _vec3(default) -> np.ndarray:
-    return np.array(default, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -65,31 +61,10 @@ class NoiseSettings:
 
 @dataclass
 class InitSettings:
-    vel_err: np.ndarray = field(default_factory=lambda: _vec3([0.0, 0.0, 0.0]))
-    tilt_err: np.ndarray = field(default_factory=lambda: _vec3([-1.87, 0.28, 0.39]))
+    vel_err: np.ndarray = plant.vec3_field(0.0, 0.0, 0.0)
+    tilt_err: np.ndarray = plant.vec3_field(-1.87, 0.28, 0.39)
     attitude_mode: str = "identity"
-    attitude_rotvec: np.ndarray = field(default_factory=lambda: _vec3([0.0, 0.0, 0.0]))
-
-
-@dataclass
-class PivotSettings:
-    accel_amp: np.ndarray = field(default_factory=lambda: _vec3([0.50, 0.45, 0.40]))
-    accel_freq: np.ndarray = field(default_factory=lambda: _vec3([0.7, 1.1, 1.3]))
-    accel_phase: np.ndarray = field(default_factory=lambda: _vec3([0.4, 1.3, 2.2]))
-    rate0: np.ndarray = field(default_factory=lambda: _vec3([0.2, -0.15, 0.1]))
-    world_rotvec: np.ndarray = field(default_factory=lambda: _vec3([0.0, 0.0, 0.0]))
-
-
-@dataclass
-class MountSettings:
-    rate_amp: np.ndarray = field(default_factory=lambda: _vec3([0.5, 0.4, 0.6]))
-    rate_freq: np.ndarray = field(default_factory=lambda: _vec3([0.9, 0.6, 1.2]))
-    rate_phase: np.ndarray = field(default_factory=lambda: _vec3([0.9, 0.2, 1.7]))
-    kp: float = 2.0
-    p_ref: np.ndarray = field(default_factory=lambda: _vec3([0.0, 0.0, 1.3]))
-    p0: np.ndarray = field(default_factory=lambda: _vec3([0.0, 0.0, 1.3]))
-    noise_std: float = 0.05
-    noise_tau: float = 0.2
+    attitude_rotvec: np.ndarray = plant.vec3_field(0.0, 0.0, 0.0)
 
 
 @dataclass
@@ -107,8 +82,8 @@ class ExperimentConfig:
     gains: GainSettings = field(default_factory=GainSettings)
     noise: NoiseSettings = field(default_factory=NoiseSettings)
     init: InitSettings = field(default_factory=InitSettings)
-    pivot: PivotSettings = field(default_factory=PivotSettings)
-    mount: MountSettings = field(default_factory=MountSettings)
+    pivot: plant.PivotSettings = field(default_factory=plant.PivotSettings)
+    mount: plant.MountSettings = field(default_factory=plant.MountSettings)
     output: OutputSettings = field(default_factory=OutputSettings)
 
 
@@ -124,47 +99,29 @@ def _parse_int(s: str) -> int:
 
 
 def _parse_vec(s: str) -> np.ndarray:
-    parts = [p for p in s.split(",")]
+    parts = s.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected 3 comma-separated numbers, got {s!r}")
     return np.array([_parse_float(p) for p in parts])
 
 
-def _parse_str(s: str) -> str:
-    return s
+_PARSERS = {float: _parse_float, int: _parse_int, str: str, np.ndarray: _parse_vec}
+
+
+def _schema_entries(cfg: ExperimentConfig):
+    """One ``(dotted key, (section or None, field, parser))`` per settings
+    field, in declaration order, parsed by the type of its default."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if not is_dataclass(value):
+            yield f.name, (None, f.name, _PARSERS[type(value)])
+            continue
+        for g in fields(value):
+            yield f"{f.name}.{g.name}", (f.name, g.name, _PARSERS[type(getattr(value, g.name))])
 
 
 # dotted key -> (section attribute or None for top level, field, parser)
-SCHEMA = {
-    "duration": (None, "duration", _parse_float),
-    "dt": (None, "dt", _parse_float),
-    "decimation": (None, "decimation", _parse_int),
-    "seed": (None, "seed", _parse_int),
-    "gains.alpha": ("gains", "alpha", _parse_float),
-    "gains.beta": ("gains", "beta", _parse_float),
-    "gains.g0": ("gains", "g0", _parse_float),
-    "noise.gyro_std": ("noise", "gyro_std", _parse_float),
-    "noise.accel_std": ("noise", "accel_std", _parse_float),
-    "init.vel_err": ("init", "vel_err", _parse_vec),
-    "init.tilt_err": ("init", "tilt_err", _parse_vec),
-    "init.attitude_mode": ("init", "attitude_mode", _parse_str),
-    "init.attitude_rotvec": ("init", "attitude_rotvec", _parse_vec),
-    "pivot.accel_amp": ("pivot", "accel_amp", _parse_vec),
-    "pivot.accel_freq": ("pivot", "accel_freq", _parse_vec),
-    "pivot.accel_phase": ("pivot", "accel_phase", _parse_vec),
-    "pivot.rate0": ("pivot", "rate0", _parse_vec),
-    "pivot.world_rotvec": ("pivot", "world_rotvec", _parse_vec),
-    "mount.rate_amp": ("mount", "rate_amp", _parse_vec),
-    "mount.rate_freq": ("mount", "rate_freq", _parse_vec),
-    "mount.rate_phase": ("mount", "rate_phase", _parse_vec),
-    "mount.kp": ("mount", "kp", _parse_float),
-    "mount.p_ref": ("mount", "p_ref", _parse_vec),
-    "mount.p0": ("mount", "p0", _parse_vec),
-    "mount.noise_std": ("mount", "noise_std", _parse_float),
-    "mount.noise_tau": ("mount", "noise_tau", _parse_float),
-    "output.csv": ("output", "csv", _parse_str),
-    "output.report": ("output", "report", _parse_str),
-}
+SCHEMA = dict(_schema_entries(ExperimentConfig()))
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -201,7 +158,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if parser in (_parse_float, _parse_vec) and not np.isfinite(value).all():
             raise ValueError(f"{key} must be finite, got {_format_value(value)}")
         # a text value must read back unchanged from its config line
-        if parser is _parse_str and (
+        if parser is str and (
             "#" in value or value != value.strip() or len(value.splitlines()) > 1
         ):
             raise ValueError(
@@ -292,31 +249,12 @@ class RunLog:
     steps_per_s: float  # estimator steps per wall second
 
 
-def _trajectory_config(cfg: ExperimentConfig) -> plant.TrajectoryConfig:
-    rv = cfg.pivot.world_rotvec
-    world_rot = None if float(rv @ rv) == 0.0 else rotation_exp(rv)
-    return plant.TrajectoryConfig(
-        pivot_accel_amp=cfg.pivot.accel_amp,
-        pivot_accel_freq=cfg.pivot.accel_freq,
-        pivot_accel_phase=cfg.pivot.accel_phase,
-        pivot_rate0=cfg.pivot.rate0,
-        mount_rate_amp=cfg.mount.rate_amp,
-        mount_rate_freq=cfg.mount.rate_freq,
-        mount_rate_phase=cfg.mount.rate_phase,
-        kp=cfg.mount.kp,
-        p_ref=cfg.mount.p_ref,
-        p0=cfg.mount.p0,
-        g0=cfg.gains.g0,
-        world_rot=world_rot,
-    )
-
-
-def _initial_conditions(cfg: ExperimentConfig, traj: plant.TrajectoryConfig):
+def _initial_conditions(cfg: ExperimentConfig, world_rot):
     """Base pivot attitude, initial tilt estimate, and the tilt error the
     chosen attitude mode actually realizes."""
     requested = np.asarray(cfg.init.tilt_err, dtype=float)
     mode = cfg.init.attitude_mode
-    ez_local = EZ if traj.world_rot is None else traj.world_rot.T @ EZ
+    ez_local = EZ if world_rot is None else world_rot.T @ EZ
 
     if mode == "consistent":
         # place the true tilt so the requested error sits exactly on the
@@ -337,7 +275,7 @@ def _initial_conditions(cfg: ExperimentConfig, traj: plant.TrajectoryConfig):
         return R_base, tilt_hat0, applied
 
     R_base = np.eye(3) if mode == "identity" else rotation_exp(cfg.init.attitude_rotvec)
-    R0 = R_base if traj.world_rot is None else traj.world_rot @ R_base
+    R0 = R_base if world_rot is None else world_rot @ R_base
     tilt0 = R0[2]  # row of R = R^T e_z
     raw = tilt0 - requested
     n = float(np.linalg.norm(raw))
@@ -364,22 +302,22 @@ def run_simulation(cfg: ExperimentConfig, estimator_factory=None) -> RunLog:
     wall0 = time.perf_counter()
     validate_config(cfg)
     gains = make_gains(cfg.gains.alpha, cfg.gains.beta, cfg.gains.g0)
-    traj = _trajectory_config(cfg)
+    world_rot = plant.world_rotation(cfg.pivot)
     dt = cfg.dt
     n_steps = step_count(cfg.duration, dt)
 
     motion_noise = plant.MountNoise(
         cfg.mount.noise_std, cfg.mount.noise_tau, seed=[cfg.seed, 1]
     )
-    R_base, tilt_hat0, applied_err0 = _initial_conditions(cfg, traj)
+    R_base, tilt_hat0, applied_err0 = _initial_conditions(cfg, world_rot)
 
     # closed-form trajectory signals, sampled on the step midpoints (consumed
     # by the estimator) and on the step boundaries (recorded as truth)
     t_mid = (np.arange(n_steps) + 0.5) * dt
     t_grid = np.arange(n_steps + 1) * dt
-    w_held = plant.pivot_rate(traj, t_mid)
-    wm_held = plant.mount_rate(traj, t_mid)
-    R_c0 = R_base if traj.world_rot is None else traj.world_rot @ R_base
+    w_held = plant.pivot_rate(cfg.pivot, t_mid)
+    wm_held = plant.mount_rate(cfg.mount, t_mid)
+    R_c0 = R_base if world_rot is None else world_rot @ R_base
     Rp_mid, Rp = plant.rotation_path(R_c0, w_held, dt)
     Rm_mid, _ = plant.rotation_path(np.eye(3), wm_held, dt)
     wall_rotation = time.perf_counter()
@@ -388,14 +326,14 @@ def run_simulation(cfg: ExperimentConfig, estimator_factory=None) -> RunLog:
     t_all = np.empty(2 * n_steps + 1)
     t_all[0::2] = t_grid
     t_all[1::2] = t_mid
-    pos_all, vel_all, acc_all = plant.mount_translation(traj, motion_noise, t_all)
+    pos_all, vel_all, acc_all = plant.mount_translation(cfg.mount, motion_noise, t_all)
     pos_mid, vel_mid, acc_mid = pos_all[1::2], vel_all[1::2], acc_all[1::2]
     wall_mount = time.perf_counter()
-    alpha_mid = plant.pivot_accel(traj, t_mid)
+    alpha_mid = plant.pivot_accel(cfg.pivot, t_mid)
 
     gyro_true = plant.gyro_stream(Rp_mid, w_held, Rm_mid, wm_held)
     accel_true = plant.accel_stream(
-        Rp_mid, w_held, alpha_mid, pos_mid, vel_mid, acc_mid, Rm_mid, traj.g0
+        Rp_mid, w_held, alpha_mid, pos_mid, vel_mid, acc_mid, Rm_mid, cfg.gains.g0
     )
 
     # per-sample draw order is gyro, then accel (C-order fill)
@@ -410,7 +348,7 @@ def run_simulation(cfg: ExperimentConfig, estimator_factory=None) -> RunLog:
 
     # ground truth on the record grid
     pos_g, vel_g = pos_all[0::2], vel_all[0::2]
-    rate_loc = np.einsum("nji,nj->ni", Rp, plant.pivot_rate(traj, t_grid))
+    rate_loc = np.einsum("nji,nj->ni", Rp, plant.pivot_rate(cfg.pivot, t_grid))
     x1_true = plant.velocity_measurement(pos_g, vel_g, rate_loc)
     x2_true = Rp[:, 2, :]
     vel_hat0 = x1_true[0] - cfg.init.vel_err
@@ -439,9 +377,7 @@ def run_simulation(cfg: ExperimentConfig, estimator_factory=None) -> RunLog:
         raise _diverged(int(bad.argmax()), dt, "; check gains against the step size")
     wall_estimator = time.perf_counter()
 
-    rows = np.arange(0, n_steps + 1, cfg.decimation)
-    if rows[-1] != n_steps:
-        rows = np.append(rows, n_steps)
+    rows = np.array(record_marks(n_steps, cfg.decimation))
     vel_hat = states[rows, :3]
     tilt_hat = states[rows, 3:]
     x1err = x1_true[rows] - vel_hat

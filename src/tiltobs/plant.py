@@ -15,6 +15,10 @@ and accelerations are mutually consistent in closed form; only the two
 rotations are integrated numerically.  Each integration step holds the rate
 sampled at the step midpoint, which keeps the discrete paths second-order
 accurate and lets sensors be sampled anywhere on a step's rotation path.
+
+:class:`PivotSettings` and :class:`MountSettings` hold each layer's driving
+signals; they are also the ``pivot`` and ``mount`` sections of the experiment
+config, one config key per field.
 """
 
 from __future__ import annotations
@@ -27,43 +31,45 @@ import numpy as np
 from .so3 import rotation_exp, rotation_exp_increment
 
 
+def vec3_field(x: float, y: float, z: float):
+    """Dataclass field defaulting to a fresh float vector ``(x, y, z)``."""
+    return field(default_factory=lambda: np.array([x, y, z], dtype=float))
+
+
 @dataclass
-class TrajectoryConfig:
-    """Driving signals for the pivot and the mount.
+class PivotSettings:
+    """Pivot motion: world-frame angular acceleration ``accel_amp *
+    sin(2*pi*accel_freq*t + accel_phase)`` per axis from the rate ``rate0``,
+    all turned by the fixed world rotation ``world_rotvec`` (none when zero)."""
 
-    The pivot's angular acceleration and the mount's angular rate are per-axis
-    sinusoids ``amp * sin(2*pi*freq*t + phase)``.  The mount linear velocity is
-    ``noise + kp * (p_ref - pos)``: a smooth disturbance around a position
-    set-point.  ``world_rot`` optionally rotates the whole pivot motion (signals
-    and initial attitude) by a fixed world rotation.
-    """
+    accel_amp: np.ndarray = vec3_field(0.50, 0.45, 0.40)
+    accel_freq: np.ndarray = vec3_field(0.7, 1.1, 1.3)
+    accel_phase: np.ndarray = vec3_field(0.4, 1.3, 2.2)
+    rate0: np.ndarray = vec3_field(0.2, -0.15, 0.1)
+    world_rotvec: np.ndarray = vec3_field(0.0, 0.0, 0.0)
 
-    pivot_accel_amp: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    pivot_accel_freq: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    pivot_accel_phase: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    pivot_rate0: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    mount_rate_amp: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    mount_rate_freq: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    mount_rate_phase: np.ndarray = field(default_factory=lambda: np.zeros(3))
+
+@dataclass
+class MountSettings:
+    """Mount motion in the robot frame: angular rate ``rate_amp *
+    sin(2*pi*rate_freq*t + rate_phase)`` per axis, and linear velocity
+    ``noise + kp * (p_ref - pos)`` from ``pos = p0``, the noise a smooth
+    :class:`MountNoise` of ``noise_std`` and ``noise_tau``."""
+
+    rate_amp: np.ndarray = vec3_field(0.5, 0.4, 0.6)
+    rate_freq: np.ndarray = vec3_field(0.9, 0.6, 1.2)
+    rate_phase: np.ndarray = vec3_field(0.9, 0.2, 1.7)
     kp: float = 2.0
-    p_ref: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.3]))
-    p0: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.3]))
-    g0: float = 9.81
-    world_rot: np.ndarray | None = None
+    p_ref: np.ndarray = vec3_field(0.0, 0.0, 1.3)
+    p0: np.ndarray = vec3_field(0.0, 0.0, 1.3)
+    noise_std: float = 0.05
+    noise_tau: float = 0.2
 
-    def __post_init__(self) -> None:
-        for name in (
-            "pivot_accel_amp",
-            "pivot_accel_freq",
-            "pivot_accel_phase",
-            "pivot_rate0",
-            "mount_rate_amp",
-            "mount_rate_freq",
-            "mount_rate_phase",
-            "p_ref",
-            "p0",
-        ):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+
+def world_rotation(pivot: PivotSettings) -> np.ndarray | None:
+    """The fixed world rotation of the pivot motion, or ``None`` for none."""
+    rv = pivot.world_rotvec
+    return None if float(rv @ rv) == 0.0 else rotation_exp(rv)
 
 
 # ---------------------------------------------------------------------------
@@ -87,27 +93,23 @@ def _sines_integral(t, amp, freq, phase):
     return np.where(w == 0.0, lin, osc)
 
 
-def pivot_accel(cfg: TrajectoryConfig, t) -> np.ndarray:
+def pivot_accel(pivot: PivotSettings, t) -> np.ndarray:
     """World-frame pivot angular acceleration at time(s) t."""
-    a = _sines(t, cfg.pivot_accel_amp, cfg.pivot_accel_freq, cfg.pivot_accel_phase)
-    if cfg.world_rot is not None:
-        a = a @ cfg.world_rot.T
-    return a
+    a = _sines(t, pivot.accel_amp, pivot.accel_freq, pivot.accel_phase)
+    world_rot = world_rotation(pivot)
+    return a if world_rot is None else a @ world_rot.T
 
 
-def pivot_rate(cfg: TrajectoryConfig, t) -> np.ndarray:
+def pivot_rate(pivot: PivotSettings, t) -> np.ndarray:
     """World-frame pivot angular velocity at time(s) t (exact integral)."""
-    w = cfg.pivot_rate0 + _sines_integral(
-        t, cfg.pivot_accel_amp, cfg.pivot_accel_freq, cfg.pivot_accel_phase
-    )
-    if cfg.world_rot is not None:
-        w = w @ cfg.world_rot.T
-    return w
+    w = pivot.rate0 + _sines_integral(t, pivot.accel_amp, pivot.accel_freq, pivot.accel_phase)
+    world_rot = world_rotation(pivot)
+    return w if world_rot is None else w @ world_rot.T
 
 
-def mount_rate(cfg: TrajectoryConfig, t) -> np.ndarray:
+def mount_rate(mount: MountSettings, t) -> np.ndarray:
     """Robot-frame angular rate of the IMU mount at time(s) t."""
-    return _sines(t, cfg.mount_rate_amp, cfg.mount_rate_freq, cfg.mount_rate_phase)
+    return _sines(t, mount.rate_amp, mount.rate_freq, mount.rate_phase)
 
 
 class MountNoise:
@@ -193,18 +195,18 @@ def _harmonic_basis(x, m: int) -> np.ndarray:
     return basis
 
 
-def mount_translation(cfg: TrajectoryConfig, noise: MountNoise, t):
+def mount_translation(mount: MountSettings, noise: MountNoise, t):
     """Closed-form (pos, vel, acc) of the mount at time(s) t.
 
     Solves ``pdot = noise + kp (p_ref - p)`` exactly: low-pass particular
     response plus exponentially decaying homogeneous part.
     """
     t = np.asarray(t, dtype=float)
-    value, deriv, q, q0 = noise.series(t, cfg.kp)
-    decay = np.exp(-cfg.kp * t)[..., None]
-    pos = cfg.p_ref + (cfg.p0 - cfg.p_ref - q0) * decay + q
-    vel = value + cfg.kp * (cfg.p_ref - pos)
-    acc = deriv - cfg.kp * vel
+    value, deriv, q, q0 = noise.series(t, mount.kp)
+    decay = np.exp(-mount.kp * t)[..., None]
+    pos = mount.p_ref + (mount.p0 - mount.p_ref - q0) * decay + q
+    vel = value + mount.kp * (mount.p_ref - pos)
+    acc = deriv - mount.kp * vel
     return pos, vel, acc
 
 

@@ -248,37 +248,30 @@ def test_criterion_08_error_coordinate_equivalence(criterion):
 
 
 def test_criterion_09_sensor_model_oracles(criterion):
-    cfg = plant.TrajectoryConfig(
-        pivot_accel_amp=[0.50, 0.45, 0.40],
-        pivot_accel_freq=[0.7, 1.1, 1.3],
-        pivot_accel_phase=[0.4, 1.3, 2.2],
-        pivot_rate0=[0.2, -0.15, 0.1],
-        mount_rate_amp=[0.5, 0.4, 0.6],
-        mount_rate_freq=[0.9, 0.6, 1.2],
-        mount_rate_phase=[0.9, 0.2, 1.7],
-    )
+    # the default scene: a wobbling pivot and a swiveling mount
+    pivot, mount, g0 = plant.PivotSettings(), plant.MountSettings(), 9.81
     noise = plant.MountNoise(0.05, 0.2, seed=7)
     fine = 2e-6
     n = int(round(0.21 / fine))
     tg = np.arange(n) * fine
-    _, Rp = plant.rotation_path(np.eye(3), plant.pivot_rate(cfg, tg + 0.5 * fine), fine)
-    _, Rm = plant.rotation_path(np.eye(3), plant.mount_rate(cfg, tg + 0.5 * fine), fine)
+    _, Rp = plant.rotation_path(np.eye(3), plant.pivot_rate(pivot, tg + 0.5 * fine), fine)
+    _, Rm = plant.rotation_path(np.eye(3), plant.mount_rate(mount, tg + 0.5 * fine), fine)
 
     def world_pos(i):
-        pos, _, _ = plant.mount_translation(cfg, noise, i * fine)
+        pos, _, _ = plant.mount_translation(mount, noise, i * fine)
         return Rp[i] @ pos
 
     # the harness's own sensor formulas, on one sample
     i0 = int(round(0.2 / fine))
     t0 = i0 * fine
-    pos, vel, acc = plant.mount_translation(cfg, noise, t0)
-    w0, a0 = plant.pivot_rate(cfg, t0), plant.pivot_accel(cfg, t0)
-    ya = plant.accel_stream(Rp[i0], w0, a0, pos, vel, acc, Rm[i0], cfg.g0)
+    pos, vel, acc = plant.mount_translation(mount, noise, t0)
+    w0, a0 = plant.pivot_rate(pivot, t0), plant.pivot_accel(pivot, t0)
+    ya = plant.accel_stream(Rp[i0], w0, a0, pos, vel, acc, Rm[i0], g0)
     errs = []
     for h_steps in (500, 250):  # central differences at h = 1e-3 and 5e-4
         h = h_steps * fine
         pdd = (world_pos(i0 + h_steps) - 2.0 * world_pos(i0) + world_pos(i0 - h_steps)) / h**2
-        ya_fd = (Rp[i0] @ Rm[i0]).T @ (cfg.g0 * EZ + pdd)
+        ya_fd = (Rp[i0] @ Rm[i0]).T @ (g0 * EZ + pdd)
         errs.append(float(np.abs(ya - ya_fd).max()))
     ratio = errs[0] / errs[1]
 

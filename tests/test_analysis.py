@@ -254,6 +254,11 @@ def test_error_point_rejects_off_manifold():
         (np.zeros(3), 0.5 * EZ),
         (np.zeros(3), np.array([3.0, 0.0, 0.0])),
         (np.zeros(2), np.zeros(3)),  # shapes disagree
+        # non-finite starts, also as one row of a batch
+        (np.zeros(3), np.array([np.nan, 0.0, 0.0])),
+        (np.array([np.inf, 0.0, 0.0]), np.zeros(3)),
+        (np.zeros((2, 3)), np.array([[0.0, 0.0, 0.0], [0.0, 0.0, np.nan]])),
+        (np.array([[0.0, 0.0, 0.0], [0.0, -np.inf, 0.0]]), np.zeros((2, 3))),
     ):
         with pytest.raises(ValueError):
             integrate_error_ode(verr0, terr0, GAINS, duration=0.01)

@@ -113,12 +113,21 @@ def test_sweep_diverged_cell_keeps_the_sweep(tmp_path, capsys):
         (["error-ode", "--dt", "0"], "--dt"),
         (["error-ode", "--duration", "-1"], "--duration"),
         (["error-ode", "--dt", "nan"], "--dt"),
+        (["error-ode", "--terr0=nan,0,0"], "--terr0"),
+        (["error-ode", "--terr0=inf,0,0"], "--terr0"),
+        (["error-ode", "--terr0=0,0"], "--terr0"),
+        (["error-ode", "--verr0=nan,0,0"], "--verr0"),
+        (["error-ode", "--verr0=inf,0,0"], "--verr0"),
+        (["sweep", "--alphas", "19.8,inf", "--betas", "10"], "--alphas"),
+        (["sweep", "--alphas", "nan", "--betas", "10"], "--alphas"),
+        (["sweep", "--alphas", "19.8", "--betas", "10,x"], "--betas"),
+        (["sweep", "--alphas", "19.8", "--betas", ","], "--betas"),
     ],
 )
 def test_bad_numeric_flag_names_the_flag(tmp_path, capsys, argv, flag):
     with pytest.raises(SystemExit) as info:
         main(argv + ["--out", str(tmp_path)])
-    assert info.value.code != 0
+    assert info.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 

@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 from tiltobs.harness import load_config
 from tiltobs.plant import (
     MountNoise,
-    TrajectoryConfig,
+    MountSettings,
+    PivotSettings,
     accel_stream,
     gyro_stream,
     mount_rate,
@@ -19,6 +20,7 @@ from tiltobs.plant import (
     pivot_rate_from_gyro,
     rotation_path,
     velocity_measurement,
+    world_rotation,
 )
 from tiltobs.so3 import rotation_exp
 
@@ -31,33 +33,24 @@ ZERO = np.zeros(3)
 NOISY_CFG = Path(__file__).resolve().parents[1] / "configs" / "noisy.cfg"
 
 
-def moving_config() -> TrajectoryConfig:
-    return TrajectoryConfig(
-        pivot_accel_amp=[0.50, 0.45, 0.40],
-        pivot_accel_freq=[0.7, 1.1, 1.3],
-        pivot_accel_phase=[0.4, 1.3, 2.2],
-        pivot_rate0=[0.2, -0.15, 0.1],
-        mount_rate_amp=[0.5, 0.4, 0.6],
-        mount_rate_freq=[0.9, 0.6, 1.2],
-        mount_rate_phase=[0.9, 0.2, 1.7],
-        kp=2.0,
-        p_ref=[0.0, 0.0, 1.3],
-        p0=[0.0, 0.0, 1.3],
-    )
+# the default settings are the moving reference scene: a wobbling pivot
+# and a swiveling mount
+PIVOT = PivotSettings()
+MOUNT = MountSettings()
 
 
-def midpoint_readings(cfg: TrajectoryConfig, R0: np.ndarray, noise: MountNoise, n: int, dt: float):
+def midpoint_readings(pivot: PivotSettings, R0: np.ndarray, noise: MountNoise, n: int, dt: float):
     """(gyro, accel) at the first n step midpoints, sampled as the harness
     samples them."""
     t_mid = (np.arange(n) + 0.5) * dt
-    w = pivot_rate(cfg, t_mid)
-    wm = mount_rate(cfg, t_mid)
+    w = pivot_rate(pivot, t_mid)
+    wm = mount_rate(MOUNT, t_mid)
     Rp_mid, _ = rotation_path(R0, w, dt)
     Rm_mid, _ = rotation_path(I3, wm, dt)
-    pos, vel, acc = mount_translation(cfg, noise, t_mid)
+    pos, vel, acc = mount_translation(MOUNT, noise, t_mid)
     return (
         gyro_stream(Rp_mid, w, Rm_mid, wm),
-        accel_stream(Rp_mid, w, pivot_accel(cfg, t_mid), pos, vel, acc, Rm_mid, cfg.g0),
+        accel_stream(Rp_mid, w, pivot_accel(pivot, t_mid), pos, vel, acc, Rm_mid, G0),
     )
 
 
@@ -110,30 +103,29 @@ def test_velocity_measurement_example():
 def test_accel_matches_finite_difference_of_world_position():
     # oracle: second central difference of the IMU world position along a
     # finely integrated trajectory; the model must match at O(h^2)
-    cfg = moving_config()
     noise = MountNoise(NOISE_STD, NOISE_TAU, seed=7)
     fine = 2e-6
     n = int(round(0.21 / fine))
     tg = np.arange(n) * fine
-    _, Rp = rotation_path(I3, pivot_rate(cfg, tg + 0.5 * fine), fine)
-    _, Rm = rotation_path(I3, mount_rate(cfg, tg + 0.5 * fine), fine)
+    _, Rp = rotation_path(I3, pivot_rate(PIVOT, tg + 0.5 * fine), fine)
+    _, Rm = rotation_path(I3, mount_rate(MOUNT, tg + 0.5 * fine), fine)
 
     def world_pos(i):
-        pos, _, _ = mount_translation(cfg, noise, i * fine)
+        pos, _, _ = mount_translation(MOUNT, noise, i * fine)
         return Rp[i] @ pos
 
     i0 = int(round(0.2 / fine))
     t0 = i0 * fine
-    pos, vel, acc = mount_translation(cfg, noise, t0)
+    pos, vel, acc = mount_translation(MOUNT, noise, t0)
     ya = accel_stream(
-        Rp[i0], pivot_rate(cfg, t0), pivot_accel(cfg, t0), pos, vel, acc, Rm[i0], cfg.g0
+        Rp[i0], pivot_rate(PIVOT, t0), pivot_accel(PIVOT, t0), pos, vel, acc, Rm[i0], G0
     )
 
     errs = []
     for h_steps in (500, 250):  # h = 1e-3 and 5e-4
         h = h_steps * fine
         pdd = (world_pos(i0 + h_steps) - 2.0 * world_pos(i0) + world_pos(i0 - h_steps)) / h**2
-        ya_fd = (Rp[i0] @ Rm[i0]).T @ (cfg.g0 * EZ + pdd)
+        ya_fd = (Rp[i0] @ Rm[i0]).T @ (G0 * EZ + pdd)
         errs.append(np.abs(ya - ya_fd).max())
     assert errs[0] < 5e-5
     # halving h divides the mismatch by ~4: second-order agreement
@@ -144,10 +136,10 @@ def test_accel_matches_finite_difference_of_world_position():
 
 
 def test_mount_setpoint_approach_is_exact_exponential():
-    cfg = TrajectoryConfig(kp=1.0, p_ref=[0.0, 0.0, 1.3], p0=[0.0, 0.0, 1.0])
+    mount = MountSettings(kp=1.0, p_ref=np.array([0.0, 0.0, 1.3]), p0=np.array([0.0, 0.0, 1.0]))
     noise = MountNoise(0.0, NOISE_TAU, seed=0)
     t = np.array([0.0, 0.5, 1.0, 3.0])
-    pos, vel, acc = mount_translation(cfg, noise, t)
+    pos, vel, acc = mount_translation(mount, noise, t)
     assert_allclose(pos[:, 2], 1.3 - 0.3 * np.exp(-t), rtol=1e-14)
     assert_allclose(pos[:, :2], 0.0, atol=0)
     assert_allclose(vel[:, 2], 0.3 * np.exp(-t), rtol=1e-14)
@@ -155,13 +147,12 @@ def test_mount_setpoint_approach_is_exact_exponential():
 
 
 def test_mount_translation_derivatives_consistent():
-    cfg = moving_config()
     noise = MountNoise(NOISE_STD, NOISE_TAU, seed=8)
     h = 1e-5
     for t0 in (0.1, 0.9, 2.3):
-        pp, vp, _ = mount_translation(cfg, noise, t0 + h)
-        pm, vm, _ = mount_translation(cfg, noise, t0 - h)
-        p0, v0, a0 = mount_translation(cfg, noise, t0)
+        pp, vp, _ = mount_translation(MOUNT, noise, t0 + h)
+        pm, vm, _ = mount_translation(MOUNT, noise, t0 - h)
+        p0, v0, a0 = mount_translation(MOUNT, noise, t0)
         assert_allclose((pp - pm) / (2 * h), v0, atol=1e-6)
         assert_allclose((vp - vm) / (2 * h), a0, atol=1e-6)
 
@@ -238,10 +229,10 @@ def test_mount_noise_doubled_basis_matches_direct_evaluation(shape):
 
 def test_constant_rate_pivot_is_exact():
     # closed form for a constant world rate: R(t) = exp(S(w) t) R0
-    cfg = TrajectoryConfig(pivot_rate0=[0.0, 0.0, 0.7])
+    pivot = PivotSettings(accel_amp=ZERO, rate0=np.array([0.0, 0.0, 0.7]))
     R0 = rotation_exp(np.array([0.3, -0.2, 0.5]))
     dt = 1e-2
-    w = pivot_rate(cfg, (np.arange(100) + 0.5) * dt)
+    w = pivot_rate(pivot, (np.arange(100) + 0.5) * dt)
     assert_allclose(w, np.tile([0.0, 0.0, 0.7], (100, 1)), atol=0)
     R_mid, R = rotation_path(R0, w, dt)
     for k in (1, 37, 100):
@@ -252,10 +243,9 @@ def test_constant_rate_pivot_is_exact():
 def test_midstate_lies_on_step_path():
     # per step: the midpoint sample is half the step's rotation applied to
     # the step's start, and the full step is the whole rotation
-    cfg = moving_config()
     dt = 1e-3
     n = 400
-    w = pivot_rate(cfg, (np.arange(n) + 0.5) * dt)
+    w = pivot_rate(PIVOT, (np.arange(n) + 0.5) * dt)
     R_mid, R = rotation_path(I3, w, dt)
     for k in range(n):
         assert_allclose(R_mid[k], rotation_exp(0.5 * dt * w[k]) @ R[k], atol=1e-15)
@@ -263,11 +253,10 @@ def test_midstate_lies_on_step_path():
 
 
 def test_pivot_path_converges_under_refinement():
-    cfg = moving_config()
     final = {}
     for dt in (1e-3, 1e-5):
         n = int(round(0.5 / dt))
-        _, R = rotation_path(I3, pivot_rate(cfg, (np.arange(n) + 0.5) * dt), dt)
+        _, R = rotation_path(I3, pivot_rate(PIVOT, (np.arange(n) + 0.5) * dt), dt)
         final[dt] = R[-1]
     assert np.abs(final[1e-3] - final[1e-5]).max() < 1e-6
 
@@ -285,10 +274,9 @@ def sequential_path(R0, w, dt):
 
 
 def test_rotation_path_matches_sequential_steps():
-    cfg = moving_config()
     dt = 1e-3
     n = 200
-    w = pivot_rate(cfg, (np.arange(n) + 0.5) * dt)
+    w = pivot_rate(PIVOT, (np.arange(n) + 0.5) * dt)
     R0 = rotation_exp(np.array([0.1, 0.2, -0.3]))
     R_mid, R = rotation_path(R0, w, dt)
     mid, cur = sequential_path(R0, w, dt)
@@ -300,9 +288,8 @@ def test_rotation_path_matches_sequential_steps():
 def test_block_scan_matches_sequential_steps(n):
     # block lengths are ceil(sqrt(n)): perfect squares, one either side (a
     # padded last block), and the reference run's length
-    cfg = moving_config()
     dt = 1e-3
-    w = pivot_rate(cfg, (np.arange(n) + 0.5) * dt)
+    w = pivot_rate(PIVOT, (np.arange(n) + 0.5) * dt)
     R0 = rotation_exp(np.array([0.1, 0.2, -0.3]))
     R_mid, R = rotation_path(R0, w, dt)
     mid, cur = sequential_path(R0, w, dt)
@@ -319,15 +306,9 @@ def test_block_scan_roundoff_on_the_reference_run():
     # the reference run's pivot rates at 10^4 steps: no worse than the
     # sequential product (2.0e-14 drift, 1.5e-14 yaw equivariance)
     cfg = load_config(NOISY_CFG)
-    traj = TrajectoryConfig(
-        pivot_accel_amp=cfg.pivot.accel_amp,
-        pivot_accel_freq=cfg.pivot.accel_freq,
-        pivot_accel_phase=cfg.pivot.accel_phase,
-        pivot_rate0=cfg.pivot.rate0,
-    )
     dt = cfg.dt
     n = 10**4
-    w = pivot_rate(traj, (np.arange(n) + 0.5) * dt)
+    w = pivot_rate(cfg.pivot, (np.arange(n) + 0.5) * dt)
     R0 = rotation_exp(np.array([0.1, 0.2, -0.3]))
     _, R = rotation_path(R0, w, dt)
     assert np.abs(np.swapaxes(R, 1, 2) @ R - I3).max() <= 2e-14
@@ -356,19 +337,18 @@ def test_block_scan_matches_sequential_steps_for_random_rates(n, seed, scale):
 def test_mount_step_and_midstate():
     # the harness evaluates the mount once on the interleaved grid of step
     # boundaries and midpoints; slicing it must give each grid on its own
-    cfg = moving_config()
     noise = MountNoise(NOISE_STD, NOISE_TAU, seed=11)
     dt = 1e-3
     n = 100
     t_all = np.arange(2 * n + 1) * (0.5 * dt)
-    joint = mount_translation(cfg, noise, t_all)
-    mid = mount_translation(cfg, noise, (np.arange(n) + 0.5) * dt)
-    bound = mount_translation(cfg, noise, np.arange(n + 1) * dt)
+    joint = mount_translation(MOUNT, noise, t_all)
+    mid = mount_translation(MOUNT, noise, (np.arange(n) + 0.5) * dt)
+    bound = mount_translation(MOUNT, noise, np.arange(n + 1) * dt)
     for j, m, b in zip(joint, mid, bound):
         assert_allclose(j[1::2], m, atol=1e-15)
         assert_allclose(j[0::2], b, atol=1e-15)
     # the mount attitude stays orthonormal along its path
-    _, Rm = rotation_path(I3, mount_rate(cfg, (np.arange(n) + 0.5) * dt), dt)
+    _, Rm = rotation_path(I3, mount_rate(MOUNT, (np.arange(n) + 0.5) * dt), dt)
     assert np.abs(np.swapaxes(Rm, 1, 2) @ Rm - I3).max() < 1e-12
 
 
@@ -377,28 +357,24 @@ def test_mount_step_and_midstate():
 
 def test_world_rotation_about_z_leaves_measurements_unchanged():
     # rotating the whole scene about gravity must not change what the IMU sees
-    cfg = moving_config()
     yaw = rotation_exp(np.array([0.0, 0.0, 1.1]))
-    cfg_rot = moving_config()
-    cfg_rot.world_rot = yaw
+    pivot_rot = PivotSettings(world_rotvec=np.array([0.0, 0.0, 1.1]))
     noise = MountNoise(NOISE_STD, NOISE_TAU, seed=12)
     dt = 1e-3
-    gyro_a, accel_a = midpoint_readings(cfg, I3, noise, 200, dt)
-    gyro_b, accel_b = midpoint_readings(cfg_rot, yaw, noise, 200, dt)
+    gyro_a, accel_a = midpoint_readings(PIVOT, I3, noise, 200, dt)
+    gyro_b, accel_b = midpoint_readings(pivot_rot, yaw, noise, 200, dt)
     assert_allclose(gyro_b, gyro_a, atol=1e-12)
     assert_allclose(accel_b, accel_a, atol=1e-12)
     # the rotated attitude is exactly the yaw times the base attitude
-    _, Rp_a = rotation_path(I3, pivot_rate(cfg, (np.arange(200) + 0.5) * dt), dt)
-    _, Rp_b = rotation_path(yaw, pivot_rate(cfg_rot, (np.arange(200) + 0.5) * dt), dt)
+    _, Rp_a = rotation_path(I3, pivot_rate(PIVOT, (np.arange(200) + 0.5) * dt), dt)
+    _, Rp_b = rotation_path(yaw, pivot_rate(pivot_rot, (np.arange(200) + 0.5) * dt), dt)
     assert np.abs(Rp_b - yaw @ Rp_a).max() < 1e-13
 
 
 def test_world_rotation_off_vertical_changes_accel():
     # negative control: the same rotation about x is visible to the sensors
-    cfg = moving_config()
-    cfg_rot = moving_config()
-    cfg_rot.world_rot = rotation_exp(np.array([1.1, 0.0, 0.0]))
+    pivot_rot = PivotSettings(world_rotvec=np.array([1.1, 0.0, 0.0]))
     noise = MountNoise(NOISE_STD, NOISE_TAU, seed=12)
-    _, accel_a = midpoint_readings(cfg, I3, noise, 1, 1e-3)
-    _, accel_b = midpoint_readings(cfg_rot, cfg_rot.world_rot, noise, 1, 1e-3)
+    _, accel_a = midpoint_readings(PIVOT, I3, noise, 1, 1e-3)
+    _, accel_b = midpoint_readings(pivot_rot, world_rotation(pivot_rot), noise, 1, 1e-3)
     assert np.abs(accel_b - accel_a).max() > 1.0
