@@ -123,6 +123,25 @@ def _schema_entries(cfg: ExperimentConfig):
 # dotted key -> (section attribute or None for top level, field, parser)
 SCHEMA = dict(_schema_entries(ExperimentConfig()))
 
+# the keys a scene is built from (see build_scene); runs that share one scene
+# may differ in every other key
+SCENE_KEYS = (
+    "duration",
+    "dt",
+    *(key for key in SCHEMA if key.startswith("pivot.")),
+    "mount.rate_amp",
+    "mount.rate_freq",
+    "mount.rate_phase",
+    "init.tilt_err",
+    "init.attitude_mode",
+    "init.attitude_rotvec",
+)
+
+
+def _get(cfg: ExperimentConfig, key: str):
+    section, name, _ = SCHEMA[key]
+    return getattr(cfg if section is None else getattr(cfg, section), name)
+
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse config text (``key = value`` lines, ``#`` comments)."""
@@ -153,8 +172,21 @@ def load_config(path) -> ExperimentConfig:
 
 def validate_config(cfg: ExperimentConfig) -> None:
     """Reject configs that cannot be run, naming the offending key."""
-    for key, (section, name, parser) in SCHEMA.items():
-        value = getattr(cfg if section is None else getattr(cfg, section), name)
+    _validate_settings(cfg)
+    if not (cfg.gains.alpha > 0.0):
+        raise ValueError(f"gains.alpha must be positive, got {cfg.gains.alpha}")
+    if not (cfg.gains.beta > 0.0):
+        raise ValueError(f"gains.beta must be positive, got {cfg.gains.beta}")
+    try:
+        make_gains(cfg.gains.alpha, cfg.gains.beta, cfg.gains.g0)
+    except ValueError as exc:
+        raise ValueError(f"gains.beta/gains.alpha: {exc}") from None
+
+
+def _validate_settings(cfg: ExperimentConfig) -> None:
+    """Every check of :func:`validate_config` but the gain checks."""
+    for key, (_, _, parser) in SCHEMA.items():
+        value = _get(cfg, key)
         if parser in (_parse_float, _parse_vec) and not np.isfinite(value).all():
             raise ValueError(f"{key} must be finite, got {_format_value(value)}")
         # a text value must read back unchanged from its config line
@@ -174,14 +206,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.decimation < 1:
         raise ValueError(f"decimation must be >= 1, got {cfg.decimation}")
-    if not (cfg.gains.alpha > 0.0):
-        raise ValueError(f"gains.alpha must be positive, got {cfg.gains.alpha}")
-    if not (cfg.gains.beta > 0.0):
-        raise ValueError(f"gains.beta must be positive, got {cfg.gains.beta}")
-    try:
-        make_gains(cfg.gains.alpha, cfg.gains.beta, cfg.gains.g0)
-    except ValueError as exc:
-        raise ValueError(f"gains.beta/gains.alpha: {exc}") from None
     if cfg.noise.gyro_std < 0.0:
         raise ValueError(f"noise.gyro_std must be >= 0, got {cfg.noise.gyro_std}")
     if cfg.noise.accel_std < 0.0:
@@ -211,11 +235,7 @@ def _format_value(value) -> str:
 
 def config_text(cfg: ExperimentConfig) -> str:
     """Config serialized back to the text format (round-trips exactly)."""
-    lines = []
-    for key, (section, name, _) in SCHEMA.items():
-        target = cfg if section is None else getattr(cfg, section)
-        lines.append(f"{key} = {_format_value(getattr(target, name))}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {_format_value(_get(cfg, key))}\n" for key in SCHEMA)
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
@@ -245,7 +265,9 @@ class RunLog:
     applied_tilt_err0: np.ndarray
     config: ExperimentConfig
     runtime: float
-    timings: dict  # wall seconds per phase: rotation, mount, sensors, estimator, record
+    # wall seconds per phase: rotation (set-up and the scene), mount, sensors,
+    # estimator, record
+    timings: dict
     steps_per_s: float  # estimator steps per wall second
 
 
@@ -286,72 +308,137 @@ def _initial_conditions(cfg: ExperimentConfig, world_rot):
     return R_base, tilt_hat0, applied
 
 
-def _diverged(k: int, dt: float, detail: str) -> RuntimeError:
-    return RuntimeError(f"estimator state diverged by step {k} (t = {k * dt:.6g} s){detail}")
+@dataclass
+class Scene:
+    """The part of a run that depends only on the config's :data:`SCENE_KEYS`:
+    time grids, initial estimate, both rotation paths and the seed-free
+    truth.  Runs that differ only in other keys (seed, gains, noise, mount
+    translation) can share one scene."""
+
+    settings: dict  # scene key -> its value as config text
+    t_mid: np.ndarray  # step midpoints: samples the estimator consumes
+    t_grid: np.ndarray  # step boundaries: samples recorded as truth
+    t_all: np.ndarray  # both interleaved: boundaries at even indices, midpoints at odd
+    tilt_hat0: np.ndarray
+    applied_tilt_err0: np.ndarray
+    w_held: np.ndarray  # pivot rate (world frame) at the midpoints
+    wm_held: np.ndarray  # mount rate at the midpoints
+    alpha_mid: np.ndarray  # pivot angular acceleration (world frame) at the midpoints
+    Rp_mid: np.ndarray  # pivot attitude at the midpoints
+    Rp: np.ndarray  # pivot attitude at the boundaries
+    Rm_mid: np.ndarray  # mount attitude at the midpoints
+    gyro_true: np.ndarray
+    rate_loc: np.ndarray  # pivot rate (robot frame) at the boundaries
+    x2_true: np.ndarray  # true tilt at the boundaries
+
+    def check(self, cfg: ExperimentConfig) -> None:
+        """Reject a config whose scene keys differ from this scene's."""
+        for key, value in _scene_settings(cfg).items():
+            if value != self.settings[key]:
+                raise ValueError(
+                    f"{key} = {value} differs from the scene's {key} = {self.settings[key]}"
+                )
 
 
-def run_simulation(cfg: ExperimentConfig, estimator_factory=None) -> RunLog:
-    """Simulate the plant and drive an estimator over it.
+def _scene_settings(cfg: ExperimentConfig) -> dict:
+    return {key: _format_value(_get(cfg, key)) for key in SCENE_KEYS}
 
-    ``estimator_factory(gains, vel_est0, tilt_est0)`` may supply a custom
-    estimator (anything with ``step(pivot_rate, vel_meas, accel, mount_rot,
-    dt)`` plus ``vel_est`` / ``tilt_est`` attributes); the default is the
-    built-in observer, run by :func:`.observer.run_observer`.  Pure function
-    of the config: no files, no globals.
-    """
-    wall0 = time.perf_counter()
-    validate_config(cfg)
-    gains = make_gains(cfg.gains.alpha, cfg.gains.beta, cfg.gains.g0)
+
+def build_scene(cfg: ExperimentConfig) -> Scene:
+    """Build the scene of a config.  The gains are not checked: they are not
+    part of the scene, and a sweep's base config need not keep the gain rule
+    that its cells keep."""
+    _validate_settings(cfg)
     world_rot = plant.world_rotation(cfg.pivot)
     dt = cfg.dt
     n_steps = step_count(cfg.duration, dt)
-
-    motion_noise = plant.MountNoise(
-        cfg.mount.noise_std, cfg.mount.noise_tau, seed=[cfg.seed, 1]
-    )
     R_base, tilt_hat0, applied_err0 = _initial_conditions(cfg, world_rot)
 
-    # closed-form trajectory signals, sampled on the step midpoints (consumed
-    # by the estimator) and on the step boundaries (recorded as truth)
+    # closed-form trajectory signals, sampled on the step midpoints and on
+    # the step boundaries
     t_mid = (np.arange(n_steps) + 0.5) * dt
     t_grid = np.arange(n_steps + 1) * dt
+    t_all = np.empty(2 * n_steps + 1)
+    t_all[0::2] = t_grid
+    t_all[1::2] = t_mid
     w_held = plant.pivot_rate(cfg.pivot, t_mid)
     wm_held = plant.mount_rate(cfg.mount, t_mid)
     R_c0 = R_base if world_rot is None else world_rot @ R_base
     Rp_mid, Rp = plant.rotation_path(R_c0, w_held, dt)
     Rm_mid, _ = plant.rotation_path(np.eye(3), wm_held, dt)
-    wall_rotation = time.perf_counter()
-    # one mount evaluation on the interleaved grid: boundaries at even
-    # indices, midpoints at odd ones
-    t_all = np.empty(2 * n_steps + 1)
-    t_all[0::2] = t_grid
-    t_all[1::2] = t_mid
-    pos_all, vel_all, acc_all = plant.mount_translation(cfg.mount, motion_noise, t_all)
+    return Scene(
+        settings=_scene_settings(cfg),
+        t_mid=t_mid,
+        t_grid=t_grid,
+        t_all=t_all,
+        tilt_hat0=tilt_hat0,
+        applied_tilt_err0=applied_err0,
+        w_held=w_held,
+        wm_held=wm_held,
+        alpha_mid=plant.pivot_accel(cfg.pivot, t_mid),
+        Rp_mid=Rp_mid,
+        Rp=Rp,
+        Rm_mid=Rm_mid,
+        gyro_true=plant.gyro_stream(Rp_mid, w_held, Rm_mid, wm_held),
+        rate_loc=np.einsum("nji,nj->ni", Rp, plant.pivot_rate(cfg.pivot, t_grid)),
+        x2_true=Rp[:, 2, :],
+    )
+
+
+def _diverged(k: int, dt: float, detail: str) -> RuntimeError:
+    return RuntimeError(f"estimator state diverged by step {k} (t = {k * dt:.6g} s){detail}")
+
+
+def run_simulation(cfg: ExperimentConfig, estimator_factory=None, scene=None) -> RunLog:
+    """Simulate the plant and drive an estimator over it.
+
+    ``estimator_factory(gains, vel_est0, tilt_est0)`` may supply a custom
+    estimator (anything with ``step(pivot_rate, vel_meas, accel, mount_rot,
+    dt)`` plus ``vel_est`` / ``tilt_est`` attributes); the default is the
+    built-in observer, run by :func:`.observer.run_observer`.  ``scene`` may
+    supply the :func:`build_scene` result of a config with the same scene
+    keys; one that differs is a ``ValueError`` naming the key.  Pure function
+    of the config: no files, no globals.
+    """
+    wall0 = time.perf_counter()
+    validate_config(cfg)
+    gains = make_gains(cfg.gains.alpha, cfg.gains.beta, cfg.gains.g0)
+    if scene is None:
+        scene = build_scene(cfg)
+    else:
+        scene.check(cfg)
+    dt = cfg.dt
+    n_steps = len(scene.t_mid)
+    Rm_mid = scene.Rm_mid
+    wall_scene = time.perf_counter()
+
+    motion_noise = plant.MountNoise(
+        cfg.mount.noise_std, cfg.mount.noise_tau, seed=[cfg.seed, 1]
+    )
+    # one mount evaluation on the interleaved grid
+    pos_all, vel_all, acc_all = plant.mount_translation(cfg.mount, motion_noise, scene.t_all)
     pos_mid, vel_mid, acc_mid = pos_all[1::2], vel_all[1::2], acc_all[1::2]
     wall_mount = time.perf_counter()
-    alpha_mid = plant.pivot_accel(cfg.pivot, t_mid)
 
-    gyro_true = plant.gyro_stream(Rp_mid, w_held, Rm_mid, wm_held)
     accel_true = plant.accel_stream(
-        Rp_mid, w_held, alpha_mid, pos_mid, vel_mid, acc_mid, Rm_mid, cfg.gains.g0
+        scene.Rp_mid, scene.w_held, scene.alpha_mid, pos_mid, vel_mid, acc_mid, Rm_mid,
+        cfg.gains.g0,
     )
 
     # per-sample draw order is gyro, then accel (C-order fill)
     rng = np.random.default_rng([cfg.seed, 0])
     draws = rng.standard_normal((n_steps, 2, 3))
-    gyro_meas = gyro_true + cfg.noise.gyro_std * draws[:, 0]
+    gyro_meas = scene.gyro_true + cfg.noise.gyro_std * draws[:, 0]
     accel_meas = accel_true + cfg.noise.accel_std * draws[:, 1]
 
     # measured pivot rate and velocity-type measurement, robot frame
-    y1 = plant.pivot_rate_from_gyro(gyro_meas, Rm_mid, wm_held)
+    y1 = plant.pivot_rate_from_gyro(gyro_meas, Rm_mid, scene.wm_held)
     x1 = plant.velocity_measurement(pos_mid, vel_mid, y1)
 
     # ground truth on the record grid
-    pos_g, vel_g = pos_all[0::2], vel_all[0::2]
-    rate_loc = np.einsum("nji,nj->ni", Rp, plant.pivot_rate(cfg.pivot, t_grid))
-    x1_true = plant.velocity_measurement(pos_g, vel_g, rate_loc)
-    x2_true = Rp[:, 2, :]
+    x1_true = plant.velocity_measurement(pos_all[0::2], vel_all[0::2], scene.rate_loc)
     vel_hat0 = x1_true[0] - cfg.init.vel_err
+    tilt_hat0 = scene.tilt_hat0
     wall_sensors = time.perf_counter()
 
     # every state (vel_est, tilt_est), the initial one first
@@ -381,9 +468,9 @@ def run_simulation(cfg: ExperimentConfig, estimator_factory=None) -> RunLog:
     vel_hat = states[rows, :3]
     tilt_hat = states[rows, 3:]
     x1err = x1_true[rows] - vel_hat
-    x2err = x2_true[rows] - tilt_hat
+    x2err = scene.x2_true[rows] - tilt_hat
     # pivot-rotated errors: one batched matmul on the (m, 3, 2) error pairs
-    z = np.matmul(Rp[rows], np.stack([x1err, x2err], axis=-1))
+    z = np.matmul(scene.Rp[rows], np.stack([x1err, x2err], axis=-1))
     z1, z2 = z[..., 0], z[..., 1]
     held = np.minimum(rows, n_steps - 1)  # final row repeats the last consumed sample
     V = lyapunov(z1, z2, gains)
@@ -392,8 +479,8 @@ def run_simulation(cfg: ExperimentConfig, estimator_factory=None) -> RunLog:
 
     estimator_s = wall_estimator - wall_sensors
     return RunLog(
-        t=t_grid[rows],
-        tilt=x2_true[rows],
+        t=scene.t_grid[rows],
+        tilt=scene.x2_true[rows],
         tilt_est=tilt_hat,
         vel_err=x1err,
         tilt_err=x2err,
@@ -404,12 +491,12 @@ def run_simulation(cfg: ExperimentConfig, estimator_factory=None) -> RunLog:
         gyro=gyro_meas[held],
         accel=accel_meas[held],
         requested_tilt_err0=np.asarray(cfg.init.tilt_err, dtype=float).copy(),
-        applied_tilt_err0=applied_err0,
+        applied_tilt_err0=scene.applied_tilt_err0.copy(),
         config=cfg,
         runtime=wall_end - wall0,
         timings={
-            "rotation": wall_rotation - wall0,
-            "mount": wall_mount - wall_rotation,
+            "rotation": wall_scene - wall0,
+            "mount": wall_mount - wall_scene,
             "sensors": wall_sensors - wall_mount,
             "estimator": estimator_s,
             "record": wall_end - wall_estimator,
@@ -495,13 +582,15 @@ def sweep(
 ):
     """Run the scenario over a grid of gains.
 
-    Gain pairs violating the stability condition are reported as rejected
-    rows, and runs whose state diverges as diverged rows (the step index goes
-    to the log), instead of aborting the sweep.  Each cell runs with its own
-    seed (base seed XOR cell index) so noisy scenarios stay independent.
-    Cells run one after another: a run is GIL-bound Python, so threads only
-    add memory.
+    The cells run one after another on one scene, built once from the base
+    config (:func:`build_scene`), but each draws its own mount and
+    measurement noise from its own seed (base seed XOR cell index), so noisy
+    cells stay independent.  Gain pairs that are not finite or violate the
+    stability condition are reported as rejected rows, and runs whose state
+    diverges as diverged rows (the step index goes to the log), instead of
+    aborting the sweep.  The base config's own gains are not checked.
     """
+    scene = build_scene(cfg)
     cells = [(i, a, b) for i, (a, b) in enumerate(
         (a, b) for a in alphas for b in betas
     )]
@@ -521,7 +610,7 @@ def sweep(
         sub.seed = cfg.seed ^ i
         row["gain_ratio"] = gains.gain_ratio
         try:
-            log = run_simulation(sub)
+            log = run_simulation(sub, scene=scene)
         except RuntimeError as exc:
             logger.warning("sweep cell alpha=%r beta=%r: %s", a, b, exc)
             row["status"] = "diverged"

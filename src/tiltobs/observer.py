@@ -77,6 +77,10 @@ class ObserverGains:
     g0: float = 9.81
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "g0"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (self.alpha > 0.0):
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if not (self.beta > 0.0):
@@ -229,9 +233,11 @@ def run_observer(gains, pivot_rate, vel_meas, accel_robot, dt, vel0, tilt0) -> n
     n = len(pivot_rate)
     s = (*np.asarray(vel0, dtype=float).tolist(), *np.asarray(tilt0, dtype=float).tolist())
     states = [s]
+    # one list of 9-float rows converts faster than three lists of 3-float rows
+    rows = np.hstack([pivot_rate, vel_meas, accel_robot]).tolist()
     try:
-        for w, m, f in zip(pivot_rate.tolist(), vel_meas.tolist(), accel_robot.tolist()):
-            s = step_floats(a, b, g, dt, *w, *m, *f, *s)
+        for r in rows:
+            s = step_floats(a, b, g, dt, *r, *s)
             states.append(s)
     except (ValueError, OverflowError):
         states.extend([(math.nan,) * 6] * (n + 1 - len(states)))

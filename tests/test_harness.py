@@ -7,6 +7,8 @@ closed loop.
 """
 
 import copy
+import dataclasses
+import math
 import logging
 from functools import partial
 from pathlib import Path
@@ -17,13 +19,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from tiltobs import harness, plant
 from tiltobs.analysis import MAX_STEPS
 from tiltobs.harness import (
     ATTITUDE_MODES,
     CSV_HEADER,
     SCHEMA,
     SWEEP_HEADER,
+    SCENE_KEYS,
     ExperimentConfig,
+    build_scene,
     config_text,
     emit_csv,
     format_number,
@@ -39,6 +44,7 @@ from tiltobs.harness import (
 from tiltobs.observer import ObserverState, observer_step
 
 REFERENCE_CFG = Path(__file__).resolve().parents[1] / "configs" / "reference.cfg"
+NOISY_CFG = REFERENCE_CFG.with_name("noisy.cfg")
 
 
 def zero_error_config() -> ExperimentConfig:
@@ -583,3 +589,108 @@ def test_sweep_reports_diverged_cell(tmp_path, caplog):
     assert lines[0] == SWEEP_HEADER
     assert lines[2].startswith("5000.00000,1.00000000,diverged,")
     assert lines[2].endswith(",,")
+
+
+def test_sweep_rejects_non_finite_gains():
+    cfg = ExperimentConfig()
+    cfg.duration = 0.2
+    rows = sweep(cfg, alphas=[19.8, math.inf, math.nan], betas=[10.0, math.inf], threshold=0.5)
+    assert [r["status"] for r in rows] == ["ok"] + ["rejected"] * 5
+
+
+def test_sweep_base_config_may_break_the_gain_rule():
+    cfg = ExperimentConfig()
+    cfg.duration = 0.2
+    cfg.gains.alpha = 1.0  # beta*g0 = 98.1 > alpha**2
+    cfg.gains.beta = 10.0
+    with pytest.raises(ValueError, match="gains"):
+        validate_config(cfg)
+    rows = sweep(cfg, alphas=[19.8, 1.0], betas=[10.0], threshold=0.5)
+    assert [r["status"] for r in rows] == ["ok", "rejected"]
+    assert math.isfinite(rows[0]["final_tilt_err_norm"])
+
+
+def test_sweep_rows_are_the_runs_of_their_cells(monkeypatch):
+    # every cell's log, taken from inside the sweep, equals a stand-alone
+    # run of that cell's config, bit for bit
+    cfg = load_config(NOISY_CFG)
+    alphas, betas = [19.8, 15.0], [10.0, 5.0]
+    logs = []
+
+    def recording_run(sub, **kwargs):
+        logs.append(run_simulation(sub, **kwargs))
+        return logs[-1]
+
+    monkeypatch.setattr(harness, "run_simulation", recording_run)
+    rows = sweep(cfg, alphas, betas)
+    monkeypatch.undo()
+    assert len(logs) == 4
+    for i, (row, log) in enumerate(zip(rows, logs)):
+        sub = copy.deepcopy(cfg)
+        sub.gains.alpha, sub.gains.beta = row["alpha"], row["beta"]
+        sub.seed = cfg.seed ^ i
+        alone = run_simulation(sub)
+        assert config_text(log.config) == config_text(sub)
+        for f in dataclasses.fields(alone):
+            if isinstance(getattr(alone, f.name), np.ndarray):
+                assert getattr(log, f.name).tobytes() == getattr(alone, f.name).tobytes(), f.name
+        norms = np.linalg.norm(alone.tilt_err, axis=-1)
+        assert row["final_tilt_err_norm"] == float(norms[-1])
+
+
+@pytest.mark.parametrize("alphas", [[19.8], [19.8, 15.0, 12.0, 25.0]])
+def test_sweep_builds_the_rotation_paths_once(monkeypatch, alphas):
+    calls = []
+
+    def counting_path(*args):
+        calls.append(1)
+        return rotation_path(*args)
+
+    rotation_path = plant.rotation_path
+    monkeypatch.setattr(plant, "rotation_path", counting_path)
+    cfg = ExperimentConfig()
+    cfg.duration = 0.2
+    rows = sweep(cfg, alphas, [10.0], threshold=0.5)
+    assert [r["status"] for r in rows] == ["ok"] * len(alphas)
+    assert len(calls) == 2  # pivot and mount, once per sweep
+
+
+def test_scene_ignores_seed_gains_and_noise():
+    a = ExperimentConfig()
+    a.duration = 0.5
+    b = copy.deepcopy(a)
+    b.seed = 11
+    b.gains.alpha, b.gains.beta, b.gains.g0 = 15.0, 5.0, 9.7
+    b.noise.gyro_std, b.noise.accel_std = 0.04, 0.2
+    b.mount.noise_std, b.mount.kp = 0.1, 3.0
+    b.init.vel_err = np.array([0.1, 0.2, 0.3])
+    scene_a, scene_b = build_scene(a), build_scene(b)
+    for f in dataclasses.fields(scene_a):
+        x, y = getattr(scene_a, f.name), getattr(scene_b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.tobytes() == y.tobytes(), f.name
+        else:
+            assert x == y, f.name
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("dt", 2e-3),
+        ("duration", 0.4),
+        ("pivot.rate0", np.array([0.2, -0.15, 0.2])),
+        ("pivot.world_rotvec", np.array([0.0, 0.0, 1.1])),
+        ("mount.rate_amp", np.zeros(3)),
+        ("init.attitude_mode", "consistent"),
+    ],
+)
+def test_run_rejects_a_scene_built_with_other_settings(key, value):
+    assert key in SCENE_KEYS
+    cfg = ExperimentConfig()
+    cfg.duration = 0.2
+    scene = build_scene(cfg)
+    other = copy.deepcopy(cfg)
+    section, _, name = key.rpartition(".")
+    setattr(getattr(other, section) if section else other, name, value)
+    with pytest.raises(ValueError, match=f"^{key} = "):
+        run_simulation(other, scene=scene)

@@ -43,6 +43,15 @@ def test_gains_reject_invalid():
     ObserverGains(alpha=1.0, beta=0.999, g0=1.0)
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("name", ["alpha", "beta", "g0"])
+def test_gains_reject_non_finite_naming_the_field(name, value):
+    # inf alpha used to pass: beta*g0 < inf holds
+    gains = {"alpha": 19.8, "beta": 10.0, "g0": 9.81, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        make_gains(**gains)
+
+
 def test_derivative_static_example():
     # upright static world, tilt estimate pointing straight down:
     # velocity derivative is -2 g0 e_z, no steering torque on the tilt
