@@ -166,8 +166,6 @@ def exponential_bound(v0: float, t, eps: float, gains: ObserverGains):
     ``eps`` must lie in (0, 1]; the decay rate is
     2 * min(1 - r, r * eps) * alpha with r the gain ratio.
     """
-    if not (0.0 < eps <= 1.0):
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
     rate = decay_rate(eps, gains)
     return v0 * np.exp(-rate * np.asarray(t, dtype=float))
 

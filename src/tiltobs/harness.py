@@ -2,8 +2,9 @@
 
 Builds the whole scenario from a flat text config (``key = value`` lines,
 dotted section prefixes, ``#`` comments), synthesizes IMU data along the
-closed-form trajectory, drives the observer step by step, and writes the
-results as a CSV log plus a small key-value report.
+closed-form trajectory, drives the observer step by step, and owns every
+output file format: one CSV writer (the run, sweep and error-ODE logs) and
+one ``key = value`` format (the reports and the saved config).
 
 Sampling convention: the measurement a step consumes is synthesized at that
 step's midpoint (halving the hold error of zero-order-held inputs), and the
@@ -16,6 +17,7 @@ the single config seed: child stream 0 feeds measurement noise, child stream
 from __future__ import annotations
 
 import copy
+import itertools
 import logging
 import math
 import time
@@ -25,19 +27,19 @@ from pathlib import Path
 import numpy as np
 
 from . import plant
-from .analysis import convergence_time, lyapunov, lyapunov_rate, record_marks, step_count
-from .observer import make_gains, run_observer
+from .analysis import EZ, convergence_time, lyapunov, lyapunov_rate, record_marks, step_count
+from .observer import ObserverGains, make_gains, run_observer
 from .so3 import rotation_between, rotation_exp
 
 logger = logging.getLogger(__name__)
-
-EZ = np.array([0.0, 0.0, 1.0])
 
 CSV_HEADER = (
     "t,x2_x,x2_y,x2_z,x2hat_x,x2hat_y,x2hat_z,"
     "x1err_x,x1err_y,x1err_z,x2err_x,x2err_y,x2err_z,"
     "V,Vdot,ya_x,ya_y,ya_z,yg_x,yg_y,yg_z"
 )
+SWEEP_HEADER = "alpha,beta,status,gain_ratio,convergence_time,final_tilt_err_norm"
+ERROR_ODE_HEADER = "t,verr_x,verr_y,verr_z,terr_x,terr_y,terr_z,V,Vdot"
 
 ATTITUDE_MODES = ("identity", "consistent", "rotvec")
 
@@ -143,8 +145,10 @@ def _get(cfg: ExperimentConfig, key: str):
     return getattr(cfg if section is None else getattr(cfg, section), name)
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse config text (``key = value`` lines, ``#`` comments)."""
+def parse_settings(text: str) -> ExperimentConfig:
+    """Parse config text (``key = value`` lines, ``#`` comments) without
+    validating the settings; a malformed line, an unknown key or a bad value
+    is named by line number and key."""
     cfg = ExperimentConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -162,6 +166,12 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}") from None
         target = cfg if section is None else getattr(cfg, section)
         setattr(target, name, parsed)
+    return cfg
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """:func:`parse_settings`, then :func:`validate_config`."""
+    cfg = parse_settings(text)
     validate_config(cfg)
     return cfg
 
@@ -173,14 +183,18 @@ def load_config(path) -> ExperimentConfig:
 def validate_config(cfg: ExperimentConfig) -> None:
     """Reject configs that cannot be run, naming the offending key."""
     _validate_settings(cfg)
-    if not (cfg.gains.alpha > 0.0):
-        raise ValueError(f"gains.alpha must be positive, got {cfg.gains.alpha}")
-    if not (cfg.gains.beta > 0.0):
-        raise ValueError(f"gains.beta must be positive, got {cfg.gains.beta}")
+    config_gains(cfg)
+
+
+def config_gains(cfg: ExperimentConfig) -> ObserverGains:
+    """The config's gains; an error names the ``gains.*`` key at fault."""
     try:
-        make_gains(cfg.gains.alpha, cfg.gains.beta, cfg.gains.g0)
+        return make_gains(cfg.gains.alpha, cfg.gains.beta, cfg.gains.g0)
     except ValueError as exc:
-        raise ValueError(f"gains.beta/gains.alpha: {exc}") from None
+        # a field check names its field first; the gain rule spans two keys
+        name = str(exc).split(" ", 1)[0]
+        prefix = "gains." if hasattr(cfg.gains, name) else "gains.beta/gains.alpha: "
+        raise ValueError(prefix + str(exc)) from None
 
 
 def _validate_settings(cfg: ExperimentConfig) -> None:
@@ -233,9 +247,21 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def key_value_text(values: dict) -> str:
+    """``key = value`` lines, the format of configs and reports alike: floats
+    by ``repr``, vectors as comma-separated floats, and a time never reached
+    (``None`` or infinite) as ``none``."""
+    lines = []
+    for key, value in values.items():
+        if value is None or (isinstance(value, float) and math.isinf(value)):
+            value = "none"
+        lines.append(f"{key} = {_format_value(value)}\n")
+    return "".join(lines)
+
+
 def config_text(cfg: ExperimentConfig) -> str:
     """Config serialized back to the text format (round-trips exactly)."""
-    return "".join(f"{key} = {_format_value(_get(cfg, key))}\n" for key in SCHEMA)
+    return key_value_text({key: _get(cfg, key) for key in SCHEMA})
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
@@ -292,20 +318,24 @@ def _initial_conditions(cfg: ExperimentConfig, world_rot):
             axis /= np.linalg.norm(axis)
             tilt0 = 0.5 * requested + np.sqrt(1.0 - 0.25 * n * n) * axis
             tilt_hat0 = tilt0 - requested
-        R_base = rotation_between(tilt0, ez_local)
-        applied = requested.copy()
-        return R_base, tilt_hat0, applied
+        return rotation_between(tilt0, ez_local), tilt_hat0, requested.copy()
 
     R_base = np.eye(3) if mode == "identity" else rotation_exp(cfg.init.attitude_rotvec)
     R0 = R_base if world_rot is None else world_rot @ R_base
     tilt0 = R0[2]  # row of R = R^T e_z
-    raw = tilt0 - requested
+    return (R_base, *project_tilt_error(tilt0, requested, "init.tilt_err"))
+
+
+def project_tilt_error(tilt, tilt_err, name: str):
+    """The unit tilt estimate nearest ``tilt - tilt_err`` (estimates live on
+    the unit sphere) and the tilt error it realizes; ``name`` names the
+    requested error in the message when the estimate would be zero."""
+    raw = tilt - tilt_err
     n = float(np.linalg.norm(raw))
     if n < 1e-12:
-        raise ValueError("init.tilt_err places the initial tilt estimate at the zero vector")
-    tilt_hat0 = raw / n  # estimates live on the unit sphere
-    applied = tilt0 - tilt_hat0
-    return R_base, tilt_hat0, applied
+        raise ValueError(f"{name} places the tilt estimate at the zero vector")
+    tilt_hat = raw / n
+    return tilt_hat, tilt - tilt_hat
 
 
 @dataclass
@@ -401,8 +431,8 @@ def run_simulation(cfg: ExperimentConfig, estimator_factory=None, scene=None) ->
     of the config: no files, no globals.
     """
     wall0 = time.perf_counter()
-    validate_config(cfg)
-    gains = make_gains(cfg.gains.alpha, cfg.gains.beta, cfg.gains.g0)
+    _validate_settings(cfg)
+    gains = config_gains(cfg)
     if scene is None:
         scene = build_scene(cfg)
     else:
@@ -412,9 +442,7 @@ def run_simulation(cfg: ExperimentConfig, estimator_factory=None, scene=None) ->
     Rm_mid = scene.Rm_mid
     wall_scene = time.perf_counter()
 
-    motion_noise = plant.MountNoise(
-        cfg.mount.noise_std, cfg.mount.noise_tau, seed=[cfg.seed, 1]
-    )
+    motion_noise = plant.MountNoise(cfg.mount.noise_std, cfg.mount.noise_tau, seed=[cfg.seed, 1])
     # one mount evaluation on the interleaved grid
     pos_all, vel_all, acc_all = plant.mount_translation(cfg.mount, motion_noise, scene.t_all)
     pos_mid, vel_mid, acc_mid = pos_all[1::2], vel_all[1::2], acc_all[1::2]
@@ -515,71 +543,73 @@ def format_number(x: float) -> str:
     return s.rstrip(".") if s.endswith(".") else s
 
 
-def emit_csv(log: RunLog, path) -> None:
-    cols = np.column_stack(
-        [
-            log.t,
-            log.tilt,
-            log.tilt_est,
-            log.vel_err,
-            log.tilt_err,
-            log.V,
-            log.Vdot,
-            log.accel,
-            log.gyro,
-        ]
-    )
-    lines = [CSV_HEADER]
-    lines.extend(",".join(format_number(v) for v in row) for row in cols)
+def write_csv(path, header: str, rows) -> None:
+    """The one CSV writer: ``header``, then one line per row, with numbers
+    written by :func:`format_number`, ``None`` as an empty field and text as
+    it is."""
+
+    def cell(v) -> str:
+        if v is None:
+            return ""
+        if isinstance(v, str):
+            return v
+        return format_number(v)
+
+    lines = [header]
+    lines.extend(",".join(map(cell, row)) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def emit_csv(log: RunLog, path) -> None:
+    cols = np.column_stack([log.t, log.tilt, log.tilt_est, log.vel_err, log.tilt_err,
+                            log.V, log.Vdot, log.accel, log.gyro])
+    write_csv(path, CSV_HEADER, cols.tolist())
+
+
+def grade_tilt(log: RunLog, threshold: float):
+    """The one grade of a run's tilt error: its convergence time at
+    ``threshold`` (``None`` if it has not converged by the end) and its final
+    norm."""
+    norms = np.linalg.norm(log.tilt_err, axis=-1)
+    return convergence_time(log.t, norms, threshold), float(norms[-1])
 
 
 def write_report(log: RunLog, path, threshold: float = 0.05) -> None:
     """Flat key = value summary of a run."""
     cfg = log.config
-    tilt_err_norm = np.linalg.norm(log.tilt_err, axis=-1)
-    conv = convergence_time(log.t, tilt_err_norm, threshold)
-    lines = [
-        f"duration = {cfg.duration!r}",
-        f"dt = {cfg.dt!r}",
-        f"steps = {step_count(cfg.duration, cfg.dt)}",
-        f"decimation = {cfg.decimation}",
-        f"seed = {cfg.seed}",
-        f"gains.alpha = {cfg.gains.alpha!r}",
-        f"gains.beta = {cfg.gains.beta!r}",
-        f"gains.g0 = {cfg.gains.g0!r}",
-        f"gain_ratio = {make_gains(cfg.gains.alpha, cfg.gains.beta, cfg.gains.g0).gain_ratio!r}",
-        f"noise.gyro_std = {cfg.noise.gyro_std!r}",
-        f"noise.accel_std = {cfg.noise.accel_std!r}",
-        f"attitude_mode = {cfg.init.attitude_mode}",
-        f"requested_tilt_err0 = {_format_value(log.requested_tilt_err0)}",
-        f"applied_tilt_err0 = {_format_value(log.applied_tilt_err0)}",
-        f"tilt_err_final_norm = {float(tilt_err_norm[-1])!r}",
-        f"vel_err_final_norm = {float(np.linalg.norm(log.vel_err[-1]))!r}",
-        f"tilt_convergence_threshold = {threshold!r}",
-        f"tilt_convergence_time = {'none' if conv is None else repr(conv)}",
-        f"v_initial = {float(log.V[0])!r}",
-        f"v_final = {float(log.V[-1])!r}",
-        f"runtime_s = {log.runtime!r}",
-        *(f"time.{phase}_s = {seconds!r}" for phase, seconds in log.timings.items()),
-        f"steps_per_s = {log.steps_per_s!r}",
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    conv, final = grade_tilt(log, threshold)
+    Path(path).write_text(key_value_text({
+        "duration": cfg.duration,
+        "dt": cfg.dt,
+        "steps": step_count(cfg.duration, cfg.dt),
+        "decimation": cfg.decimation,
+        "seed": cfg.seed,
+        "gains.alpha": cfg.gains.alpha,
+        "gains.beta": cfg.gains.beta,
+        "gains.g0": cfg.gains.g0,
+        "gain_ratio": config_gains(cfg).gain_ratio,
+        "noise.gyro_std": cfg.noise.gyro_std,
+        "noise.accel_std": cfg.noise.accel_std,
+        "attitude_mode": cfg.init.attitude_mode,
+        "requested_tilt_err0": log.requested_tilt_err0,
+        "applied_tilt_err0": log.applied_tilt_err0,
+        "tilt_err_final_norm": final,
+        "vel_err_final_norm": float(np.linalg.norm(log.vel_err[-1])),
+        "tilt_convergence_threshold": threshold,
+        "tilt_convergence_time": conv,
+        "v_initial": float(log.V[0]),
+        "v_final": float(log.V[-1]),
+        "runtime_s": log.runtime,
+        **{f"time.{phase}_s": seconds for phase, seconds in log.timings.items()},
+        "steps_per_s": log.steps_per_s,
+    }))
 
 
 # ---------------------------------------------------------------------------
 # gain sweep
 
 
-SWEEP_HEADER = "alpha,beta,status,gain_ratio,convergence_time,final_tilt_err_norm"
-
-
-def sweep(
-    cfg: ExperimentConfig,
-    alphas,
-    betas,
-    threshold: float = 0.05,
-):
+def sweep(cfg: ExperimentConfig, alphas, betas, threshold: float = 0.05):
     """Run the scenario over a grid of gains.
 
     The cells run one after another on one scene, built once from the base
@@ -591,14 +621,10 @@ def sweep(
     aborting the sweep.  The base config's own gains are not checked.
     """
     scene = build_scene(cfg)
-    cells = [(i, a, b) for i, (a, b) in enumerate(
-        (a, b) for a in alphas for b in betas
-    )]
 
-    def run_cell(cell):
-        i, a, b = cell
-        row = {"alpha": a, "beta": b, "status": "ok", "gain_ratio": None,
-               "convergence_time": None, "final_tilt_err_norm": None}
+    def run_cell(i, a, b):
+        row = dict.fromkeys(SWEEP_HEADER.split(","))
+        row.update(alpha=a, beta=b, status="ok")
         try:
             gains = make_gains(a, b, cfg.gains.g0)
         except ValueError:
@@ -615,29 +641,12 @@ def sweep(
             logger.warning("sweep cell alpha=%r beta=%r: %s", a, b, exc)
             row["status"] = "diverged"
             return row
-        norms = np.linalg.norm(log.tilt_err, axis=-1)
-        row["convergence_time"] = convergence_time(log.t, norms, threshold)
-        row["final_tilt_err_norm"] = float(norms[-1])
+        row["convergence_time"], row["final_tilt_err_norm"] = grade_tilt(log, threshold)
         return row
 
-    return [run_cell(cell) for cell in cells]
+    return [run_cell(i, a, b) for i, (a, b) in enumerate(itertools.product(alphas, betas))]
 
 
 def write_sweep_csv(rows, path) -> None:
-    def cell(v) -> str:
-        if v is None:
-            return ""
-        if isinstance(v, str):
-            return v
-        return format_number(float(v))
-
-    lines = [SWEEP_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                cell(r[k])
-                for k in ("alpha", "beta", "status", "gain_ratio",
-                          "convergence_time", "final_tilt_err_norm")
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    keys = SWEEP_HEADER.split(",")
+    write_csv(path, SWEEP_HEADER, ([r[k] for k in keys] for r in rows))

@@ -12,7 +12,8 @@ Per step it consumes the recovered pivot rate, the velocity-type measurement,
 the raw accelerometer reading and the mount attitude (see :mod:`.plant`).
 The velocity estimate follows a linear observer with injection gain ``alpha``;
 the tilt estimate is transported by the pivot rate, steered by the velocity
-innovation with gain ``beta``.  Both gains are positive and must satisfy
+innovation with gain ``beta``.  Both gains and the gravity magnitude ``g0``
+are positive, and the gains must satisfy
 ``beta * g0 < alpha**2`` (strict): the dimensionless ratio ``beta*g0/alpha**2``
 below one is what makes the error dynamics contract around zero error.
 """
@@ -79,12 +80,8 @@ class ObserverGains:
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "g0"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if not (self.alpha > 0.0):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not (self.beta > 0.0):
-            raise ValueError(f"beta must be positive, got {self.beta}")
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if not (self.beta * self.g0 < self.alpha**2):
             raise ValueError(
                 "gains violate beta*g0 < alpha**2 "

@@ -90,6 +90,29 @@ def test_sweep_grid(tmp_path):
     assert ",rejected," in lines[2]
 
 
+def test_sweep_base_config_may_break_the_gain_rule(tmp_path, capsys):
+    # every cell replaces the base gains, so only the other keys are checked
+    bad_gains = tmp_path / "bad_gains.cfg"
+    bad_gains.write_text("gains.alpha = 1.0\ngains.beta = 10.0\n")
+    rc = main([
+        "sweep", "--config", str(bad_gains), "--out", str(tmp_path / "o"),
+        "--alphas", "19.8", "--betas", "10",
+    ])
+    assert rc == 0
+    lines = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
+    assert [line.split(",")[2] for line in lines[1:]] == ["ok"]
+
+    bad_dt = tmp_path / "bad_dt.cfg"
+    bad_dt.write_text("dt = -0.1\n")
+    rc = main([
+        "sweep", "--config", str(bad_dt), "--out", str(tmp_path / "p"),
+        "--alphas", "19.8", "--betas", "10",
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: dt ")
+    assert not (tmp_path / "p" / "sweep.csv").exists()
+
+
 def test_sweep_diverged_cell_keeps_the_sweep(tmp_path, capsys):
     cfg_path = tmp_path / "short.cfg"
     cfg_path.write_text("duration = 0.5\n")
@@ -242,3 +265,39 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "run.csv").exists()
     assert (tmp_path / "report.txt").exists()
+
+
+COMMANDS = {
+    "simulate": (["simulate"], "run.csv"),
+    "analyze": (["analyze", "--basin-samples", "5"], "analysis.txt"),
+    "sweep": (["sweep", "--alphas", "19.8", "--betas", "10"], "sweep.csv"),
+    "error-ode": (["error-ode"], "error_ode.csv"),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_effective_config_is_the_run_config(tmp_path, command):
+    cfg_path = tmp_path / "my.cfg"
+    cfg_path.write_text("duration = 0.5\ngains.alpha = 15.0\nseed = 2\n")
+    argv, output = COMMANDS[command]
+    out = tmp_path / "o"
+    rc = main(argv + ["--config", str(cfg_path), "--seed", "4", "--out", str(out)])
+    assert rc == 0
+    assert (out / output).exists()
+    expected = load_config(cfg_path)
+    expected.seed = 4
+    assert config_text(load_config(out / "effective.cfg")) == config_text(expected)
+
+
+@pytest.mark.parametrize(
+    "argv,output",
+    [
+        (["error-ode", "--dt", "0.2", "--duration", "4"], "error_ode.csv"),
+        (["analyze", "--basin-samples", "100000"], "analysis.txt"),
+    ],
+)
+def test_failing_run_saves_no_effective_config(tmp_path, argv, output):
+    rc = main(argv + ["--out", str(tmp_path)])
+    assert rc == 1
+    assert not (tmp_path / output).exists()
+    assert not (tmp_path / "effective.cfg").exists()

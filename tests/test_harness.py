@@ -91,6 +91,8 @@ def test_config_assignments_and_comments():
         ("gains.alpha = -1", "gains.alpha"),
         ("gains.beta = 0", "gains.beta"),
         ("gains.beta = 40", "gains.beta"),  # 40*9.81 > 19.8^2
+        ("gains.g0 = -9.81", "gains.g0"),
+        ("gains.g0 = 0", "gains.g0"),
         ("bogus.key = 1", "bogus.key"),
         ("dt = -0.1", "dt"),
         ("decimation = 0", "decimation"),

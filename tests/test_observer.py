@@ -43,7 +43,7 @@ def test_gains_reject_invalid():
     ObserverGains(alpha=1.0, beta=0.999, g0=1.0)
 
 
-@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("value", [np.inf, np.nan, -9.81, 0.0])
 @pytest.mark.parametrize("name", ["alpha", "beta", "g0"])
 def test_gains_reject_non_finite_naming_the_field(name, value):
     # inf alpha used to pass: beta*g0 < inf holds
