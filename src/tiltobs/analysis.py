@@ -50,13 +50,13 @@ def step_count(duration: float, dt: float) -> int:
     """Steps of ``dt`` in ``duration``, checked before anything is allocated.
 
     Raises ``ValueError`` naming ``duration``/``dt`` unless the count is
-    finite, non-negative and at most :data:`MAX_STEPS`.
+    finite and, rounded, between 1 and :data:`MAX_STEPS`.
     """
     n = duration / dt if dt > 0.0 else float("inf")
-    if not 0.0 <= n <= MAX_STEPS:
+    if not (0.0 <= n <= MAX_STEPS and round(n) >= 1):
         raise ValueError(
             f"duration / dt = {duration!r} / {dt!r} must be a step count "
-            f"between 0 and {MAX_STEPS}"
+            f"between 1 and {MAX_STEPS}"
         )
     return int(round(n))
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import plant
 from .analysis import EZ, convergence_time, lyapunov, lyapunov_rate, record_marks, step_count
-from .observer import ObserverGains, make_gains, run_observer
+from .observer import ObserverGains, make_gains, require_positive, run_observer
 from .so3 import rotation_between, rotation_exp
 
 logger = logging.getLogger(__name__)
@@ -214,8 +214,7 @@ def _validate_settings(cfg: ExperimentConfig) -> None:
         raise ValueError(f"duration must be positive, got {cfg.duration}")
     if not (cfg.dt > 0.0):
         raise ValueError(f"dt must be positive, got {cfg.dt}")
-    if step_count(cfg.duration, cfg.dt) < 1:
-        raise ValueError("duration shorter than one step")
+    step_count(cfg.duration, cfg.dt)  # raises unless 1 <= steps <= MAX_STEPS
     if cfg.seed < 0:
         raise ValueError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.decimation < 1:
@@ -287,7 +286,6 @@ class RunLog:
     Vdot: np.ndarray
     gyro: np.ndarray  # measurement consumed by the step starting at t
     accel: np.ndarray
-    requested_tilt_err0: np.ndarray
     applied_tilt_err0: np.ndarray
     config: ExperimentConfig
     runtime: float
@@ -415,20 +413,13 @@ def build_scene(cfg: ExperimentConfig) -> Scene:
     )
 
 
-def _diverged(k: int, dt: float, detail: str) -> RuntimeError:
-    return RuntimeError(f"estimator state diverged by step {k} (t = {k * dt:.6g} s){detail}")
+def run_simulation(cfg: ExperimentConfig, scene=None) -> RunLog:
+    """Simulate the plant and run the observer over it
+    (:func:`.observer.run_observer`).
 
-
-def run_simulation(cfg: ExperimentConfig, estimator_factory=None, scene=None) -> RunLog:
-    """Simulate the plant and drive an estimator over it.
-
-    ``estimator_factory(gains, vel_est0, tilt_est0)`` may supply a custom
-    estimator (anything with ``step(pivot_rate, vel_meas, accel, mount_rot,
-    dt)`` plus ``vel_est`` / ``tilt_est`` attributes); the default is the
-    built-in observer, run by :func:`.observer.run_observer`.  ``scene`` may
-    supply the :func:`build_scene` result of a config with the same scene
-    keys; one that differs is a ``ValueError`` naming the key.  Pure function
-    of the config: no files, no globals.
+    ``scene`` may supply the :func:`build_scene` result of a config with the
+    same scene keys; one that differs is a ``ValueError`` naming the key.
+    Pure function of the config: no files, no globals.
     """
     wall0 = time.perf_counter()
     _validate_settings(cfg)
@@ -470,26 +461,13 @@ def run_simulation(cfg: ExperimentConfig, estimator_factory=None, scene=None) ->
     wall_sensors = time.perf_counter()
 
     # every state (vel_est, tilt_est), the initial one first
-    if estimator_factory is None:
-        accel_robot = np.matmul(Rm_mid, accel_meas[:, :, None])[:, :, 0]
-        states = run_observer(gains, y1, x1, accel_robot, dt, vel_hat0, tilt_hat0)
-    else:
-        est = estimator_factory(gains, vel_hat0.copy(), tilt_hat0.copy())
-        states = np.empty((n_steps + 1, 6))
-        states[0, :3] = est.vel_est
-        states[0, 3:] = est.tilt_est
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(n_steps):
-                try:
-                    est.step(y1[k], x1[k], accel_meas[k], Rm_mid[k], dt)
-                except (ValueError, OverflowError, FloatingPointError) as exc:
-                    # overflowed states surface as math-domain errors
-                    raise _diverged(k, dt, f": {exc}") from None
-                states[k + 1, :3] = est.vel_est
-                states[k + 1, 3:] = est.tilt_est
+    accel_robot = np.matmul(Rm_mid, accel_meas[:, :, None])[:, :, 0]
+    states = run_observer(gains, y1, x1, accel_robot, dt, vel_hat0, tilt_hat0)
     bad = ~np.isfinite(states).all(axis=1)
     if bad.any():
-        raise _diverged(int(bad.argmax()), dt, "; check gains against the step size")
+        k = int(bad.argmax())
+        raise RuntimeError(f"estimator state diverged by step {k} (t = {k * dt:.6g} s); "
+                           "check gains against the step size")
     wall_estimator = time.perf_counter()
 
     rows = np.array(record_marks(n_steps, cfg.decimation))
@@ -518,7 +496,6 @@ def run_simulation(cfg: ExperimentConfig, estimator_factory=None, scene=None) ->
         Vdot=Vdot,
         gyro=gyro_meas[held],
         accel=accel_meas[held],
-        requested_tilt_err0=np.asarray(cfg.init.tilt_err, dtype=float).copy(),
         applied_tilt_err0=scene.applied_tilt_err0.copy(),
         config=cfg,
         runtime=wall_end - wall0,
@@ -591,7 +568,7 @@ def write_report(log: RunLog, path, threshold: float = 0.05) -> None:
         "noise.gyro_std": cfg.noise.gyro_std,
         "noise.accel_std": cfg.noise.accel_std,
         "attitude_mode": cfg.init.attitude_mode,
-        "requested_tilt_err0": log.requested_tilt_err0,
+        "requested_tilt_err0": cfg.init.tilt_err,
         "applied_tilt_err0": log.applied_tilt_err0,
         "tilt_err_final_norm": final,
         "vel_err_final_norm": float(np.linalg.norm(log.vel_err[-1])),
@@ -618,8 +595,10 @@ def sweep(cfg: ExperimentConfig, alphas, betas, threshold: float = 0.05):
     cells stay independent.  Gain pairs that are not finite or violate the
     stability condition are reported as rejected rows, and runs whose state
     diverges as diverged rows (the step index goes to the log), instead of
-    aborting the sweep.  The base config's own gains are not checked.
+    aborting the sweep.  The base config's own ``alpha`` and ``beta`` are not
+    checked; its ``g0``, which every cell keeps, is.
     """
+    require_positive("gains.g0", cfg.gains.g0)
     scene = build_scene(cfg)
 
     def run_cell(i, a, b):

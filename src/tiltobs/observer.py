@@ -71,6 +71,12 @@ def rotate_twice(wx, wy, wz, vx, vy, vz, coefficients=_coefficients):
 rotate_twice_arrays = partial(rotate_twice, coefficients=_coefficients_arrays)
 
 
+def require_positive(name: str, value: float) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is finite and > 0."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class ObserverGains:
     alpha: float
@@ -79,9 +85,7 @@ class ObserverGains:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "g0"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+            require_positive(name, getattr(self, name))
         if not (self.beta * self.g0 < self.alpha**2):
             raise ValueError(
                 "gains violate beta*g0 < alpha**2 "
@@ -98,14 +102,9 @@ def make_gains(alpha: float, beta: float, g0: float = 9.81) -> ObserverGains:
     return ObserverGains(alpha=float(alpha), beta=float(beta), g0=float(g0))
 
 
-@dataclass
-class ObserverState:
-    vel_est: np.ndarray
-    tilt_est: np.ndarray
-
-
 def observer_derivative(
-    state: ObserverState,
+    vel_est: np.ndarray,
+    tilt_est: np.ndarray,
     gains: ObserverGains,
     pivot_rate: np.ndarray,
     vel_meas: np.ndarray,
@@ -118,14 +117,14 @@ def observer_derivative(
     effective rate transporting the tilt estimate (``tilt_dot`` equals
     ``-cross(omega_eff, tilt_est)``).
     """
-    innov = vel_meas - state.vel_est
+    innov = vel_meas - vel_est
     vel_dot = (
-        -np.cross(pivot_rate, state.vel_est)
-        + gains.g0 * state.tilt_est
+        -np.cross(pivot_rate, vel_est)
+        + gains.g0 * tilt_est
         - mount_rot @ accel
         + gains.alpha * innov
     )
-    omega_eff = pivot_rate - gains.beta * np.cross(state.tilt_est, innov)
+    omega_eff = pivot_rate - gains.beta * np.cross(tilt_est, innov)
     return vel_dot, omega_eff
 
 
@@ -136,8 +135,17 @@ def step_floats(a, b, g, dt, wx, wy, wz, mx, my, mz, fx, fy, fz, vx, vy, vz, tx,
     Takes the gains ``a, b, g`` (alpha, beta, g0), the step ``dt``, the pivot
     rate ``w``, the velocity-type measurement ``m``, the specific force in the
     robot frame ``f`` (``mount_rot @ accel``) and the state ``v``, ``t``;
-    returns the new ``(vx, vy, vz, tx, ty, tz)``.  See :func:`observer_step`
-    for the scheme.
+    returns the new ``(vx, vy, vz, tx, ty, tz)``.  Measurements are held
+    over [t, t+dt].
+
+    The tilt estimate moves along the exact rotation flow of the effective
+    rate (frozen over the step), which keeps it unit-norm to machine
+    precision; the velocity estimate takes a classic 4-stage Runge-Kutta step
+    with the tilt sampled on that flow at each stage time.  The innovation
+    steering the tilt is taken against a half-step prediction of the velocity
+    estimate: measurements are naturally mid-step averages of the held
+    interval, and comparing them with the start-of-step estimate would leak a
+    spurious rate proportional to dt times the measurement slope.
 
     The body is spelled out in scalar arithmetic: a 10 s run at 1 ms steps
     takes 10^4 of these and numpy dispatch on 3-vectors would dominate the
@@ -185,36 +193,6 @@ def step_floats(a, b, g, dt, wx, wy, wz, mx, my, mz, fx, fy, fz, vx, vy, vz, tx,
         vz + s * (k1z + 2.0 * k2z + 2.0 * k3z + k4z),
         ux, uy, uz,
     )
-
-
-def observer_step(
-    state: ObserverState,
-    gains: ObserverGains,
-    pivot_rate: np.ndarray,
-    vel_meas: np.ndarray,
-    accel: np.ndarray,
-    mount_rot: np.ndarray,
-    dt: float,
-) -> ObserverState:
-    """Advance the observer one step, measurements held over [t, t+dt].
-
-    The tilt estimate moves along the exact rotation flow of the effective
-    rate (frozen over the step), which keeps it unit-norm to machine
-    precision; the velocity estimate takes a classic 4-stage Runge-Kutta step
-    with the tilt sampled on that flow at each stage time.  The innovation
-    steering the tilt is taken against a half-step prediction of the velocity
-    estimate: measurements are naturally mid-step averages of the held
-    interval, and comparing them with the start-of-step estimate would leak a
-    spurious rate proportional to dt times the measurement slope.
-
-    Array wrapper around :func:`step_floats`, which holds the arithmetic.
-    """
-    new = step_floats(
-        gains.alpha, gains.beta, gains.g0, dt,
-        *pivot_rate.tolist(), *vel_meas.tolist(), *(mount_rot @ accel).tolist(),
-        *state.vel_est.tolist(), *state.tilt_est.tolist(),
-    )
-    return ObserverState(vel_est=np.array(new[:3]), tilt_est=np.array(new[3:]))
 
 
 def run_observer(gains, pivot_rate, vel_meas, accel_robot, dt, vel0, tilt0) -> np.ndarray:

@@ -112,6 +112,18 @@ def test_sweep_base_config_may_break_the_gain_rule(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: dt ")
     assert not (tmp_path / "p" / "sweep.csv").exists()
 
+    # no cell replaces g0: the base config's own is checked, before any cell runs
+    bad_g0 = tmp_path / "bad_g0.cfg"
+    bad_g0.write_text("gains.g0 = -9.81\n")
+    rc = main([
+        "sweep", "--config", str(bad_g0), "--out", str(tmp_path / "q"),
+        "--alphas", "19.8", "--betas", "10",
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: gains.g0 must be finite and positive, got -9.81\n"
+    assert not (tmp_path / "q" / "sweep.csv").exists()
+    assert not (tmp_path / "q" / "effective.cfg").exists()
+
 
 def test_sweep_diverged_cell_keeps_the_sweep(tmp_path, capsys):
     cfg_path = tmp_path / "short.cfg"
@@ -294,6 +306,7 @@ def test_effective_config_is_the_run_config(tmp_path, command):
     [
         (["error-ode", "--dt", "0.2", "--duration", "4"], "error_ode.csv"),
         (["analyze", "--basin-samples", "100000"], "analysis.txt"),
+        (["error-ode", "--duration", "0.0004"], "error_ode.csv"),
     ],
 )
 def test_failing_run_saves_no_effective_config(tmp_path, argv, output):

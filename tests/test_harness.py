@@ -2,8 +2,7 @@
 
 The heavier scenario runs (reference 10 s closed loop) live in
 test_acceptance.py; here we cover config handling, the record/CSV contracts,
-determinism, the estimator hook, and the self-consistency floors of the
-closed loop.
+determinism, and the self-consistency floors of the closed loop.
 """
 
 import copy
@@ -41,7 +40,6 @@ from tiltobs.harness import (
     write_report,
     write_sweep_csv,
 )
-from tiltobs.observer import ObserverState, observer_step
 
 REFERENCE_CFG = Path(__file__).resolve().parents[1] / "configs" / "reference.cfg"
 NOISY_CFG = REFERENCE_CFG.with_name("noisy.cfg")
@@ -426,16 +424,6 @@ def test_blowup_aborts_with_step_index():
         run_simulation(cfg)
 
 
-@pytest.mark.filterwarnings("error")
-def test_blowup_leaks_no_warning_on_either_path():
-    cfg = ExperimentConfig()
-    cfg.gains.alpha = 5000.0
-    cfg.gains.beta = 1.0
-    for factory in (None, ObserverStepEstimator):
-        with pytest.raises(RuntimeError, match=r"step \d+"):
-            run_simulation(cfg, estimator_factory=factory)
-
-
 def test_phase_timings_add_up_to_runtime(tmp_path):
     cfg = ExperimentConfig()
     cfg.duration = 1.0
@@ -457,86 +445,6 @@ def test_phase_timings_add_up_to_runtime(tmp_path):
         "time.record_s",
         "steps_per_s",
     ]
-
-
-# ---------------------------------------------------------------------------
-# estimator hook
-
-
-class ObserverStepEstimator:
-    """The built-in observer, driven one ``observer_step`` call at a time."""
-
-    def __init__(self, gains, vel_est, tilt_est):
-        self.gains = gains
-        self.state = ObserverState(vel_est=vel_est, tilt_est=tilt_est)
-
-    @property
-    def vel_est(self):
-        return self.state.vel_est
-
-    @property
-    def tilt_est(self):
-        return self.state.tilt_est
-
-    def step(self, pivot_rate, vel_meas, accel, mount_rot, dt):
-        self.state = observer_step(
-            self.state, self.gains, pivot_rate, vel_meas, accel, mount_rot, dt
-        )
-
-
-def test_step_hook_reproduces_builtin_loop():
-    cfg = load_config(Path(__file__).parent.parent / "configs" / "noisy.cfg")
-    builtin = run_simulation(cfg)
-    stepped = run_simulation(cfg, estimator_factory=ObserverStepEstimator)
-    for name in ("t", "tilt", "tilt_est", "vel_err", "tilt_err", "verr_world",
-                 "terr_world", "V", "Vdot", "gyro", "accel",
-                 "requested_tilt_err0", "applied_tilt_err0"):
-        a, b = getattr(builtin, name), getattr(stepped, name)
-        assert a.shape == b.shape
-        assert np.abs(a - b).max() <= 1e-12, name
-
-
-
-class RecordingEstimator:
-    """Minimal duck-typed estimator: trusts the measurements directly."""
-
-    def __init__(self, gains, vel_est, tilt_est):
-        self.g0 = gains.g0
-        self.vel_est = vel_est
-        self.tilt_est = tilt_est
-        self.steps = 0
-
-    def step(self, pivot_rate, vel_meas, accel, mount_rot, dt):
-        self.vel_est = vel_meas.copy()
-        tilt = mount_rot @ accel / self.g0
-        self.tilt_est = tilt / np.linalg.norm(tilt)
-        self.steps += 1
-
-
-def test_custom_estimator_hook():
-    cfg = ExperimentConfig()
-    cfg.duration = 0.5
-    log = run_simulation(cfg, estimator_factory=RecordingEstimator)
-    assert len(log.t) == 51
-    norms = np.linalg.norm(log.tilt_est[1:], axis=1)
-    assert np.allclose(norms, 1.0, atol=1e-12)
-    # accel direction is a poor tilt estimate on this moving scene, but it
-    # should still be in the right hemisphere once the initial error is gone
-    assert (np.einsum("ij,ij->i", log.tilt_est[1:], log.tilt[1:]) > 0.0).all()
-
-
-def test_custom_estimator_sees_every_step():
-    cfg = ExperimentConfig()
-    cfg.duration = 0.25
-    captured = {}
-
-    def factory(gains, vel_est, tilt_est):
-        est = RecordingEstimator(gains, vel_est, tilt_est)
-        captured["est"] = est
-        return est
-
-    run_simulation(cfg, estimator_factory=factory)
-    assert captured["est"].steps == 250
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +518,10 @@ def test_sweep_base_config_may_break_the_gain_rule():
     rows = sweep(cfg, alphas=[19.8, 1.0], betas=[10.0], threshold=0.5)
     assert [r["status"] for r in rows] == ["ok", "rejected"]
     assert math.isfinite(rows[0]["final_tilt_err_norm"])
+    # every cell keeps the base g0, so a bad one fails the sweep, not its cells
+    cfg.gains.g0 = -9.81
+    with pytest.raises(ValueError, match=r"^gains\.g0 must be finite and positive, got -9.81$"):
+        sweep(cfg, alphas=[19.8], betas=[10.0], threshold=0.5)
 
 
 def test_sweep_rows_are_the_runs_of_their_cells(monkeypatch):

@@ -4,10 +4,8 @@ from numpy.testing import assert_allclose
 
 from tiltobs.observer import (
     ObserverGains,
-    ObserverState,
     make_gains,
     observer_derivative,
-    observer_step,
     rotate_twice,
     rotate_twice_arrays,
     run_observer,
@@ -56,18 +54,18 @@ def test_derivative_static_example():
     # upright static world, tilt estimate pointing straight down:
     # velocity derivative is -2 g0 e_z, no steering torque on the tilt
     g = make_gains(19.8, 10.0)
-    st = ObserverState(vel_est=np.zeros(3), tilt_est=-EZ)
     accel = g.g0 * EZ
-    dvel, omega_eff = observer_derivative(st, g, np.zeros(3), np.zeros(3), accel, EYE)
+    zero = np.zeros(3)
+    dvel, omega_eff = observer_derivative(zero, -EZ, g, zero, zero, accel, EYE)
     assert_allclose(dvel, -2.0 * g.g0 * EZ, atol=1e-12)
     assert_allclose(omega_eff, np.zeros(3), atol=1e-12)
 
 
 def test_derivative_innovation_terms():
     g = make_gains(19.8, 10.0)
-    st = ObserverState(vel_est=np.zeros(3), tilt_est=EZ)
     vel_meas = np.array([1.0, 0.0, 0.0])
-    dvel, omega_eff = observer_derivative(st, g, np.zeros(3), vel_meas, np.zeros(3), EYE)
+    zero = np.zeros(3)
+    dvel, omega_eff = observer_derivative(zero, EZ, g, zero, vel_meas, zero, EYE)
     assert_allclose(dvel, g.g0 * EZ + g.alpha * vel_meas, atol=1e-12)
     # -beta * cross(e_z, e_x) = -beta * e_y
     assert_allclose(omega_eff, [0.0, -g.beta, 0.0], atol=1e-12)
@@ -78,41 +76,43 @@ def test_step_fixed_point():
     g = make_gains(19.8, 10.0)
     Rc = rotation_exp(np.array([0.3, -0.2, 0.5]))
     tilt = Rc.T @ EZ
-    st = ObserverState(vel_est=np.zeros(3), tilt_est=tilt.copy())
-    nxt = observer_step(st, g, np.zeros(3), np.zeros(3), g.g0 * tilt, EYE, dt=1e-3)
-    assert_allclose(nxt.vel_est, np.zeros(3), atol=1e-15)
-    assert_allclose(nxt.tilt_est, tilt, atol=1e-15)
+    nxt = step_floats(g.alpha, g.beta, g.g0, 1e-3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                      *(g.g0 * tilt).tolist(), 0.0, 0.0, 0.0, *tilt.tolist())
+    assert_allclose(nxt[:3], np.zeros(3), atol=1e-15)
+    assert_allclose(nxt[3:], tilt, atol=1e-15)
 
 
 def test_step_matches_derivative_to_first_order():
     g = make_gains(19.8, 10.0)
     rng = np.random.default_rng(11)
     for _ in range(10):
-        st = ObserverState(vel_est=rng.standard_normal(3), tilt_est=rng.standard_normal(3))
-        st.tilt_est /= np.linalg.norm(st.tilt_est)
+        vel_est, tilt_est = rng.standard_normal(3), rng.standard_normal(3)
+        tilt_est /= np.linalg.norm(tilt_est)
         rate = rng.standard_normal(3)
         vel_meas = rng.standard_normal(3)
         accel = rng.standard_normal(3) * 5.0
         mount_rot = rotation_exp(rng.standard_normal(3))
-        dvel, omega_eff = observer_derivative(st, g, rate, vel_meas, accel, mount_rot)
+        dvel, omega_eff = observer_derivative(
+            vel_est, tilt_est, g, rate, vel_meas, accel, mount_rot
+        )
         dt = 1e-6
-        nxt = observer_step(st, g, rate, vel_meas, accel, mount_rot, dt)
-        assert_allclose(nxt.vel_est, st.vel_est + dt * dvel, atol=1e-8)
-        dtilt = -np.cross(omega_eff, st.tilt_est)
-        assert_allclose(nxt.tilt_est, st.tilt_est + dt * dtilt, atol=1e-8)
+        nxt = step_floats(g.alpha, g.beta, g.g0, dt, *rate.tolist(), *vel_meas.tolist(),
+                          *(mount_rot @ accel).tolist(), *vel_est.tolist(), *tilt_est.tolist())
+        assert_allclose(nxt[:3], vel_est + dt * dvel, atol=1e-8)
+        dtilt = -np.cross(omega_eff, tilt_est)
+        assert_allclose(nxt[3:], tilt_est + dt * dtilt, atol=1e-8)
 
 
 def test_tilt_norm_preserved_over_many_steps():
     g = make_gains(19.8, 10.0)
     rng = np.random.default_rng(12)
-    st = ObserverState(vel_est=rng.standard_normal(3), tilt_est=np.array([0.6, 0.0, 0.8]))
-    rate = np.array([0.3, -0.4, 0.2])
-    vel_meas = np.array([0.1, 0.2, -0.1])
-    accel = np.array([0.0, 0.5, 9.81])
-    for _ in range(20_000):
-        st = observer_step(st, g, rate, vel_meas, accel, EYE, dt=1e-3)
-    assert abs(np.linalg.norm(st.tilt_est) - 1.0) < 1e-12
-    assert np.isfinite(st.vel_est).all()
+    n = 20_000
+    rate = np.tile([0.3, -0.4, 0.2], (n, 1))
+    vel_meas = np.tile([0.1, 0.2, -0.1], (n, 1))
+    accel = np.tile([0.0, 0.5, 9.81], (n, 1))
+    states = run_observer(g, rate, vel_meas, accel, 1e-3, rng.standard_normal(3), [0.6, 0.0, 0.8])
+    assert abs(np.linalg.norm(states[-1, 3:]) - 1.0) < 1e-12
+    assert np.isfinite(states).all()
 
 
 def test_static_world_convergence():
@@ -121,16 +121,13 @@ def test_static_world_convergence():
     g = make_gains(19.8, 10.0)
     Rc = rotation_exp(np.array([0.4, -0.3, 0.2]))
     tilt_true = Rc.T @ EZ
-    accel = g.g0 * tilt_true
-    st = ObserverState(
-        vel_est=np.zeros(3),
-        tilt_est=np.array([0.5, -0.5, 0.5]) / np.linalg.norm([0.5, -0.5, 0.5]),
-    )
-    dt = 1e-3
-    for _ in range(4000):
-        st = observer_step(st, g, np.zeros(3), np.zeros(3), accel, EYE, dt)
-    assert np.linalg.norm(st.tilt_est - tilt_true) < 1e-6
-    assert np.linalg.norm(st.vel_est) < 1e-6
+    n = 4000
+    accel = np.tile(g.g0 * tilt_true, (n, 1))
+    tilt0 = np.array([0.5, -0.5, 0.5]) / np.linalg.norm([0.5, -0.5, 0.5])
+    zeros = np.zeros((n, 3))
+    states = run_observer(g, zeros, zeros, accel, 1e-3, np.zeros(3), tilt0)
+    assert np.linalg.norm(states[-1, 3:] - tilt_true) < 1e-6
+    assert np.linalg.norm(states[-1, :3]) < 1e-6
 
 
 def test_run_observer_is_the_step_repeated():
@@ -140,13 +137,14 @@ def test_run_observer_is_the_step_repeated():
     rate = 0.3 * rng.standard_normal((n, 3))
     vel_meas = 0.1 * rng.standard_normal((n, 3))
     accel = np.array([0.0, 0.0, 9.81]) + rng.standard_normal((n, 3))
-    st = ObserverState(vel_est=rng.standard_normal(3), tilt_est=np.array([0.6, 0.0, 0.8]))
-    states = run_observer(g, rate, vel_meas, accel, 1e-3, st.vel_est, st.tilt_est)
+    s = (*rng.standard_normal(3).tolist(), 0.6, 0.0, 0.8)
+    states = run_observer(g, rate, vel_meas, accel, 1e-3, s[:3], s[3:])
     assert states.shape == (n + 1, 6)
-    assert np.array_equal(states[0], np.concatenate([st.vel_est, st.tilt_est]))
+    assert states[0].tolist() == list(s)
     for k in range(n):
-        st = observer_step(st, g, rate[k], vel_meas[k], accel[k], EYE, 1e-3)
-        assert np.array_equal(states[k + 1], np.concatenate([st.vel_est, st.tilt_est]))
+        s = step_floats(g.alpha, g.beta, g.g0, 1e-3, *rate[k].tolist(),
+                        *vel_meas[k].tolist(), *accel[k].tolist(), *s)
+        assert states[k + 1].tolist() == list(s)
 
 
 def test_run_observer_overflow_leaves_nan_rows():
