@@ -13,19 +13,20 @@ studied independently of any particular robot motion.  The module provides
 the vector field, its Lyapunov function with a closed-form decay rate, the
 two equilibria with their linearizations, an exponential convergence bound,
 and an integrator of the error dynamics for cross-checks against the full
-simulation.  The integrator has no step of its own: these dynamics are the
-observer at rest, so it runs :func:`observer.step_floats` on rest-case
-inputs, on Python floats for one start and on (B,) arrays for a batch.
+simulation.  The integrator has no loop of its own: these dynamics are the
+observer at rest, so it runs :func:`observer.run_observer`, the loop the
+closed-loop simulation runs too, on rest inputs: on Python floats for one
+start and on (B,) arrays for a batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from itertools import repeat
 
 import numpy as np
 
-from .observer import ObserverGains, rotate_twice_arrays, step_floats
+from .observer import ObserverGains, run_observer
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -136,19 +137,6 @@ def linearization(verr: np.ndarray, terr: np.ndarray, gains: ObserverGains) -> n
     return J
 
 
-def char_poly_flipped(lam, gains: ObserverGains):
-    """Characteristic polynomial of the linearization at the flipped
-    equilibrium, evaluated at ``lam`` (scalar or array, may be complex).
-
-    Factored form: lam (lam + alpha) (lam^2 + alpha(1 - 2 r) lam - g0 beta)^2
-    with r the gain ratio.
-    """
-    a, b, g = gains.alpha, gains.beta, gains.g0
-    r = gains.gain_ratio
-    quad = lam**2 + a * (1.0 - 2.0 * r) * lam - g * b
-    return lam * (lam + a) * quad**2
-
-
 def unstable_root(gains: ObserverGains) -> float:
     """The positive eigenvalue of the flipped-equilibrium linearization.
 
@@ -235,10 +223,10 @@ def integrate_error_ode(
 
     These dynamics are the observer at rest (tilt ``e_z``, zero pivot rate,
     ``vel_meas = 0``, specific force ``g0 * e_z``) with ``vel_est = -verr``
-    and ``tilt_est = e_z - terr``, so each step is
-    :func:`observer.step_floats`: on Python floats for a single start, on
-    (B,) component arrays for a batch.  The tilt error moves along an exact
-    rotation flow, so ``|e_z - terr|`` stays 1 to machine precision.
+    and ``tilt_est = e_z - terr``, so the run is :func:`observer.run_observer`
+    on rest inputs: on Python floats for one start, on (B,) component arrays
+    for a batch.  The tilt error moves along an exact rotation flow, so
+    ``|e_z - terr|`` stays 1 to machine precision.
 
     Raises ``ValueError`` on a non-finite start or one whose ``|e_z - terr|``
     is not 1, and unless ``alpha * dt`` is below 2.785, RK4's real stability
@@ -246,7 +234,9 @@ def integrate_error_ode(
     necessary, not sufficient: just under it the Lyapunov function can still
     rise along some basin starts.  Also raises, before allocating
     anything, when the step count or the record is over its cap (see
-    :func:`step_count`, :func:`record_marks`).
+    :func:`step_count`, :func:`record_marks`).  Raises ``RuntimeError``
+    naming the first recorded step whose state is not finite when any
+    start's run overflows, such as one from a huge ``verr0``.
     """
     v = np.atleast_2d(np.asarray(verr0, dtype=float))
     terr0 = np.asarray(terr0, dtype=float)
@@ -259,25 +249,18 @@ def integrate_error_ode(
     norms = np.linalg.norm(u, axis=-1)
     if not (np.abs(norms - 1.0) <= MANIFOLD_TOL).all():  # a NaN or inf terr fails too
         raise ValueError("tilt error off manifold: |e_z - terr| must be 1")
-    a, b, g = gains.alpha, gains.beta, gains.g0
-    if not a * dt < RK4_REAL_LIMIT:
+    if not gains.alpha * dt < RK4_REAL_LIMIT:
         raise ValueError(
-            f"dt = {dt!r} is too large: alpha*dt = {a * dt!r} must be below "
+            f"dt = {dt!r} is too large: alpha*dt = {gains.alpha * dt!r} must be below "
             f"{RK4_REAL_LIMIT} (RK4 stability limit)"
         )
 
     marks = record_marks(step_count(duration, dt), record_every, len(u))
-    rec = np.empty((len(marks), 6, len(u)))  # (vel_est, tilt_est) components
-    rec[0] = np.concatenate([-v, u], axis=1).T
-    if len(u) == 1:  # one start: the step on Python floats
-        out, s, step = rec[:, :, 0], tuple(rec[0, :, 0].tolist()), step_floats
-    else:  # a batch: the same step on (B,) component arrays
-        out, s, step = rec, tuple(rec[0]), partial(step_floats, rotate=rotate_twice_arrays)
-    for j in range(1, len(marks)):
-        for _ in range(marks[j] - marks[j - 1]):
-            s = step(a, b, g, dt, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, g, *s)
-        out[j] = s
-
+    state0 = np.concatenate([-v, u], axis=1).T  # (6, B): (vel_est, tilt_est) components
+    rest = repeat((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, gains.g0))
+    # one start steps on floats: on (1,) arrays each step costs 50 times more
+    rec = run_observer(gains, dt, rest, state0[:, 0] if len(u) == 1 else state0, marks)
+    rec = rec.reshape(len(marks), 6, len(u))
     np.negative(rec[:, :3], out=rec[:, :3])  # in place: the states become errors
     np.subtract(EZ[:, None], rec[:, 3:], out=rec[:, 3:])
     err = rec.transpose(2, 0, 1)  # (B, M, 6)

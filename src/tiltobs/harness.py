@@ -428,7 +428,6 @@ def run_simulation(cfg: ExperimentConfig, scene=None) -> RunLog:
         scene = build_scene(cfg)
     else:
         scene.check(cfg)
-    dt = cfg.dt
     n_steps = len(scene.t_mid)
     Rm_mid = scene.Rm_mid
     wall_scene = time.perf_counter()
@@ -460,19 +459,17 @@ def run_simulation(cfg: ExperimentConfig, scene=None) -> RunLog:
     tilt_hat0 = scene.tilt_hat0
     wall_sensors = time.perf_counter()
 
-    # every state (vel_est, tilt_est), the initial one first
+    # the states (vel_est, tilt_est) at the recorded steps
     accel_robot = np.matmul(Rm_mid, accel_meas[:, :, None])[:, :, 0]
-    states = run_observer(gains, y1, x1, accel_robot, dt, vel_hat0, tilt_hat0)
-    bad = ~np.isfinite(states).all(axis=1)
-    if bad.any():
-        k = int(bad.argmax())
-        raise RuntimeError(f"estimator state diverged by step {k} (t = {k * dt:.6g} s); "
-                           "check gains against the step size")
+    marks = record_marks(n_steps, cfg.decimation)
+    # one list of 9-float rows converts faster than three lists of 3-float rows
+    inputs = np.hstack([y1, x1, accel_robot]).tolist()
+    states = run_observer(gains, cfg.dt, inputs, np.concatenate([vel_hat0, tilt_hat0]), marks)
     wall_estimator = time.perf_counter()
 
-    rows = np.array(record_marks(n_steps, cfg.decimation))
-    vel_hat = states[rows, :3]
-    tilt_hat = states[rows, 3:]
+    rows = np.array(marks)
+    vel_hat = states[:, :3]
+    tilt_hat = states[:, 3:]
     x1err = x1_true[rows] - vel_hat
     x2err = scene.x2_true[rows] - tilt_hat
     # pivot-rotated errors: one batched matmul on the (m, 3, 2) error pairs

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -195,25 +196,41 @@ def step_floats(a, b, g, dt, wx, wy, wz, mx, my, mz, fx, fy, fz, vx, vy, vz, tx,
     )
 
 
-def run_observer(gains, pivot_rate, vel_meas, accel_robot, dt, vel0, tilt0) -> np.ndarray:
-    """Run :func:`step_floats` over (N, 3) streams of pivot rate, velocity
-    measurement and robot-frame specific force (``mount_rot @ accel``).
+def run_observer(gains, dt, rows, state0, marks) -> np.ndarray:
+    """The one observer loop: :func:`step_floats` over ``rows`` of inputs,
+    recording the state at the step indices ``marks`` (ascending, from 0).
 
-    Returns the (N+1, 6) array of every state ``(vel_est, tilt_est)``, the
-    initial one first.  A state that has overflowed ends in a math-domain
-    error inside the rotation; from that step on the rows are NaN, so a
-    caller finds divergence with one finiteness scan.
+    Each row holds the 9 inputs of one step: pivot rate, velocity
+    measurement and robot-frame specific force (``mount_rot @ accel``).
+    ``state0`` is ``(vel_est, tilt_est)``: a (6,) start steps on Python
+    floats, a (6, B) one steps B observers at once on (B,) component arrays.
+    Returns the (M, 6) or (M, 6, B) states at the M marks.
+
+    Raises ``RuntimeError`` naming the first mark whose state is not finite:
+    a state that overflows ends in a math-domain error inside the rotation
+    on floats, or in inf and NaN on arrays.
     """
     a, b, g = gains.alpha, gains.beta, gains.g0
-    n = len(pivot_rate)
-    s = (*np.asarray(vel0, dtype=float).tolist(), *np.asarray(tilt0, dtype=float).tolist())
-    states = [s]
-    # one list of 9-float rows converts faster than three lists of 3-float rows
-    rows = np.hstack([pivot_rate, vel_meas, accel_robot]).tolist()
-    try:
-        for r in rows:
-            s = step_floats(a, b, g, dt, *r, *s)
-            states.append(s)
-    except (ValueError, OverflowError):
-        states.extend([(math.nan,) * 6] * (n + 1 - len(states)))
-    return np.array(states)
+    state0 = np.asarray(state0, dtype=float)
+    out = np.full((len(marks), *state0.shape), np.nan)
+    if state0.ndim == 1:
+        s, step = tuple(state0.tolist()), step_floats
+    else:
+        s, step = tuple(state0), partial(step_floats, rotate=rotate_twice_arrays)
+    rows = iter(rows)
+    done = 0
+    with np.errstate(all="ignore"):
+        try:
+            for j, mark in enumerate(marks):
+                for r in islice(rows, mark - done):
+                    s = step(a, b, g, dt, *r, *s)
+                out[j] = s
+                done = mark
+        except (ValueError, OverflowError):
+            pass  # the rows from this mark on stay NaN
+    bad = ~np.isfinite(out.reshape(len(marks), -1)).all(axis=1)
+    if bad.any():
+        k = marks[int(bad.argmax())]
+        raise RuntimeError(f"estimator state diverged by step {k} (t = {k * dt:.6g} s); "
+                           "check gains against the step size")
+    return out

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from tiltobs.analysis import (
     EZ,
-    char_poly_flipped,
     MAX_RECORD_VALUES,
     convergence_time,
     convergence_times,
@@ -133,23 +132,11 @@ def test_linearization_matches_numeric_jacobian():
     assert_allclose(linearization(v1, t1, GAINS), numeric_jacobian(v1, t1, GAINS), atol=1e-5)
 
 
-def test_char_poly_matches_determinant():
-    v1, t1 = equilibria(GAINS)[1]
-    J = linearization(v1, t1, GAINS)
-    rng = np.random.default_rng(24)
-    for _ in range(20):
-        lam = complex(rng.uniform(-30, 30), rng.uniform(-30, 30))
-        det = np.linalg.det(lam * np.eye(6) - J)
-        assert_allclose(char_poly_flipped(lam, GAINS), det, rtol=1e-6)
-
-
 def test_unstable_root_value_and_membership():
     lam = unstable_root(GAINS)
     assert lam > 0.0
     assert abs(lam - 6.1251155) < 1e-6
-    # it is a root of the characteristic polynomial ...
-    assert abs(char_poly_flipped(lam, GAINS)) < 1e-6
-    # ... and an eigenvalue of the linearization at the flipped point
+    # it is an eigenvalue of the linearization at the flipped point
     v1, t1 = equilibria(GAINS)[1]
     eig = np.linalg.eigvals(linearization(v1, t1, GAINS))
     assert np.min(np.abs(eig - lam)) < 1e-9
@@ -293,6 +280,27 @@ def test_integrator_batch_matches_single():
         assert_allclose(batch.verr[i], single.verr, atol=1e-14)
         assert_allclose(batch.terr[i], single.terr, atol=1e-14)
     assert_allclose(batch.t, np.arange(11) * 0.02, atol=1e-12)
+
+
+def test_integrator_one_row_batch_is_the_single_start():
+    # `analyze --basin-samples 1`: a (1, 3) batch keeps its batch axis and
+    # steps on floats, like the single start
+    verr, terr = on_manifold_samples(1, seed=28, verr_scale=0.5)
+    batch = integrate_error_ode(verr, terr, GAINS, dt=1e-3, duration=0.2, record_every=20)
+    single = integrate_error_ode(verr[0], terr[0], GAINS, dt=1e-3, duration=0.2, record_every=20)
+    assert batch.verr.shape == batch.terr.shape == (1, 11, 3)
+    assert (batch.verr[0] == single.verr).all() and (batch.terr[0] == single.terr).all()
+
+
+def test_integrator_overflow_is_reported_as_divergence():
+    # a huge velocity error overflows the tilt's rotation vector in step 1:
+    # both the float path (one start) and the array path (a batch, whose
+    # other start is fine) name the first recorded step past it, and leak no
+    # numpy warning
+    verr0 = np.array([[1e300, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    for v, t in ((verr0[0], np.zeros(3)), (verr0, np.zeros((2, 3)))):
+        with pytest.raises(RuntimeError, match=r"diverged by step 10 \(t = 0\.01 s\)"):
+            integrate_error_ode(v, t, GAINS, duration=0.1, record_every=10)
 
 
 def test_integrator_rejects_steps_past_rk4_limit():

@@ -13,6 +13,8 @@ import tiltobs
 from tiltobs.cli import main
 from tiltobs.harness import CSV_HEADER, SWEEP_HEADER, config_text, load_config
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 
 def read_report(path):
     return dict(line.split(" = ", 1) for line in path.read_text().splitlines())
@@ -31,6 +33,17 @@ def test_simulate_writes_outputs(tmp_path, capsys):
     assert "run.csv" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("config", ["reference", "noisy"])
+def test_simulate_outputs_match_golden_digests(tmp_path, golden, config, seed):
+    cfg_path = CONFIGS / f"{config}.cfg"
+    rc = main(["simulate", "--config", str(cfg_path), "--seed", str(seed), "--out", str(tmp_path)])
+    assert rc == 0
+    cfg = load_config(cfg_path)
+    for name in (cfg.output.csv, cfg.output.report, "effective.cfg"):
+        golden(f"simulate {config}.cfg seed {seed}: {name}", tmp_path / name)
+
+
 def test_simulate_config_and_seed_override(tmp_path):
     cfg_path = tmp_path / "my.cfg"
     cfg_path.write_text(
@@ -47,9 +60,10 @@ def test_simulate_config_and_seed_override(tmp_path):
     assert echoed.duration == 1.0
 
 
-def test_analyze_report_facts(tmp_path):
+def test_analyze_report_facts(tmp_path, golden):
     rc = main(["analyze", "--out", str(tmp_path), "--basin-samples", "50"])
     assert rc == 0
+    golden("analyze seed 0: analysis.txt", tmp_path / "analysis.txt")
     report = read_report(tmp_path / "analysis.txt")
     assert float(report["gain_ratio"]) == pytest.approx(0.2502295684113866)
     assert float(report["unstable_root"]) == pytest.approx(6.125115478765394)
@@ -186,9 +200,10 @@ def test_negative_seed_in_config_names_the_key(tmp_path, capsys):
     assert capsys.readouterr().err == "error: seed must be >= 0, got -3\n"
 
 
-def test_error_ode_default_start_matches_simulator(tmp_path):
+def test_error_ode_default_start_matches_simulator(tmp_path, golden):
     rc = main(["error-ode", "--out", str(tmp_path), "--duration", "1"])
     assert rc == 0
+    golden("error-ode default start: error_ode.csv", tmp_path / "error_ode.csv")
     lines = (tmp_path / "error_ode.csv").read_text().splitlines()
     first = [float(v) for v in lines[1].split(",")]
     # default start: the config's requested tilt error projected onto the
@@ -198,12 +213,13 @@ def test_error_ode_default_start_matches_simulator(tmp_path):
     assert last[7] < first[7]  # V dropped
 
 
-def test_error_ode_explicit_start(tmp_path):
+def test_error_ode_explicit_start(tmp_path, golden):
     rc = main([
         "error-ode", "--out", str(tmp_path),
         "--verr0", "0.1,0,0", "--terr0", "0,0.5,0", "--duration", "0.5",
     ])
     assert rc == 0
+    golden("error-ode explicit start: error_ode.csv", tmp_path / "error_ode.csv")
     lines = (tmp_path / "error_ode.csv").read_text().splitlines()
     first = [float(v) for v in lines[1].split(",")]
     assert first[1:4] == pytest.approx([0.1, 0.0, 0.0])
@@ -215,6 +231,15 @@ def test_error_ode_degenerate_start_fails_cleanly(tmp_path, capsys):
     rc = main(["error-ode", "--out", str(tmp_path), "--terr0", "0,0,1"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_error_ode_overflow_fails_as_divergence(tmp_path, capsys):
+    # the start overflows in step 1; the error names the first recorded step
+    rc = main(["error-ode", "--out", str(tmp_path), "--verr0", "1e300,0,0"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: estimator state diverged by step 10 ")
+    assert not (tmp_path / "error_ode.csv").exists()
+    assert not (tmp_path / "effective.cfg").exists()
 
 
 def test_error_ode_step_past_rk4_limit_fails_cleanly(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import re
+from itertools import repeat
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -107,12 +110,11 @@ def test_tilt_norm_preserved_over_many_steps():
     g = make_gains(19.8, 10.0)
     rng = np.random.default_rng(12)
     n = 20_000
-    rate = np.tile([0.3, -0.4, 0.2], (n, 1))
-    vel_meas = np.tile([0.1, 0.2, -0.1], (n, 1))
-    accel = np.tile([0.0, 0.5, 9.81], (n, 1))
-    states = run_observer(g, rate, vel_meas, accel, 1e-3, rng.standard_normal(3), [0.6, 0.0, 0.8])
+    rows = repeat((0.3, -0.4, 0.2, 0.1, 0.2, -0.1, 0.0, 0.5, 9.81), n)
+    state0 = [*rng.standard_normal(3), 0.6, 0.0, 0.8]
+    states = run_observer(g, 1e-3, rows, state0, [0, n // 2, n])
+    assert states.shape == (3, 6)
     assert abs(np.linalg.norm(states[-1, 3:]) - 1.0) < 1e-12
-    assert np.isfinite(states).all()
 
 
 def test_static_world_convergence():
@@ -122,10 +124,9 @@ def test_static_world_convergence():
     Rc = rotation_exp(np.array([0.4, -0.3, 0.2]))
     tilt_true = Rc.T @ EZ
     n = 4000
-    accel = np.tile(g.g0 * tilt_true, (n, 1))
+    rows = repeat((0.0,) * 6 + (*(g.g0 * tilt_true).tolist(),), n)
     tilt0 = np.array([0.5, -0.5, 0.5]) / np.linalg.norm([0.5, -0.5, 0.5])
-    zeros = np.zeros((n, 3))
-    states = run_observer(g, zeros, zeros, accel, 1e-3, np.zeros(3), tilt0)
+    states = run_observer(g, 1e-3, rows, [0.0, 0.0, 0.0, *tilt0], [0, n])
     assert np.linalg.norm(states[-1, 3:] - tilt_true) < 1e-6
     assert np.linalg.norm(states[-1, :3]) < 1e-6
 
@@ -137,27 +138,54 @@ def test_run_observer_is_the_step_repeated():
     rate = 0.3 * rng.standard_normal((n, 3))
     vel_meas = 0.1 * rng.standard_normal((n, 3))
     accel = np.array([0.0, 0.0, 9.81]) + rng.standard_normal((n, 3))
+    rows = np.hstack([rate, vel_meas, accel]).tolist()
     s = (*rng.standard_normal(3).tolist(), 0.6, 0.0, 0.8)
-    states = run_observer(g, rate, vel_meas, accel, 1e-3, s[:3], s[3:])
-    assert states.shape == (n + 1, 6)
+    marks = [0, 1, 2, 7, 50, 51, 199, 200]
+    states = run_observer(g, 1e-3, rows, s, marks)
+    assert states.shape == (len(marks), 6)
     assert states[0].tolist() == list(s)
     for k in range(n):
-        s = step_floats(g.alpha, g.beta, g.g0, 1e-3, *rate[k].tolist(),
-                        *vel_meas[k].tolist(), *accel[k].tolist(), *s)
-        assert states[k + 1].tolist() == list(s)
+        s = step_floats(g.alpha, g.beta, g.g0, 1e-3, *rows[k], *s)
+        if k + 1 in marks:
+            assert states[marks.index(k + 1)].tolist() == list(s)
 
 
-def test_run_observer_overflow_leaves_nan_rows():
+def test_run_observer_overflow_names_the_step():
     # alpha*dt = 5 is far outside RK4's stability region: the state overflows
+    # and the math-domain error stops the loop.  The error names the first
+    # recorded step past the blow-up, on either mark grid.
     g = make_gains(5000.0, 1.0)
     n = 2000
-    rate = np.tile([0.3, -0.4, 0.2], (n, 1))
-    accel = np.tile([0.0, 0.5, 9.81], (n, 1))
-    states = run_observer(g, rate, np.zeros((n, 3)), accel, 1e-3, np.ones(3), EZ)
-    finite = np.isfinite(states).all(axis=1)
-    first_bad = int(np.argmin(finite))
+    row = (0.3, -0.4, 0.2, 0.0, 0.0, 0.0, 0.0, 0.5, 9.81)
+    state0 = [1.0, 1.0, 1.0, *EZ]
+    with pytest.raises(RuntimeError, match=r"diverged by step \d+ \(t = ") as info:
+        run_observer(g, 1e-3, repeat(row, n), state0, list(range(n + 1)))
+    first_bad = int(re.search(r"step (\d+)", str(info.value))[1])
     assert 0 < first_bad < n
-    assert not finite[first_bad:].any()
+    every_10th = list(range(0, n + 1, 10))
+    with pytest.raises(RuntimeError, match=rf"diverged by step {-(-first_bad // 10) * 10} "):
+        run_observer(g, 1e-3, repeat(row, n), state0, every_10th)
+
+
+def test_run_observer_batch_is_single_runs_column_by_column():
+    # B starts, each its own column of a (6, B) state, under shared inputs
+    g = make_gains(19.8, 10.0)
+    rng = np.random.default_rng(15)
+    n, n_obs = 300, 4
+    rows = np.hstack([
+        0.5 * rng.standard_normal((n, 3)),
+        0.2 * rng.standard_normal((n, 3)),
+        g.g0 * EZ + rng.standard_normal((n, 3)),
+    ]).tolist()
+    tilt0 = rng.standard_normal((3, n_obs))
+    tilt0 /= np.linalg.norm(tilt0, axis=0)
+    state0 = np.vstack([rng.standard_normal((3, n_obs)), tilt0])
+    marks = list(range(0, n + 1, 30))
+    batch = run_observer(g, 1e-3, rows, state0, marks)
+    assert batch.shape == (len(marks), 6, n_obs)
+    for i in range(n_obs):
+        single = run_observer(g, 1e-3, rows, state0[:, i], marks)
+        assert np.abs(batch[:, :, i] - single).max() <= 1e-14
 
 
 def test_rotate_twice_matches_matrix_action():
