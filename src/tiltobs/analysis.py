@@ -269,14 +269,14 @@ def integrate_error_ode(
     return ErrorTrajectory(t=np.array(marks) * dt, verr=err[..., :3], terr=err[..., 3:])
 
 
-def sample_basin(
-    n: int,
-    gains: ObserverGains,
-    rng: np.random.Generator,
-    v_fraction: float = 0.99,
-):
-    """Draw ``n`` error states with Lyapunov value below ``v_fraction`` times
-    the value at the flipped equilibrium (the guaranteed basin of attraction).
+# basin starts are drawn below this share of the flipped equilibrium's V
+BASIN_V_FRACTION = 0.99
+
+
+def sample_basin(n: int, gains: ObserverGains, rng: np.random.Generator):
+    """Draw ``n`` error states with Lyapunov value below
+    :data:`BASIN_V_FRACTION` times the value at the flipped equilibrium (the
+    guaranteed basin of attraction).
 
     Rejection sampling: tilt error uniform on its sphere, velocity error
     standard Gaussian, pair rejected if the Lyapunov value is over budget.
@@ -285,7 +285,7 @@ def sample_basin(
     error close to the repelling point, where escape is arbitrarily slow)
     at the low weight it deserves.
     """
-    thr = v_fraction * 2.0 * gains.g0**2
+    thr = BASIN_V_FRACTION * 2.0 * gains.g0**2
     verr = np.empty((n, 3))
     terr = np.empty((n, 3))
     got = 0

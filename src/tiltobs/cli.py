@@ -73,12 +73,6 @@ def _int_at_least(low: int):
     return parse
 
 
-def _read_settings(path) -> harness.ExperimentConfig:
-    """A sweep's base config, parsed but not validated: its cells replace
-    the gains, and :func:`.harness.build_scene` checks every other key."""
-    return harness.parse_settings(Path(path).read_text())
-
-
 def cmd_simulate(cfg, args, out) -> str:
     log = harness.run_simulation(cfg)
     csv_path = out / cfg.output.csv
@@ -187,11 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, handler, read=harness.load_config):
+    def common(p, handler):
         p.add_argument("--config", help="config file (defaults when absent)")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=_int_at_least(0), help="override the config seed")
-        p.set_defaults(handler=handler, read=read)
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("simulate", help="closed-loop run to CSV and report")
     common(p, cmd_simulate)
@@ -204,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random starts drawn inside the guaranteed basin")
 
     p = sub.add_parser("sweep", help="grid over gains, one row per cell")
-    common(p, cmd_sweep, read=_read_settings)
+    common(p, cmd_sweep)
     p.add_argument("--alphas", type=_flag(_float_list), required=True,
                    help="comma-separated alpha values")
     p.add_argument("--betas", type=_flag(_float_list), required=True,
@@ -229,7 +223,8 @@ def main(argv=None) -> int:
     save ``effective.cfg``: a run that fails saves nothing."""
     args = build_parser().parse_args(argv)
     try:
-        cfg = harness.ExperimentConfig() if args.config is None else args.read(args.config)
+        cfg = (harness.ExperimentConfig() if args.config is None
+               else harness.load_config(args.config))
         if args.seed is not None:
             cfg.seed = args.seed
         out = Path(args.out)

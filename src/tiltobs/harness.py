@@ -1,10 +1,13 @@
 """Experiment harness: runs the tilt observer against the simulated plant.
 
 Builds the whole scenario from a flat text config (``key = value`` lines,
-dotted section prefixes, ``#`` comments), synthesizes IMU data along the
-closed-form trajectory, drives the observer step by step, and owns every
-output file format: one CSV writer (the run, sweep and error-ODE logs) and
-one ``key = value`` format (the reports and the saved config).
+dotted section prefixes, ``#`` comments; :func:`load_config` is the one
+loader, and :func:`config_gains` checks the gains where it makes them),
+synthesizes IMU data along the closed-form trajectory (:func:`build_scene`,
+shared by a sweep's cells, holds its seed- and gain-free part), drives the
+observer step by step, and owns every output file format: one CSV writer
+(the run, sweep and error-ODE logs) and one ``key = value`` format (the
+reports and the saved config).
 
 Sampling convention: the measurement a step consumes is synthesized at that
 step's midpoint (halving the hold error of zero-order-held inputs), and the
@@ -125,30 +128,16 @@ def _schema_entries(cfg: ExperimentConfig):
 # dotted key -> (section attribute or None for top level, field, parser)
 SCHEMA = dict(_schema_entries(ExperimentConfig()))
 
-# the keys a scene is built from (see build_scene); runs that share one scene
-# may differ in every other key
-SCENE_KEYS = (
-    "duration",
-    "dt",
-    *(key for key in SCHEMA if key.startswith("pivot.")),
-    "mount.rate_amp",
-    "mount.rate_freq",
-    "mount.rate_phase",
-    "init.tilt_err",
-    "init.attitude_mode",
-    "init.attitude_rotvec",
-)
-
 
 def _get(cfg: ExperimentConfig, key: str):
     section, name, _ = SCHEMA[key]
     return getattr(cfg if section is None else getattr(cfg, section), name)
 
 
-def parse_settings(text: str) -> ExperimentConfig:
-    """Parse config text (``key = value`` lines, ``#`` comments) without
-    validating the settings; a malformed line, an unknown key or a bad value
-    is named by line number and key."""
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse config text (``key = value`` lines, ``#`` comments), then check
+    its settings (:func:`validate_config`).  A malformed line, an unknown key
+    or a bad value is named by line number and key."""
     cfg = ExperimentConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -166,24 +155,12 @@ def parse_settings(text: str) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}") from None
         target = cfg if section is None else getattr(cfg, section)
         setattr(target, name, parsed)
-    return cfg
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    """:func:`parse_settings`, then :func:`validate_config`."""
-    cfg = parse_settings(text)
     validate_config(cfg)
     return cfg
 
 
 def load_config(path) -> ExperimentConfig:
     return parse_config(Path(path).read_text())
-
-
-def validate_config(cfg: ExperimentConfig) -> None:
-    """Reject configs that cannot be run, naming the offending key."""
-    _validate_settings(cfg)
-    config_gains(cfg)
 
 
 def config_gains(cfg: ExperimentConfig) -> ObserverGains:
@@ -197,8 +174,10 @@ def config_gains(cfg: ExperimentConfig) -> ObserverGains:
         raise ValueError(prefix + str(exc)) from None
 
 
-def _validate_settings(cfg: ExperimentConfig) -> None:
-    """Every check of :func:`validate_config` but the gain checks."""
+def validate_config(cfg: ExperimentConfig) -> None:
+    """Reject settings that cannot be run, naming the offending key.  The
+    gains are checked where they are made, by :func:`config_gains`: a sweep's
+    cells replace the base config's own."""
     for key, (_, _, parser) in SCHEMA.items():
         value = _get(cfg, key)
         if parser in (_parse_float, _parse_vec) and not np.isfinite(value).all():
@@ -338,12 +317,12 @@ def project_tilt_error(tilt, tilt_err, name: str):
 
 @dataclass
 class Scene:
-    """The part of a run that depends only on the config's :data:`SCENE_KEYS`:
-    time grids, initial estimate, both rotation paths and the seed-free
-    truth.  Runs that differ only in other keys (seed, gains, noise, mount
-    translation) can share one scene."""
+    """The part of a run that is free of seed, gains, noise and mount
+    translation: time grids, initial estimate, both rotation paths and the
+    seed-free truth, built from ``duration``, ``dt``, ``pivot.*``, the mount's
+    rotation keys and the initial tilt keys.  :func:`sweep` builds one from
+    its base config and runs every cell on it."""
 
-    settings: dict  # scene key -> its value as config text
     t_mid: np.ndarray  # step midpoints: samples the estimator consumes
     t_grid: np.ndarray  # step boundaries: samples recorded as truth
     t_all: np.ndarray  # both interleaved: boundaries at even indices, midpoints at odd
@@ -359,24 +338,13 @@ class Scene:
     rate_loc: np.ndarray  # pivot rate (robot frame) at the boundaries
     x2_true: np.ndarray  # true tilt at the boundaries
 
-    def check(self, cfg: ExperimentConfig) -> None:
-        """Reject a config whose scene keys differ from this scene's."""
-        for key, value in _scene_settings(cfg).items():
-            if value != self.settings[key]:
-                raise ValueError(
-                    f"{key} = {value} differs from the scene's {key} = {self.settings[key]}"
-                )
-
-
-def _scene_settings(cfg: ExperimentConfig) -> dict:
-    return {key: _format_value(_get(cfg, key)) for key in SCENE_KEYS}
-
 
 def build_scene(cfg: ExperimentConfig) -> Scene:
-    """Build the scene of a config.  The gains are not checked: they are not
-    part of the scene, and a sweep's base config need not keep the gain rule
-    that its cells keep."""
-    _validate_settings(cfg)
+    """Build the scene of a config, checking its settings
+    (:func:`validate_config`).  The gains are not checked: they are not part
+    of the scene, and a sweep's base config need not keep the gain rule that
+    its cells keep."""
+    validate_config(cfg)
     world_rot = plant.world_rotation(cfg.pivot)
     dt = cfg.dt
     n_steps = step_count(cfg.duration, dt)
@@ -395,7 +363,6 @@ def build_scene(cfg: ExperimentConfig) -> Scene:
     Rp_mid, Rp = plant.rotation_path(R_c0, w_held, dt)
     Rm_mid, _ = plant.rotation_path(np.eye(3), wm_held, dt)
     return Scene(
-        settings=_scene_settings(cfg),
         t_mid=t_mid,
         t_grid=t_grid,
         t_all=t_all,
@@ -413,21 +380,19 @@ def build_scene(cfg: ExperimentConfig) -> Scene:
     )
 
 
-def run_simulation(cfg: ExperimentConfig, scene=None) -> RunLog:
+def run_simulation(cfg: ExperimentConfig) -> RunLog:
     """Simulate the plant and run the observer over it
-    (:func:`.observer.run_observer`).
-
-    ``scene`` may supply the :func:`build_scene` result of a config with the
-    same scene keys; one that differs is a ``ValueError`` naming the key.
-    Pure function of the config: no files, no globals.
-    """
+    (:func:`.observer.run_observer`).  Pure function of the config: no files,
+    no globals."""
     wall0 = time.perf_counter()
-    _validate_settings(cfg)
-    gains = config_gains(cfg)
-    if scene is None:
-        scene = build_scene(cfg)
-    else:
-        scene.check(cfg)
+    scene = build_scene(cfg)
+    return _run_on_scene(cfg, scene, config_gains(cfg), wall0)
+
+
+def _run_on_scene(cfg: ExperimentConfig, scene: Scene, gains: ObserverGains, wall0) -> RunLog:
+    """The run of ``cfg`` with ``gains`` on ``scene``, the :func:`build_scene`
+    result of ``cfg`` or of a config that differs from it only outside the
+    scene; its phase times count from ``wall0``."""
     n_steps = len(scene.t_mid)
     Rm_mid = scene.Rm_mid
     wall_scene = time.perf_counter()
@@ -591,9 +556,9 @@ def sweep(cfg: ExperimentConfig, alphas, betas, threshold: float = 0.05):
     measurement noise from its own seed (base seed XOR cell index), so noisy
     cells stay independent.  Gain pairs that are not finite or violate the
     stability condition are reported as rejected rows, and runs whose state
-    diverges as diverged rows (the step index goes to the log), instead of
-    aborting the sweep.  The base config's own ``alpha`` and ``beta`` are not
-    checked; its ``g0``, which every cell keeps, is.
+    diverges as diverged rows (the step and ``alpha*dt`` go to the log),
+    instead of aborting the sweep.  The base config's own ``alpha`` and
+    ``beta`` are not checked; its ``g0``, which every cell keeps, is.
     """
     require_positive("gains.g0", cfg.gains.g0)
     scene = build_scene(cfg)
@@ -612,7 +577,7 @@ def sweep(cfg: ExperimentConfig, alphas, betas, threshold: float = 0.05):
         sub.seed = cfg.seed ^ i
         row["gain_ratio"] = gains.gain_ratio
         try:
-            log = run_simulation(sub, scene=scene)
+            log = _run_on_scene(sub, scene, gains, time.perf_counter())
         except RuntimeError as exc:
             logger.warning("sweep cell alpha=%r beta=%r: %s", a, b, exc)
             row["status"] = "diverged"

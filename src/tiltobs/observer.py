@@ -206,9 +206,9 @@ def run_observer(gains, dt, rows, state0, marks) -> np.ndarray:
     floats, a (6, B) one steps B observers at once on (B,) component arrays.
     Returns the (M, 6) or (M, 6, B) states at the M marks.
 
-    Raises ``RuntimeError`` naming the first mark whose state is not finite:
-    a state that overflows ends in a math-domain error inside the rotation
-    on floats, or in inf and NaN on arrays.
+    Raises ``RuntimeError`` naming the first mark whose state is not finite,
+    its time and ``alpha*dt``: a state that overflows ends in a math-domain
+    error inside the rotation on floats, or in inf and NaN on arrays.
     """
     a, b, g = gains.alpha, gains.beta, gains.g0
     state0 = np.asarray(state0, dtype=float)
@@ -231,6 +231,6 @@ def run_observer(gains, dt, rows, state0, marks) -> np.ndarray:
     bad = ~np.isfinite(out.reshape(len(marks), -1)).all(axis=1)
     if bad.any():
         k = marks[int(bad.argmax())]
-        raise RuntimeError(f"estimator state diverged by step {k} (t = {k * dt:.6g} s); "
-                           "check gains against the step size")
+        raise RuntimeError(f"estimator state diverged by step {k} (t = {k * dt:.6g} s) "
+                           f"at alpha*dt = {a * dt:.6g}")
     return out

@@ -112,30 +112,29 @@ def mount_rate(mount: MountSettings, t) -> np.ndarray:
     return _sines(t, mount.rate_amp, mount.rate_freq, mount.rate_phase)
 
 
+# the mount disturbance's harmonic series: the multiples 1..64 of 2 pi / 16 s
+NOISE_HARMONICS = 64
+NOISE_PERIOD = 16.0
+
+
 class MountNoise:
     """Smooth band-limited velocity disturbance for the mount.
 
     Realizes white noise shaped by a first-order low-pass (time constant
-    ``tau``) as a seeded random harmonic series whose amplitudes follow the
+    ``tau``) as a seeded random harmonic series (:data:`NOISE_HARMONICS`
+    harmonics of period :data:`NOISE_PERIOD`) whose amplitudes follow the
     filter's magnitude response.  Sample paths are infinitely smooth, so the
     mount acceleration remains the exact derivative of its velocity, and the
     whole process is deterministic given the seed.
     """
 
-    def __init__(
-        self,
-        std: float,
-        tau: float,
-        seed,
-        n_harmonics: int = 64,
-        period: float = 16.0,
-    ) -> None:
+    def __init__(self, std: float, tau: float, seed) -> None:
         rng = np.random.default_rng(seed)
-        m = np.arange(1, n_harmonics + 1, dtype=float)
-        self.omega = 2.0 * np.pi * m / period
+        m = np.arange(1, NOISE_HARMONICS + 1, dtype=float)
+        self.omega = 2.0 * np.pi * m / NOISE_PERIOD
         gain2 = 1.0 / (1.0 + (self.omega * tau) ** 2)
         self.amp = std * np.sqrt(2.0 * gain2 / gain2.sum())
-        self.phase = rng.uniform(0.0, 2.0 * np.pi, size=(3, n_harmonics))
+        self.phase = rng.uniform(0.0, 2.0 * np.pi, size=(3, NOISE_HARMONICS))
 
     def series(self, t, kp: float):
         """``(value, deriv, lag)`` at time(s) t, plus ``lag`` at t = 0.

@@ -340,14 +340,14 @@ def test_record_over_budget_is_rejected_before_allocating():
 
 def test_sample_basin_respects_level_set():
     rng = np.random.default_rng(27)
-    verr, terr = sample_basin(500, GAINS, rng, v_fraction=0.99)
+    verr, terr = sample_basin(500, GAINS, rng)
     assert verr.shape == (500, 3) and terr.shape == (500, 3)
     V = lyapunov(verr, terr, GAINS)
     assert V.max() < 0.99 * 2.0 * GAINS.g0**2
     drift = np.abs(np.linalg.norm(EZ - terr, axis=-1) - 1.0)
     assert drift.max() < 1e-12
     # deterministic for a given seed
-    v2, t2 = sample_basin(500, GAINS, np.random.default_rng(27), v_fraction=0.99)
+    v2, t2 = sample_basin(500, GAINS, np.random.default_rng(27))
     assert (verr == v2).all() and (terr == t2).all()
 
 

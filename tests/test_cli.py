@@ -76,6 +76,12 @@ def test_analyze_report_facts(tmp_path, golden):
     assert 0.0 < quantiles[0] and quantiles[-1] <= float(report["basin_slowest_convergence_s"])
 
 
+def test_analyze_seed_7_matches_golden_digest(tmp_path, golden):
+    rc = main(["analyze", "--out", str(tmp_path), "--basin-samples", "20", "--seed", "7"])
+    assert rc == 0
+    golden("analyze seed 7: analysis.txt", tmp_path / "analysis.txt")
+
+
 def test_analyze_huge_basin_fails_cleanly(tmp_path, capsys):
     # a 4.8 GB record: refused before the basin is drawn
     tracemalloc.start()
@@ -91,17 +97,18 @@ def test_analyze_huge_basin_fails_cleanly(tmp_path, capsys):
     assert not (tmp_path / "analysis.txt").exists()
 
 
-def test_sweep_grid(tmp_path):
+def test_sweep_grid(tmp_path, golden):
+    # the benchmark's 4x4 grid at seed 0: 4 cells break the gain rule
     rc = main([
-        "sweep", "--out", str(tmp_path),
-        "--alphas", "19.8,1.0", "--betas", "10",
+        "sweep", "--out", str(tmp_path), "--seed", "0",
+        "--alphas", "5.0,10.0,19.8,30.0", "--betas", "1.0,5.0,10.0,20.0",
     ])
     assert rc == 0
+    golden("sweep 4x4 seed 0: sweep.csv", tmp_path / "sweep.csv")
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[0] == SWEEP_HEADER
-    assert len(lines) == 3
-    assert ",ok," in lines[1]
-    assert ",rejected," in lines[2]
+    statuses = [line.split(",")[2] for line in lines[1:]]
+    assert statuses == ["ok"] + ["rejected"] * 3 + ["ok"] * 3 + ["rejected"] + ["ok"] * 8
 
 
 def test_sweep_base_config_may_break_the_gain_rule(tmp_path, capsys):
@@ -235,9 +242,12 @@ def test_error_ode_degenerate_start_fails_cleanly(tmp_path, capsys):
 
 def test_error_ode_overflow_fails_as_divergence(tmp_path, capsys):
     # the start overflows in step 1; the error names the first recorded step
+    # and the step size, which is well inside the stable range
     rc = main(["error-ode", "--out", str(tmp_path), "--verr0", "1e300,0,0"])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error: estimator state diverged by step 10 ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: estimator state diverged by step 10 ")
+    assert "alpha*dt = 0.0198" in err and "check gains" not in err
     assert not (tmp_path / "error_ode.csv").exists()
     assert not (tmp_path / "effective.cfg").exists()
 
@@ -264,14 +274,33 @@ def test_overflowing_step_count_fails_cleanly(tmp_path, capsys):
     assert not (tmp_path / "e" / "error_ode.csv").exists()
 
 
+BAD_GAIN_RULE = (
+    "error: gains.beta/gains.alpha: gains violate beta*g0 < alpha**2 "
+    "(beta*g0=98.10000000000001, alpha**2=1.0)\n"
+)
+BAD_ALPHA = "error: gains.alpha must be finite and positive, got -5.0\n"
+BAD_G0 = "error: gains.g0 must be finite and positive, got -9.81\n"
+BAD_DT = "error: dt must be positive, got -0.1\n"
+
+
+# each config's stderr line per command, in COMMANDS order: simulate, analyze,
+# sweep, error-ode; a sweep replaces the base alpha and beta in every cell, so
+# it runs, and the settings are checked before the gains
+BAD_CONFIGS = {
+    "gains.alpha = 1.0\ngains.beta = 10.0\n": [BAD_GAIN_RULE, BAD_GAIN_RULE, "", BAD_GAIN_RULE],
+    "gains.alpha = -5\n": [BAD_ALPHA, BAD_ALPHA, "", BAD_ALPHA],
+    "gains.g0 = -9.81\n": [BAD_G0] * 4,
+    "dt = -0.1\ngains.alpha = -5\n": [BAD_DT] * 4,
+}
+
+
 def test_bad_config_file_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("gains.alpha = -5\n")
-    rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "gains.alpha" in err
+    for text, errors in BAD_CONFIGS.items():
+        bad.write_text(text)
+        for (argv, _), expected in zip(COMMANDS.values(), errors):
+            rc = main(argv + ["--config", str(bad), "--out", str(tmp_path / "o")])
+            assert (rc, capsys.readouterr().err) == (1 if expected else 0, expected), (text, argv)
 
 
 def test_missing_config_file_exit_code(tmp_path, capsys):
