@@ -104,18 +104,10 @@ def cmd_analyze(cfg, args, out) -> str:
     traj = analysis.integrate_error_ode(
         verr0, terr0, gains, duration=10.0, dt=cfg.dt, record_every=cfg.decimation
     )
-    # one (B, M) buffer: |terr|^2, then |verr|^2 + |terr|^2, then its root
-    sq = np.einsum("...i,...i->...", traj.terr, traj.terr)
-    eps = 1.0 - sq.max(axis=1) / 4.0
-    sq += np.einsum("...i,...i->...", traj.verr, traj.verr)
-    xi = np.sqrt(sq, out=sq)
-    converged = int(np.sum(xi[:, -1] < 1e-3))
     # never converged: +inf, so a quantile it reaches reads "none"
-    conv = np.nan_to_num(analysis.convergence_times(traj.t, xi, 1e-3), nan=np.inf)
+    conv, eps, final, monotone = analysis.grade_batch(traj, gains, 1e-3)
+    converged = int(np.sum(final < 1e-3))
     p50, p90, p99 = np.percentile(conv, [50, 90, 99], method="inverted_cdf").tolist()
-    V = analysis.lyapunov(traj.verr, traj.terr, gains)
-    dV = np.diff(V, axis=1)
-    monotone = bool((dV <= 1e-9 * np.maximum(1.0, V[:, :1])).all())
 
     path = out / "analysis.txt"
     path.write_text(harness.key_value_text({
@@ -135,7 +127,7 @@ def cmd_analyze(cfg, args, out) -> str:
         "basin_convergence_s.p50": p50,
         "basin_convergence_s.p90": p90,
         "basin_convergence_s.p99": p99,
-        "basin_v_monotone": monotone,
+        "basin_v_monotone": bool(monotone.all()),
         "basin_epsilon_min": float(eps.min()),
     }))
     return f"wrote {path} ({converged}/{args.basin_samples} basin samples converged)"

@@ -267,6 +267,7 @@ class RunLog:
     accel: np.ndarray
     applied_tilt_err0: np.ndarray
     config: ExperimentConfig
+    gains: ObserverGains  # the checked gains the run used
     runtime: float
     # wall seconds per phase: rotation (set-up and the scene), mount, sensors,
     # estimator, record
@@ -460,6 +461,7 @@ def _run_on_scene(cfg: ExperimentConfig, scene: Scene, gains: ObserverGains, wal
         accel=accel_meas[held],
         applied_tilt_err0=scene.applied_tilt_err0.copy(),
         config=cfg,
+        gains=gains,
         runtime=wall_end - wall0,
         timings={
             "rotation": wall_scene - wall0,
@@ -526,7 +528,7 @@ def write_report(log: RunLog, path, threshold: float = 0.05) -> None:
         "gains.alpha": cfg.gains.alpha,
         "gains.beta": cfg.gains.beta,
         "gains.g0": cfg.gains.g0,
-        "gain_ratio": config_gains(cfg).gain_ratio,
+        "gain_ratio": log.gains.gain_ratio,
         "noise.gyro_std": cfg.noise.gyro_std,
         "noise.accel_std": cfg.noise.accel_std,
         "attitude_mode": cfg.init.attitude_mode,

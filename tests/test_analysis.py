@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from tiltobs import analysis
 from tiltobs.analysis import (
     EZ,
     MAX_RECORD_VALUES,
+    ErrorTrajectory,
     convergence_time,
     convergence_times,
     decay_rate,
@@ -14,6 +16,7 @@ from tiltobs.analysis import (
     error_field,
     estimate_epsilon,
     exponential_bound,
+    grade_batch,
     integrate_error_ode,
     linearization,
     lyapunov,
@@ -208,6 +211,57 @@ def test_convergence_times_grade_rows_by_the_stays_below_rule():
         assert (np.isnan(c) and expect is None) or c == expect
     # leading axes broadcast
     assert convergence_times(t, rows.reshape(2, 2, 6), 1.0).shape == (2, 2)
+
+
+def decaying_record(n: int, m: int, seed: int) -> ErrorTrajectory:
+    """Hand-built batch record: each start's errors shrink by exp(-k t) along
+    fixed directions, so xi falls and V strictly decreases, at rates k that
+    leave some starts above 1e-2 at the end."""
+    rng = np.random.default_rng(seed)
+    t = 0.1 * np.arange(m)
+    decay = np.exp(-rng.uniform(0.2, 3.0, (n, 1)) * t)[..., None]
+    verr = rng.standard_normal((n, 1, 3)) * decay
+    terr = rng.uniform(-1.0, 1.0, (n, 1, 3)) * decay
+    return ErrorTrajectory(t=t, verr=verr, terr=terr)
+
+
+def test_grade_batch_is_the_same_in_any_block_size(monkeypatch):
+    traj = decaying_record(150, 60, seed=4)
+    graded = []
+    for chunk in (1, 7, 150):
+        monkeypatch.setattr(analysis, "GRADE_CHUNK", chunk)
+        graded.append(grade_batch(traj, GAINS, 1e-2))
+    for got in graded[1:]:
+        for a, b in zip(graded[0], got):
+            assert a.shape == (150,) and np.array_equal(a, b)
+    conv, eps, final, monotone = graded[0]
+    assert np.isinf(conv).any() and np.isfinite(conv).any()
+    assert np.array_equal(np.isinf(conv), final >= 1e-2)
+    assert_allclose(eps, 1.0 - np.max(np.sum(traj.terr**2, axis=-1), axis=1) / 4.0)
+    assert monotone.all()
+    # a V rise at one record of start 148, in the last block of 7 (147-149)
+    traj.verr[148, 30, 0] += 10.0
+    monkeypatch.setattr(analysis, "GRADE_CHUNK", 7)
+    assert np.flatnonzero(~grade_batch(traj, GAINS, 1e-2)[3]).tolist() == [148]
+
+
+def test_grade_batch_memory_stays_within_a_block():
+    # 512 starts at 1001 marks: a 24.6 MB record, whose grading in one
+    # block peaks at 1.5 times its size
+    rng = np.random.default_rng(0)
+    traj = ErrorTrajectory(
+        t=0.01 * np.arange(1001),
+        verr=rng.standard_normal((512, 1001, 3)),
+        terr=rng.standard_normal((512, 1001, 3)),
+    )
+    record = traj.verr.nbytes + traj.terr.nbytes
+    tracemalloc.start()
+    try:
+        grade_batch(traj, GAINS, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < record / 4
 
 
 # --- direct integration ----------------------------------------------------
