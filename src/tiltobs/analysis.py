@@ -166,40 +166,19 @@ def decay_rate(eps: float, gains: ObserverGains) -> float:
     return 2.0 * min(1.0 - r, r * eps) * gains.alpha
 
 
-def estimate_epsilon(terr) -> float:
-    """Margin 1 - |terr|^2/4, minimized over a tilt-error trajectory.
-
-    Raises if the trajectory touches |terr| = 2 (the flipped point), where no
-    positive margin exists.
-    """
-    terr = np.asarray(terr, dtype=float)
-    n2 = np.sum(terr * terr, axis=-1)
-    eps = 1.0 - float(n2.max()) / 4.0
-    if eps <= 0.0:
-        raise ValueError("tilt error reaches the flipped equilibrium; no positive margin")
-    return eps
-
-
 def convergence_times(t: np.ndarray, err_norms: np.ndarray, threshold: float) -> np.ndarray:
     """First time after which ``err_norms`` stays below ``threshold``, per
     trajectory: ``err_norms`` is (..., M) over the M times ``t``.
 
-    Gives ``t[0]`` where it never reaches the threshold, NaN where it is
-    still at or above it at the final sample.
+    Gives ``t[0]`` where it never reaches the threshold, ``inf`` where it
+    is still at or above it at the final sample.
     """
     t = np.asarray(t, dtype=float)
     above = np.asarray(err_norms, dtype=float) >= threshold
     m = above.shape[-1]
     # the sample after the last one at or above the threshold (0 if none)
     after = np.where(above.any(axis=-1), m - np.argmax(above[..., ::-1], axis=-1), 0)
-    return np.where(after < m, t[np.minimum(after, m - 1)], np.nan)
-
-
-def convergence_time(t: np.ndarray, err_norms: np.ndarray, threshold: float):
-    """:func:`convergence_times` of one trajectory: a float, or ``None``
-    if it is still at or above the threshold at the final sample."""
-    first = float(convergence_times(t, err_norms, threshold))
-    return None if np.isnan(first) else first
+    return np.where(after < m, t[np.minimum(after, m - 1)], np.inf)
 
 
 GRADE_CHUNK = 64  # starts per grade_batch block: a few MB of temporaries at any B
@@ -208,11 +187,12 @@ GRADE_CHUNK = 64  # starts per grade_batch block: a few MB of temporaries at any
 def grade_batch(traj: ErrorTrajectory, gains: ObserverGains, threshold: float):
     """Grade a (B, M, 3) batch record in blocks of :data:`GRADE_CHUNK` starts.
 
-    Returns (B,) vectors: the time from which xi = sqrt(|verr|^2 + |terr|^2)
-    stays below ``threshold`` (inf if never), the margin 1 - max |terr|^2 / 4,
-    the final xi, and whether V never rises by over 1e-9 * max(1, V[0])."""
+    Returns three (B,) vectors: the time from which
+    xi = sqrt(|verr|^2 + |terr|^2) stays below ``threshold`` (inf if it is
+    still at or above it at the last mark), the margin 1 - max |terr|^2 / 4,
+    and whether V never rises by over 1e-9 * max(1, V[0])."""
     n = len(traj.verr)
-    conv, eps, final = np.empty((3, n))
+    conv, eps = np.empty((2, n))
     monotone = np.empty(n, dtype=bool)
     for lo in range(0, n, GRADE_CHUNK):
         rows = slice(lo, lo + GRADE_CHUNK)
@@ -221,11 +201,10 @@ def grade_batch(traj: ErrorTrajectory, gains: ObserverGains, threshold: float):
         sq = np.einsum("...i,...i->...", terr, terr)
         eps[rows] = 1.0 - sq.max(axis=1) / 4.0
         sq += np.einsum("...i,...i->...", verr, verr)
-        xi = np.sqrt(sq, out=sq)
-        final[rows], conv[rows] = xi[:, -1], convergence_times(traj.t, xi, threshold)
+        conv[rows] = convergence_times(traj.t, np.sqrt(sq, out=sq), threshold)
         V = lyapunov(verr, terr, gains)
         monotone[rows] = (np.diff(V, axis=1) <= 1e-9 * np.maximum(1.0, V[:, :1])).all(axis=1)
-    return np.nan_to_num(conv, nan=np.inf), eps, final, monotone
+    return conv, eps, monotone
 
 
 @dataclass
@@ -298,6 +277,9 @@ def integrate_error_ode(
 # basin starts are drawn below this share of the flipped equilibrium's V
 BASIN_V_FRACTION = 0.99
 
+# sample_basin's draw cap per start: the share it keeps falls like alpha^-3
+BASIN_MAX_DRAWS_PER_START = 10**6
+
 
 def sample_basin(n: int, gains: ObserverGains, rng: np.random.Generator):
     """Draw ``n`` error states with Lyapunov value below
@@ -309,14 +291,19 @@ def sample_basin(n: int, gains: ObserverGains, rng: np.random.Generator):
     The basin is a Lyapunov sub-level set, not a box, so rejection is the
     shape-faithful way in; the Gaussian keeps the near-boundary shell (tilt
     error close to the repelling point, where escape is arbitrarily slow)
-    at the low weight it deserves.
+    at the low weight it deserves.  Raises ``ValueError`` once it has drawn
+    over :data:`BASIN_MAX_DRAWS_PER_START` candidates per start asked for.
     """
     thr = BASIN_V_FRACTION * 2.0 * gains.g0**2
     verr = np.empty((n, 3))
     terr = np.empty((n, 3))
-    got = 0
+    got = drawn = 0
     while got < n:
+        if drawn > BASIN_MAX_DRAWS_PER_START * n:
+            raise ValueError(f"basin sampling at alpha = {gains.alpha!r} kept {got} of "
+                             f"{n} starts in {drawn} candidates; the basin is too thin")
         m = max(2 * (n - got), 64)
+        drawn += m
         dirs = rng.standard_normal((m, 3))
         dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
         z2 = EZ - dirs

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import plant
-from .analysis import EZ, convergence_time, lyapunov, lyapunov_rate, record_marks, step_count
+from .analysis import EZ, convergence_times, lyapunov, lyapunov_rate, record_marks, step_count
 from .observer import ObserverGains, make_gains, require_positive, run_observer
 from .so3 import rotation_between, rotation_exp
 
@@ -45,6 +45,7 @@ SWEEP_HEADER = "alpha,beta,status,gain_ratio,convergence_time,final_tilt_err_nor
 ERROR_ODE_HEADER = "t,verr_x,verr_y,verr_z,terr_x,terr_y,terr_z,V,Vdot"
 
 ATTITUDE_MODES = ("identity", "consistent", "rotvec")
+TILT_THRESHOLD = 0.05  # the tilt-error norm a run converges below, unless told otherwise
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +513,11 @@ def grade_tilt(log: RunLog, threshold: float):
     ``threshold`` (``None`` if it has not converged by the end) and its final
     norm."""
     norms = np.linalg.norm(log.tilt_err, axis=-1)
-    return convergence_time(log.t, norms, threshold), float(norms[-1])
+    conv = float(convergence_times(log.t, norms, threshold))
+    return (None if math.isinf(conv) else conv), float(norms[-1])
 
 
-def write_report(log: RunLog, path, threshold: float = 0.05) -> None:
+def write_report(log: RunLog, path, threshold: float = TILT_THRESHOLD) -> None:
     """Flat key = value summary of a run."""
     cfg = log.config
     conv, final = grade_tilt(log, threshold)
@@ -550,7 +552,7 @@ def write_report(log: RunLog, path, threshold: float = 0.05) -> None:
 # gain sweep
 
 
-def sweep(cfg: ExperimentConfig, alphas, betas, threshold: float = 0.05):
+def sweep(cfg: ExperimentConfig, alphas, betas, threshold: float = TILT_THRESHOLD):
     """Run the scenario over a grid of gains.
 
     The cells run one after another on one scene, built once from the base

@@ -26,8 +26,8 @@ from tiltobs.analysis import (
     EZ,
     equilibria,
     error_field,
-    estimate_epsilon,
     exponential_bound,
+    grade_batch,
     integrate_error_ode,
     linearization,
     lyapunov,
@@ -204,10 +204,10 @@ def test_criterion_06_flipped_equilibrium_repels(criterion):
 
 def test_criterion_07_exponential_envelope(basin_batch, criterion):
     V = lyapunov(basin_batch.verr, basin_batch.terr, GAINS)
+    _, eps, _ = grade_batch(basin_batch, GAINS, 1e-3)
     worst = -np.inf
     for i in range(V.shape[0]):
-        eps = estimate_epsilon(basin_batch.terr[i])
-        bound = exponential_bound(float(V[i, 0]), basin_batch.t, eps, GAINS)
+        bound = exponential_bound(float(V[i, 0]), basin_batch.t, float(eps[i]), GAINS)
         worst = max(worst, float((V[i] - bound - 1e-6).max()))
     criterion(
         7,

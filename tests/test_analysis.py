@@ -9,12 +9,10 @@ from tiltobs.analysis import (
     EZ,
     MAX_RECORD_VALUES,
     ErrorTrajectory,
-    convergence_time,
     convergence_times,
     decay_rate,
     equilibria,
     error_field,
-    estimate_epsilon,
     exponential_bound,
     grade_batch,
     integrate_error_ode,
@@ -179,21 +177,30 @@ def test_exponential_bound_values_and_validation():
             exponential_bound(1.0, t, bad, GAINS)
 
 
-def test_estimate_epsilon():
-    terr = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.5], [0.1, 0.0, 0.0]])
-    assert_allclose(estimate_epsilon(terr), 1.0 - 1.5**2 / 4.0, rtol=1e-12)
-    assert_allclose(estimate_epsilon([[0.0, 0.0, 1.93065]]), 0.0681476, atol=1e-7)
+def test_grade_batch_epsilon_hand_values():
+    # one start per row; the last one touches the flipped point, |terr| = 2
+    terr = np.array([
+        [[0.0, 0.0, 1.0], [0.0, 0.0, 1.5], [0.1, 0.0, 0.0]],
+        [[0.0, 0.0, 1.93065]] * 3,
+        [[0.0, 0.0, 2.0]] * 3,
+    ])
+    traj = ErrorTrajectory(t=np.arange(3.0), verr=np.zeros_like(terr), terr=terr)
+    _, eps, _ = grade_batch(traj, GAINS, 1e-3)
+    assert_allclose(eps[0], 1.0 - 1.5**2 / 4.0, rtol=1e-12)
+    assert_allclose(eps[1], 0.0681476, atol=1e-7)
+    assert eps[2] == 0.0
+    # no positive margin there, so no exponential envelope either
     with pytest.raises(ValueError):
-        estimate_epsilon(np.array([[0.0, 0.0, 2.0]]))
+        exponential_bound(1.0, traj.t, eps[2], GAINS)
 
 
 def test_convergence_time_cases():
     t = np.arange(6.0)
-    assert convergence_time(t, np.array([5, 3, 0.5, 2, 0.5, 0.2]), 1.0) == 4.0
-    assert convergence_time(t, np.array([5, 4, 3, 2, 1.5, 1.2]), 1.0) is None
-    assert convergence_time(t, np.full(6, 0.1), 1.0) == 0.0
+    assert convergence_times(t, np.array([5, 3, 0.5, 2, 0.5, 0.2]), 1.0) == 4.0
+    assert convergence_times(t, np.array([5, 4, 3, 2, 1.5, 1.2]), 1.0) == np.inf
+    assert convergence_times(t, np.full(6, 0.1), 1.0) == 0.0
     # sitting exactly at the threshold counts as not converged yet
-    assert convergence_time(np.arange(3.0), np.array([0.5, 1.0, 0.5]), 1.0) == 2.0
+    assert convergence_times(np.arange(3.0), np.array([0.5, 1.0, 0.5]), 1.0) == 2.0
 
 
 def test_convergence_times_grade_rows_by_the_stays_below_rule():
@@ -205,10 +212,9 @@ def test_convergence_times_grade_rows_by_the_stays_below_rule():
         [5, 4, 3, 2, 1.0, 0.5],  # reaches it at the last sample
     ])
     times = convergence_times(t, rows, 1.0)
-    assert_allclose(times, [4.0, np.nan, 0.0, 5.0])
+    assert_allclose(times, [4.0, np.inf, 0.0, 5.0])
     for row, c in zip(rows, times):
-        expect = convergence_time(t, row, 1.0)
-        assert (np.isnan(c) and expect is None) or c == expect
+        assert convergence_times(t, row, 1.0) == c
     # leading axes broadcast
     assert convergence_times(t, rows.reshape(2, 2, 6), 1.0).shape == (2, 2)
 
@@ -234,15 +240,16 @@ def test_grade_batch_is_the_same_in_any_block_size(monkeypatch):
     for got in graded[1:]:
         for a, b in zip(graded[0], got):
             assert a.shape == (150,) and np.array_equal(a, b)
-    conv, eps, final, monotone = graded[0]
+    conv, eps, monotone = graded[0]
     assert np.isinf(conv).any() and np.isfinite(conv).any()
-    assert np.array_equal(np.isinf(conv), final >= 1e-2)
+    xi = np.sqrt(np.sum(traj.verr**2 + traj.terr**2, axis=-1))
+    assert np.array_equal(np.isinf(conv), xi[:, -1] >= 1e-2)
     assert_allclose(eps, 1.0 - np.max(np.sum(traj.terr**2, axis=-1), axis=1) / 4.0)
     assert monotone.all()
     # a V rise at one record of start 148, in the last block of 7 (147-149)
     traj.verr[148, 30, 0] += 10.0
     monkeypatch.setattr(analysis, "GRADE_CHUNK", 7)
-    assert np.flatnonzero(~grade_batch(traj, GAINS, 1e-2)[3]).tolist() == [148]
+    assert np.flatnonzero(~grade_batch(traj, GAINS, 1e-2)[2]).tolist() == [148]
 
 
 def test_grade_batch_memory_stays_within_a_block():
@@ -416,4 +423,17 @@ def test_start_outside_basin_still_converges():
     assert V[0] > 2.0 * GAINS.g0**2
     assert V[-1] < 1e-9
     norms = np.maximum(np.linalg.norm(traj.verr, axis=-1), np.linalg.norm(traj.terr, axis=-1))
-    assert convergence_time(traj.t, norms, 1e-3) is not None
+    assert np.isfinite(convergence_times(traj.t, norms, 1e-3))
+
+
+def test_sample_basin_gives_up_past_its_draw_cap(monkeypatch):
+    # at alpha = 200 about one candidate in 10^4 is kept: a cap of 10^5 draws
+    # per start leaves the draws as they are, a cap of 10 gives up
+    stiff = make_gains(200.0, 10.0)
+    drawn = sample_basin(5, stiff, np.random.default_rng(3))
+    monkeypatch.setattr(analysis, "BASIN_MAX_DRAWS_PER_START", 10**5)
+    again = sample_basin(5, stiff, np.random.default_rng(3))
+    assert all(np.array_equal(a, b) for a, b in zip(drawn, again))
+    monkeypatch.setattr(analysis, "BASIN_MAX_DRAWS_PER_START", 10)
+    with pytest.raises(ValueError, match=r"alpha = 200.0 kept \d of 5 starts in \d+ candidates"):
+        sample_basin(5, stiff, np.random.default_rng(3))

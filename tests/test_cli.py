@@ -370,3 +370,32 @@ def test_failing_run_saves_no_effective_config(tmp_path, argv, output):
     assert rc == 1
     assert not (tmp_path / output).exists()
     assert not (tmp_path / "effective.cfg").exists()
+
+
+def test_sweep_cell_not_converged_by_its_end_has_an_empty_time(tmp_path):
+    # 0.3 s is too short for the reference gains to bring the tilt error under 0.05
+    cfg_path = tmp_path / "short.cfg"
+    cfg_path.write_text("duration = 0.3\n")
+    rc = main([
+        "sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+        "--alphas", "19.8", "--betas", "10",
+    ])
+    assert rc == 0
+    lines = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
+    row = dict(zip(SWEEP_HEADER.split(","), lines[1].split(",")))
+    assert row["status"] == "ok" and float(row["final_tilt_err_norm"]) >= 0.05
+    assert row["convergence_time"] == ""
+
+
+def test_analyze_fails_cleanly_where_the_basin_is_too_thin(tmp_path, capsys, monkeypatch):
+    # at alpha = 5000 the sampler keeps almost no candidate; a low cap keeps this fast
+    monkeypatch.setattr(tiltobs.analysis, "BASIN_MAX_DRAWS_PER_START", 100)
+    cfg_path = tmp_path / "stiff.cfg"
+    cfg_path.write_text("gains.alpha = 5000\ndt = 1e-4\n")
+    out = tmp_path / "o"
+    rc = main(["analyze", "--config", str(cfg_path), "--out", str(out), "--basin-samples", "20"])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: basin sampling at alpha = 5000.0 kept ")
+    assert not (out / "analysis.txt").exists()
+    assert not (out / "effective.cfg").exists()
