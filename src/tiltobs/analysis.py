@@ -62,6 +62,13 @@ def step_count(duration: float, dt: float) -> int:
     return int(round(n))
 
 
+def require_stable_step(gains: ObserverGains, dt: float) -> None:
+    """Raise ``ValueError`` naming ``dt`` unless ``alpha*dt`` < :data:`RK4_REAL_LIMIT`."""
+    if not gains.alpha * dt < RK4_REAL_LIMIT:
+        raise ValueError(f"dt = {dt!r} is too large: alpha*dt = {gains.alpha * dt!r} must be "
+                         f"below {RK4_REAL_LIMIT} (RK4 stability limit)")
+
+
 def record_marks(n_steps: int, record_every: int, batch: int = 1) -> list:
     """Step indices an error-ODE run records: every ``record_every``-th step
     and the last one.
@@ -235,13 +242,13 @@ def integrate_error_ode(
 
     Raises ``ValueError`` on a non-finite start or one whose ``|e_z - terr|``
     is not 1, and unless ``alpha * dt`` is below 2.785, RK4's real stability
-    limit, past which the -alpha mode grows without bound.  The limit is
-    necessary, not sufficient: just under it the Lyapunov function can still
-    rise along some basin starts.  Also raises, before allocating
-    anything, when the step count or the record is over its cap (see
-    :func:`step_count`, :func:`record_marks`).  Raises ``RuntimeError``
-    naming the first recorded step whose state is not finite when any
-    start's run overflows, such as one from a huge ``verr0``.
+    limit (:func:`require_stable_step`).  The limit is necessary, not
+    sufficient: just under it the Lyapunov function can still rise along
+    some basin starts.  Also raises, before allocating anything, when the
+    step count or the record is over its cap (see :func:`step_count`,
+    :func:`record_marks`).  Raises ``RuntimeError`` naming the first
+    recorded step whose state is not finite when any start's run overflows,
+    such as one from a huge ``verr0``.
     """
     v = np.atleast_2d(np.asarray(verr0, dtype=float))
     terr0 = np.asarray(terr0, dtype=float)
@@ -254,11 +261,7 @@ def integrate_error_ode(
     norms = np.linalg.norm(u, axis=-1)
     if not (np.abs(norms - 1.0) <= MANIFOLD_TOL).all():  # a NaN or inf terr fails too
         raise ValueError("tilt error off manifold: |e_z - terr| must be 1")
-    if not gains.alpha * dt < RK4_REAL_LIMIT:
-        raise ValueError(
-            f"dt = {dt!r} is too large: alpha*dt = {gains.alpha * dt!r} must be below "
-            f"{RK4_REAL_LIMIT} (RK4 stability limit)"
-        )
+    require_stable_step(gains, dt)
 
     marks = record_marks(step_count(duration, dt), record_every, len(u))
     state0 = np.concatenate([-v, u], axis=1).T  # (6, B): (vel_est, tilt_est) components

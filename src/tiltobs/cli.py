@@ -96,6 +96,7 @@ def cmd_analyze(cfg, args, out) -> str:
 
     horizon = 10.0  # seconds each basin start runs
     n_steps = analysis.step_count(horizon, cfg.dt)
+    analysis.require_stable_step(gains, cfg.dt)  # sample_basin does not check it
     try:  # before the basin is drawn: a huge batch fails here, allocating nothing
         analysis.record_marks(n_steps, cfg.decimation, args.basin_samples)
     except ValueError as exc:
@@ -223,7 +224,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         summary = args.handler(cfg, args, out)
-        harness.save_config(cfg, out / "effective.cfg")
+        harness.save_config(cfg, out / harness.EFFECTIVE_CONFIG)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

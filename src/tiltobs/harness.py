@@ -46,6 +46,7 @@ ERROR_ODE_HEADER = "t,verr_x,verr_y,verr_z,terr_x,terr_y,terr_z,V,Vdot"
 
 ATTITUDE_MODES = ("identity", "consistent", "rotvec")
 TILT_THRESHOLD = 0.05  # the tilt-error norm a run converges below, unless told otherwise
+EFFECTIVE_CONFIG = "effective.cfg"  # the config a command saves beside its outputs
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +217,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
     n = float(np.linalg.norm(cfg.init.tilt_err))
     if n >= 2.0:
         raise ValueError(f"init.tilt_err norm must be < 2, got {n}")
+    taken = [EFFECTIVE_CONFIG]  # the outputs are written side by side
+    for key in (k for k in SCHEMA if k.startswith("output.")):
+        name = _get(cfg, key)
+        if name in ("", ".", "..", *taken) or Path(name).name != name:
+            raise ValueError(f"{key} must be a bare file name other than {taken}, got {name!r}")
+        taken.append(name)
 
 
 def _format_value(value) -> str:
@@ -277,11 +284,11 @@ class RunLog:
 
 
 def _initial_conditions(cfg: ExperimentConfig, world_rot):
-    """Base pivot attitude, initial tilt estimate, and the tilt error the
+    """Initial pivot attitude, initial tilt estimate, and the tilt error the
     chosen attitude mode actually realizes."""
     requested = np.asarray(cfg.init.tilt_err, dtype=float)
     mode = cfg.init.attitude_mode
-    ez_local = EZ if world_rot is None else world_rot.T @ EZ
+    ez_local = world_rot.T @ EZ
 
     if mode == "consistent":
         # place the true tilt so the requested error sits exactly on the
@@ -297,12 +304,12 @@ def _initial_conditions(cfg: ExperimentConfig, world_rot):
             axis /= np.linalg.norm(axis)
             tilt0 = 0.5 * requested + np.sqrt(1.0 - 0.25 * n * n) * axis
             tilt_hat0 = tilt0 - requested
-        return rotation_between(tilt0, ez_local), tilt_hat0, requested.copy()
+        return world_rot @ rotation_between(tilt0, ez_local), tilt_hat0, requested.copy()
 
     R_base = np.eye(3) if mode == "identity" else rotation_exp(cfg.init.attitude_rotvec)
-    R0 = R_base if world_rot is None else world_rot @ R_base
+    R0 = world_rot @ R_base
     tilt0 = R0[2]  # row of R = R^T e_z
-    return (R_base, *project_tilt_error(tilt0, requested, "init.tilt_err"))
+    return (R0, *project_tilt_error(tilt0, requested, "init.tilt_err"))
 
 
 def project_tilt_error(tilt, tilt_err, name: str):
@@ -347,10 +354,9 @@ def build_scene(cfg: ExperimentConfig) -> Scene:
     of the scene, and a sweep's base config need not keep the gain rule that
     its cells keep."""
     validate_config(cfg)
-    world_rot = plant.world_rotation(cfg.pivot)
     dt = cfg.dt
     n_steps = step_count(cfg.duration, dt)
-    R_base, tilt_hat0, applied_err0 = _initial_conditions(cfg, world_rot)
+    R0, tilt_hat0, applied_err0 = _initial_conditions(cfg, rotation_exp(cfg.pivot.world_rotvec))
 
     # closed-form trajectory signals, sampled on the step midpoints and on
     # the step boundaries
@@ -361,8 +367,7 @@ def build_scene(cfg: ExperimentConfig) -> Scene:
     t_all[1::2] = t_mid
     w_held = plant.pivot_rate(cfg.pivot, t_mid)
     wm_held = plant.mount_rate(cfg.mount, t_mid)
-    R_c0 = R_base if world_rot is None else world_rot @ R_base
-    Rp_mid, Rp = plant.rotation_path(R_c0, w_held, dt)
+    Rp_mid, Rp = plant.rotation_path(R0, w_held, dt)
     Rm_mid, _ = plant.rotation_path(np.eye(3), wm_held, dt)
     return Scene(
         t_mid=t_mid,

@@ -27,49 +27,7 @@ from itertools import islice
 
 import numpy as np
 
-
-def _coefficients(t2):
-    """Rodrigues coefficients ``sin(t)/t``, ``(1 - cos(t))/t^2`` of ``t2 = t^2``."""
-    if t2 < 1e-24:
-        return 1.0 - t2 / 6.0, 0.5 - t2 / 24.0  # series
-    t = math.sqrt(t2)
-    return math.sin(t) / t, (1.0 - math.cos(t)) / t2
-
-
-def _coefficients_arrays(t2):
-    """:func:`_coefficients` on (B,) arrays, its branch as ``np.where``."""
-    small = t2 < 1e-24
-    safe = np.where(small, 1.0, t2)
-    t = np.sqrt(safe)
-    sc = np.where(small, 1.0 - t2 / 6.0, np.sin(t) / t)
-    return sc, np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(t)) / safe)
-
-
-def _apply(sc, vc, t2, wx, wy, wz, vx, vy, vz):
-    """Rotate v by w given the coefficients of ``t2 = |w|^2``."""
-    cx = wy * vz - wz * vy
-    cy = wz * vx - wx * vz
-    cz = wx * vy - wy * vx
-    d = wx * vx + wy * vy + wz * vz
-    # w x (w x v) = w (w . v) - v (w . w)
-    return (
-        vx + sc * cx + vc * (d * wx - t2 * vx),
-        vy + sc * cy + vc * (d * wy - t2 * vy),
-        vz + sc * cz + vc * (d * wz - t2 * vz),
-    )
-
-
-def rotate_twice(wx, wy, wz, vx, vy, vz, coefficients=_coefficients):
-    """``R v`` and ``R R v`` for R the rotation by the rotation vector w, as
-    ``(hx, hy, hz, ux, uy, uz)``, from one evaluation of the coefficients."""
-    t2 = wx * wx + wy * wy + wz * wz
-    sc, vc = coefficients(t2)
-    hx, hy, hz = _apply(sc, vc, t2, wx, wy, wz, vx, vy, vz)
-    return (hx, hy, hz, *_apply(sc, vc, t2, wx, wy, wz, hx, hy, hz))
-
-
-# the same on (B,) component arrays
-rotate_twice_arrays = partial(rotate_twice, coefficients=_coefficients_arrays)
+from .so3 import rotate_twice, rotate_twice_arrays
 
 
 def require_positive(name: str, value: float) -> None:
@@ -87,6 +45,8 @@ class ObserverGains:
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "g0"):
             require_positive(name, getattr(self, name))
+        if not math.isfinite(self.alpha * self.alpha):  # alpha**2 would raise OverflowError
+            raise ValueError(f"alpha must have a finite square, got {self.alpha}")
         if not (self.beta * self.g0 < self.alpha**2):
             raise ValueError(
                 "gains violate beta*g0 < alpha**2 "
@@ -152,10 +112,10 @@ def step_floats(a, b, g, dt, wx, wy, wz, mx, my, mz, fx, fy, fz, vx, vy, vz, tx,
     takes 10^4 of these and numpy dispatch on 3-vectors would dominate the
     cost.  ``observer_derivative`` is the readable reference the tests check.
 
-    One :func:`rotate_twice` call gives the tilt at the half and the full
-    step from one sin/cos evaluation.  With ``rotate=rotate_twice_arrays`` the
-    body steps B observers at once: any argument may be a (B,) array, per-row
-    gains included, and the result holds (B,) arrays.
+    One :func:`.so3.rotate_twice` call gives the tilt at the half and the
+    full step from one sin/cos evaluation.  With ``rotate=rotate_twice_arrays``
+    the body steps B observers at once: any argument may be a (B,) array,
+    per-row gains included, and the result holds (B,) arrays.
     """
     # constant part of the velocity dynamics over the step; each stage below
     # is -pivot_rate x vel - a*vel + g*tilt + const

@@ -40,7 +40,7 @@ def vec3_field(x: float, y: float, z: float):
 class PivotSettings:
     """Pivot motion: world-frame angular acceleration ``accel_amp *
     sin(2*pi*accel_freq*t + accel_phase)`` per axis from the rate ``rate0``,
-    all turned by the fixed world rotation ``world_rotvec`` (none when zero)."""
+    all turned by the fixed world rotation ``world_rotvec``."""
 
     accel_amp: np.ndarray = vec3_field(0.50, 0.45, 0.40)
     accel_freq: np.ndarray = vec3_field(0.7, 1.1, 1.3)
@@ -64,12 +64,6 @@ class MountSettings:
     p0: np.ndarray = vec3_field(0.0, 0.0, 1.3)
     noise_std: float = 0.05
     noise_tau: float = 0.2
-
-
-def world_rotation(pivot: PivotSettings) -> np.ndarray | None:
-    """The fixed world rotation of the pivot motion, or ``None`` for none."""
-    rv = pivot.world_rotvec
-    return None if float(rv @ rv) == 0.0 else rotation_exp(rv)
 
 
 # ---------------------------------------------------------------------------
@@ -96,15 +90,13 @@ def _sines_integral(t, amp, freq, phase):
 def pivot_accel(pivot: PivotSettings, t) -> np.ndarray:
     """World-frame pivot angular acceleration at time(s) t."""
     a = _sines(t, pivot.accel_amp, pivot.accel_freq, pivot.accel_phase)
-    world_rot = world_rotation(pivot)
-    return a if world_rot is None else a @ world_rot.T
+    return a @ rotation_exp(pivot.world_rotvec).T
 
 
 def pivot_rate(pivot: PivotSettings, t) -> np.ndarray:
     """World-frame pivot angular velocity at time(s) t (exact integral)."""
     w = pivot.rate0 + _sines_integral(t, pivot.accel_amp, pivot.accel_freq, pivot.accel_phase)
-    world_rot = world_rotation(pivot)
-    return w if world_rot is None else w @ world_rot.T
+    return w @ rotation_exp(pivot.world_rotvec).T
 
 
 def mount_rate(mount: MountSettings, t) -> np.ndarray:

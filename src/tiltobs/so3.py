@@ -1,13 +1,17 @@
-"""Small SO(3) toolbox: skew matrices, the rotation exponential, and the
-rotation between two directions.
+"""Small SO(3) toolbox, and the one home of the Rodrigues formula: skew
+matrices, the rotation exponential, a vector's rotation given component by
+component (``rotate_twice``), and the rotation between two directions.
 
-Everything works on plain float64 numpy arrays; rotations are 3x3 matrices,
-rotation vectors are length-3 arrays (axis * angle, radians).  ``skew``,
-``rotation_exp`` and ``rotation_exp_increment`` broadcast over leading axes,
-so one vector gives one matrix and an (N, 3) stack gives N of them.
+Rotations are 3x3 float64 matrices, rotation vectors length-3 arrays (axis *
+angle, radians).  ``skew``, ``rotation_exp`` and ``rotation_exp_increment``
+broadcast over leading axes, so one vector gives one matrix and an (N, 3)
+stack gives N of them.
 """
 
 from __future__ import annotations
+
+import math
+from functools import partial
 
 import numpy as np
 
@@ -36,16 +40,22 @@ def skew(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rodrigues(w: np.ndarray):
-    """``(a, b, S(w))`` with ``exp(S(w)) = I + a S(w) + b S(w)^2``; a and b
-    carry two trailing unit axes so they broadcast over the matrices."""
-    w = np.asarray(w, dtype=float)
-    theta2 = np.sum(w * w, axis=-1)
-    small = theta2 < SMALL_ANGLE * SMALL_ANGLE
-    theta = np.sqrt(np.where(small, 1.0, theta2))
-    a = np.where(small, 1.0 - theta2 / 6.0, np.sin(theta) / theta)
-    b = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(theta)) / np.where(small, 1.0, theta2))
-    return a[..., None, None], b[..., None, None], skew(w)
+def rodrigues_coefficients(t2: float):
+    """Rodrigues coefficients ``sin(t)/t``, ``(1 - cos(t))/t^2`` of the float
+    ``t2 = t^2``: ``exp(S(w)) = I + a S(w) + b S(w)^2`` for ``|w|^2 = t2``."""
+    if t2 < SMALL_ANGLE * SMALL_ANGLE:
+        return 1.0 - t2 / 6.0, 0.5 - t2 / 24.0  # series
+    t = math.sqrt(t2)
+    return math.sin(t) / t, (1.0 - math.cos(t)) / t2
+
+
+def rodrigues_coefficients_arrays(t2: np.ndarray):
+    """:func:`rodrigues_coefficients` on arrays, its branch as ``np.where``."""
+    small = t2 < SMALL_ANGLE * SMALL_ANGLE
+    safe = np.where(small, 1.0, t2)
+    t = np.sqrt(safe)
+    a = np.where(small, 1.0 - t2 / 6.0, np.sin(t) / t)
+    return a, np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(t)) / safe)
 
 
 def rotation_exp(w: np.ndarray) -> np.ndarray:
@@ -54,8 +64,7 @@ def rotation_exp(w: np.ndarray) -> np.ndarray:
     Broadcasts over leading axes: (..., 3) -> (..., 3, 3).  Exact identity
     for ``w = 0``; orthonormal to machine precision for any input magnitude.
     """
-    a, b, W = _rodrigues(w)
-    return _EYE3 + a * W + b * (W @ W)
+    return _EYE3 + rotation_exp_increment(w)
 
 
 def rotation_exp_increment(w: np.ndarray) -> np.ndarray:
@@ -64,8 +73,37 @@ def rotation_exp_increment(w: np.ndarray) -> np.ndarray:
     For a small rotation the diagonal of ``rotation_exp`` is 1 plus a small
     term, rounded to the precision of 1; the increment skips that rounding.
     """
-    a, b, W = _rodrigues(w)
-    return a * W + b * (W @ W)
+    w = np.asarray(w, dtype=float)
+    a, b = rodrigues_coefficients_arrays(np.sum(w * w, axis=-1))
+    W = skew(w)
+    return a[..., None, None] * W + b[..., None, None] * (W @ W)
+
+
+def _apply(a, b, t2, wx, wy, wz, vx, vy, vz):
+    """Rotate v by w given the coefficients ``a, b`` of ``t2 = |w|^2``."""
+    cx = wy * vz - wz * vy
+    cy = wz * vx - wx * vz
+    cz = wx * vy - wy * vx
+    d = wx * vx + wy * vy + wz * vz
+    # w x (w x v) = w (w . v) - v (w . w)
+    return (
+        vx + a * cx + b * (d * wx - t2 * vx),
+        vy + a * cy + b * (d * wy - t2 * vy),
+        vz + a * cz + b * (d * wz - t2 * vz),
+    )
+
+
+def rotate_twice(wx, wy, wz, vx, vy, vz, coefficients=rodrigues_coefficients):
+    """``R v`` and ``R R v`` for R the rotation by the rotation vector w, as
+    ``(hx, hy, hz, ux, uy, uz)``, from one evaluation of the coefficients."""
+    t2 = wx * wx + wy * wy + wz * wz
+    a, b = coefficients(t2)
+    hx, hy, hz = _apply(a, b, t2, wx, wy, wz, vx, vy, vz)
+    return (hx, hy, hz, *_apply(a, b, t2, wx, wy, wz, hx, hy, hz))
+
+
+# the same on (B,) component arrays
+rotate_twice_arrays = partial(rotate_twice, coefficients=rodrigues_coefficients_arrays)
 
 
 def rotation_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -148,6 +148,19 @@ def test_sweep_base_config_may_break_the_gain_rule(tmp_path, capsys):
     assert not (tmp_path / "q" / "effective.cfg").exists()
 
 
+def test_sweep_rejects_a_gain_whose_square_overflows(tmp_path):
+    # 1e200**2 overflows a float: that cell is rejected, the sweep goes on
+    cfg_path = tmp_path / "short.cfg"
+    cfg_path.write_text("duration = 0.5\n")
+    rc = main([
+        "sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+        "--alphas", "19.8,1e200", "--betas", "10",
+    ])
+    assert rc == 0
+    lines = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
+    assert [line.split(",")[2] for line in lines[1:]] == ["ok", "rejected"]
+
+
 def test_sweep_diverged_cell_keeps_the_sweep(tmp_path, capsys):
     cfg_path = tmp_path / "short.cfg"
     cfg_path.write_text("duration = 0.5\n")
@@ -263,6 +276,24 @@ def test_error_ode_step_past_rk4_limit_fails_cleanly(tmp_path, capsys):
     assert not (tmp_path / "error_ode.csv").exists()
 
 
+def test_analyze_step_past_rk4_limit_fails_before_the_basin(tmp_path, capsys, monkeypatch):
+    # alpha*dt = 3000 * 1e-3 = 3.0: the step check comes first, so the basin
+    # sampler, which would search a thin basin for a minute, is never called
+    def no_basin(*args):
+        raise AssertionError("sample_basin was called")
+
+    monkeypatch.setattr(tiltobs.analysis, "sample_basin", no_basin)
+    cfg_path = tmp_path / "stiff.cfg"
+    cfg_path.write_text("gains.alpha = 3000\n")
+    out = tmp_path / "o"
+    rc = main(["analyze", "--config", str(cfg_path), "--out", str(out), "--basin-samples", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: dt = 0.001 ")
+    assert "alpha*dt = 3.0 " in err[0]
+    assert list(out.iterdir()) == []
+
+
 def test_overflowing_step_count_fails_cleanly(tmp_path, capsys):
     # duration / dt overflows to inf: an error line naming both, no traceback
     cfg_path = tmp_path / "huge.cfg"
@@ -303,6 +334,17 @@ def test_bad_config_file_exit_code(tmp_path, capsys):
         for (argv, _), expected in zip(COMMANDS.values(), errors):
             rc = main(argv + ["--config", str(bad), "--out", str(tmp_path / "o")])
             assert (rc, capsys.readouterr().err) == (1 if expected else 0, expected), (text, argv)
+
+
+def test_output_name_that_collides_writes_nothing(tmp_path, capsys):
+    # the saved config would overwrite the run CSV
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("output.csv = effective.cfg\n")
+    out = tmp_path / "o"
+    rc = main(["simulate", "--config", str(bad), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: output.csv must be a bare file name")
+    assert not out.exists()
 
 
 def test_missing_config_file_exit_code(tmp_path, capsys):

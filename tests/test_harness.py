@@ -100,6 +100,12 @@ def test_config_assignments_and_comments():
         ("duration = soon", "duration"),
         ("no equals sign here", "key = value"),
         ("seed = -3", "seed"),
+        ("gains.alpha = 1e200", "gains.alpha"),  # alpha**2 overflows
+        ("output.csv = effective.cfg", "output.csv"),
+        ("output.report = run.csv", "output.report"),
+        ("output.csv =", "output.csv"),
+        ("output.report = ..", "output.report"),
+        ("output.csv = out/run.csv", "output.csv"),
     ],
 )
 def test_bad_config_names_the_problem(line, fragment):
@@ -179,6 +185,7 @@ def valid_configs(draw):
 
     file_name = st.text(min_size=1, max_size=12).filter(
         lambda s: "#" not in s and s == s.strip() and len(s.splitlines()) == 1
+        and s not in (".", "..", "effective.cfg") and Path(s).name == s
     )
     cfg = ExperimentConfig()
     cfg.dt = draw(num(min_value=1e-6, max_value=1.0))
@@ -203,7 +210,7 @@ def valid_configs(draw):
     cfg.mount.noise_std = draw(num(min_value=0.0, max_value=1.0))
     cfg.mount.noise_tau = draw(num(min_value=1e-6, max_value=100.0))
     cfg.output.csv = draw(file_name)
-    cfg.output.report = draw(file_name)
+    cfg.output.report = draw(file_name.filter(lambda s: s != cfg.output.csv))
     return cfg
 
 

@@ -9,12 +9,10 @@ from tiltobs.observer import (
     ObserverGains,
     make_gains,
     observer_derivative,
-    rotate_twice,
-    rotate_twice_arrays,
     run_observer,
     step_floats,
 )
-from tiltobs.so3 import rotation_exp
+from tiltobs.so3 import rotate_twice, rotate_twice_arrays, rotation_exp
 
 EZ = np.array([0.0, 0.0, 1.0])
 EYE = np.eye(3)
@@ -186,23 +184,6 @@ def test_run_observer_batch_is_single_runs_column_by_column():
     for i in range(n_obs):
         single = run_observer(g, 1e-3, rows, state0[:, i], marks)
         assert np.abs(batch[:, :, i] - single).max() <= 1e-14
-
-
-def test_rotate_twice_matches_matrix_action():
-    rng = np.random.default_rng(6)
-    w = rng.standard_normal((40, 3)) * rng.uniform(0.0, np.pi, (40, 1))
-    w[7] = 0.0  # exercise the zero-rotation row
-    w[8] *= 1e-13 / np.linalg.norm(w[8])  # and the series branch
-    v = rng.standard_normal((40, 3))
-    R = rotation_exp(w)
-    once = np.einsum("bij,bj->bi", R, v)
-    twice = np.einsum("bij,bj->bi", R, once)
-    out = np.array(rotate_twice_arrays(*w.T, *v.T)).T
-    assert_allclose(out[:, :3], once, atol=1e-13)
-    assert_allclose(out[:, 3:], twice, atol=1e-13)
-    # the float twin is the same arithmetic: every row agrees to the bit
-    for i in range(len(w)):
-        assert rotate_twice(*w[i].tolist(), *v[i].tolist()) == tuple(out[i].tolist())
 
 
 @pytest.mark.parametrize("batch", [None, 4])

@@ -20,7 +20,6 @@ from tiltobs.plant import (
     pivot_rate_from_gyro,
     rotation_path,
     velocity_measurement,
-    world_rotation,
 )
 from tiltobs.so3 import rotation_exp
 
@@ -376,5 +375,5 @@ def test_world_rotation_off_vertical_changes_accel():
     pivot_rot = PivotSettings(world_rotvec=np.array([1.1, 0.0, 0.0]))
     noise = MountNoise(NOISE_STD, NOISE_TAU, seed=12)
     _, accel_a = midpoint_readings(PIVOT, I3, noise, 1, 1e-3)
-    _, accel_b = midpoint_readings(pivot_rot, world_rotation(pivot_rot), noise, 1, 1e-3)
+    _, accel_b = midpoint_readings(pivot_rot, rotation_exp(pivot_rot.world_rotvec), noise, 1, 1e-3)
     assert np.abs(accel_b - accel_a).max() > 1.0

@@ -1,7 +1,16 @@
 import numpy as np
 from numpy.testing import assert_allclose
 
-from tiltobs.so3 import rotation_between, rotation_exp, rotation_exp_increment, skew
+from tiltobs.so3 import (
+    rodrigues_coefficients,
+    rodrigues_coefficients_arrays,
+    rotate_twice,
+    rotate_twice_arrays,
+    rotation_between,
+    rotation_exp,
+    rotation_exp_increment,
+    skew,
+)
 
 
 def series_exp(W: np.ndarray, terms: int = 26) -> np.ndarray:
@@ -119,6 +128,32 @@ def test_exp_broadcasts_over_leading_axes():
         assert (stacked[i] == rotation_exp(wi)).all()
     assert (stacked[3] == np.eye(3)).all()
     assert rotation_exp(w.reshape(8, 5, 3)).shape == (8, 5, 3, 3)
+
+
+def test_rotate_twice_matches_matrix_action():
+    rng = np.random.default_rng(6)
+    w = rng.standard_normal((40, 3)) * rng.uniform(0.0, np.pi, (40, 1))
+    w[7] = 0.0  # exercise the zero-rotation row
+    w[8] *= 1e-13 / np.linalg.norm(w[8])  # and the series branch
+    w[9] *= 1e-9 / np.linalg.norm(w[9])  # below SMALL_ANGLE: series too
+    v = rng.standard_normal((40, 3))
+    R = rotation_exp(w)
+    once = np.einsum("bij,bj->bi", R, v)
+    twice = np.einsum("bij,bj->bi", R, once)
+    out = np.array(rotate_twice_arrays(*w.T, *v.T)).T
+    assert_allclose(out[:, :3], once, atol=1e-13)
+    assert_allclose(out[:, 3:], twice, atol=1e-13)
+    # the float twin is the same arithmetic: every row agrees to the bit
+    for i in range(len(w)):
+        assert rotate_twice(*w[i].tolist(), *v[i].tolist()) == tuple(out[i].tolist())
+
+
+def test_both_coefficient_functions_switch_to_the_series_at_small_angle():
+    # at |w| = 1e-9, 1 - cos(|w|) rounds to 0: only the series gives the 0.5
+    t2 = 1e-18
+    series = (1.0 - t2 / 6.0, 0.5 - t2 / 24.0)
+    assert rodrigues_coefficients(t2) == series
+    assert tuple(float(c) for c in rodrigues_coefficients_arrays(np.array(t2))) == series
 
 
 def test_exp_composes_along_a_constant_rate():
