@@ -12,11 +12,11 @@ with ``S(w)`` the cross-product matrix, so the observer's convergence can be
 studied independently of any particular robot motion.  The module provides
 the vector field, its Lyapunov function with a closed-form decay rate, the
 two equilibria with their linearizations, an exponential convergence bound,
-and an integrator of the error dynamics for cross-checks against the full
-simulation.  The integrator has no loop of its own: these dynamics are the
-observer at rest, so it runs :func:`observer.run_observer`, the loop the
-closed-loop simulation runs too, on rest inputs: on Python floats for one
-start and on (B,) arrays for a batch.
+and the error flow, graded mark by mark as it runs or recorded for
+cross-checks against the full simulation.  The flow has no loop of its own:
+these dynamics are the observer at rest, so it runs
+:func:`observer.run_observer`, the loop the closed-loop simulation runs too,
+on rest inputs: on Python floats for one start and on (B,) arrays for a batch.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ import numpy as np
 from .observer import ObserverGains, run_observer
 
 EZ = np.array([0.0, 0.0, 1.0])
+
+# (verr, terr) = this minus (vel_est, tilt_est): -0.0 - v is -v bit for bit,
+# signed zeros included
+_ERROR_ORIGIN = np.array([-0.0, -0.0, -0.0, *EZ])[:, None]
 
 # how far |e_z - terr| may deviate from 1 before a point is rejected
 MANIFOLD_TOL = 1e-9
@@ -43,7 +47,8 @@ RK4_REAL_LIMIT = 2.785
 MAX_STEPS = 10**6
 
 # the most float64 values one error-ODE record may hold (480 MB): 10^4 basin
-# starts at 1001 records each.  `analyze` at 9990 starts peaks near 560 MB.
+# starts at 1001 records each.  `analyze` holds no record: at 9990 starts it
+# peaks near 137 MB, 80 MB of them its (1001, 9990) buffer of error norms.
 MAX_RECORD_VALUES = 6 * 10**7
 
 
@@ -188,32 +193,6 @@ def convergence_times(t: np.ndarray, err_norms: np.ndarray, threshold: float) ->
     return np.where(after < m, t[np.minimum(after, m - 1)], np.inf)
 
 
-GRADE_CHUNK = 64  # starts per grade_batch block: a few MB of temporaries at any B
-
-
-def grade_batch(traj: ErrorTrajectory, gains: ObserverGains, threshold: float):
-    """Grade a (B, M, 3) batch record in blocks of :data:`GRADE_CHUNK` starts.
-
-    Returns three (B,) vectors: the time from which
-    xi = sqrt(|verr|^2 + |terr|^2) stays below ``threshold`` (inf if it is
-    still at or above it at the last mark), the margin 1 - max |terr|^2 / 4,
-    and whether V never rises by over 1e-9 * max(1, V[0])."""
-    n = len(traj.verr)
-    conv, eps = np.empty((2, n))
-    monotone = np.empty(n, dtype=bool)
-    for lo in range(0, n, GRADE_CHUNK):
-        rows = slice(lo, lo + GRADE_CHUNK)
-        verr, terr = traj.verr[rows], traj.terr[rows]
-        # one (block, M) buffer: |terr|^2, then |verr|^2 + |terr|^2, then its root
-        sq = np.einsum("...i,...i->...", terr, terr)
-        eps[rows] = 1.0 - sq.max(axis=1) / 4.0
-        sq += np.einsum("...i,...i->...", verr, verr)
-        conv[rows] = convergence_times(traj.t, np.sqrt(sq, out=sq), threshold)
-        V = lyapunov(verr, terr, gains)
-        monotone[rows] = (np.diff(V, axis=1) <= 1e-9 * np.maximum(1.0, V[:, :1])).all(axis=1)
-    return conv, eps, monotone
-
-
 @dataclass
 class ErrorTrajectory:
     """Recorded error-dynamics run: times (M,), states (M, 3) or (B, M, 3)."""
@@ -223,37 +202,63 @@ class ErrorTrajectory:
     terr: np.ndarray
 
 
-def integrate_error_ode(
-    verr0,
-    terr0,
-    gains: ObserverGains,
-    dt: float = 1e-3,
-    duration: float = 10.0,
-    record_every: int = 1,
-) -> ErrorTrajectory:
-    """Integrate the error dynamics, batched over leading axes.
+def grade_batch(traj, gains: ObserverGains, threshold: float):
+    """Grade a batch mark by mark: ``traj`` is a (B, M, 3)
+    :class:`ErrorTrajectory` or an :func:`error_flow`, graded as it runs.
+
+    Returns three (B,) vectors: the time from which
+    xi = sqrt(|verr|^2 + |terr|^2) stays below ``threshold`` (inf if it is
+    still at or above it at the last mark), the margin 1 - max |terr|^2 / 4,
+    and whether V never rises by over 1e-9 * max(1, V[0]).  Holds one (M, B)
+    buffer of xi, not the record."""
+    if isinstance(traj, ErrorTrajectory):
+        t, marks = traj.t, zip(traj.verr.swapaxes(0, 1), traj.terr.swapaxes(0, 1))
+    else:  # the (6, B) states' .T views have the layout of a collected record
+        t, states = traj
+        marks = ((e[:3].T, e[3:].T) for e in states)
+    # a start that overflows reads inf here until the flow names its mark
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, (verr, terr) in enumerate(marks):
+            sq = np.einsum("...i,...i->...", terr, terr)
+            V = lyapunov(verr, terr, gains)
+            if j == 0:
+                xi = np.empty((len(t), len(V)))
+                top, slack, monotone = sq, 1e-9 * np.maximum(1.0, V), np.ones(len(V), bool)
+            else:
+                np.maximum(top, sq, out=top)
+                monotone &= V - prev <= slack
+            prev = V
+            np.add(sq, np.einsum("...i,...i->...", verr, verr), out=xi[j])
+    conv = convergence_times(t, np.sqrt(xi, out=xi).T, threshold)
+    return conv, 1.0 - top / 4.0, monotone
+
+
+def error_flow(verr0, terr0, gains: ObserverGains, dt: float = 1e-3, duration: float = 10.0,
+               record_every: int = 1):
+    """The error dynamics from (B, 3) or (3,) starts as a flow of marks:
+    ``(t, states)``, the M mark times and a generator of the (6, B) error
+    states (``verr`` rows, then ``terr`` rows) at them, each a fresh array.
 
     These dynamics are the observer at rest (tilt ``e_z``, zero pivot rate,
     ``vel_meas = 0``, specific force ``g0 * e_z``) with ``vel_est = -verr``
-    and ``tilt_est = e_z - terr``, so the run is :func:`observer.run_observer`
+    and ``tilt_est = e_z - terr``, so the flow is :func:`observer.run_observer`
     on rest inputs: on Python floats for one start, on (B,) component arrays
     for a batch.  The tilt error moves along an exact rotation flow, so
     ``|e_z - terr|`` stays 1 to machine precision.
 
-    Raises ``ValueError`` on a non-finite start or one whose ``|e_z - terr|``
-    is not 1, and unless ``alpha * dt`` is below 2.785, RK4's real stability
-    limit (:func:`require_stable_step`).  The limit is necessary, not
-    sufficient: just under it the Lyapunov function can still rise along
-    some basin starts.  Also raises, before allocating anything, when the
-    step count or the record is over its cap (see :func:`step_count`,
-    :func:`record_marks`).  Raises ``RuntimeError`` naming the first
-    recorded step whose state is not finite when any start's run overflows,
-    such as one from a huge ``verr0``.
+    Every check runs here, before the first step.  Raises ``ValueError`` on
+    a non-finite start or one whose ``|e_z - terr|`` is not 1, and unless
+    ``alpha * dt`` is below 2.785, RK4's real stability limit
+    (:func:`require_stable_step`).  The limit is necessary, not sufficient:
+    just under it the Lyapunov function can still rise along some basin
+    starts.  Also raises when the step count or a record of the flow would
+    be over its cap (see :func:`step_count`, :func:`record_marks`).  The
+    generator raises ``RuntimeError`` naming the first mark whose state is
+    not finite when any start's run overflows, such as one from a huge
+    ``verr0``.
     """
     v = np.atleast_2d(np.asarray(verr0, dtype=float))
-    terr0 = np.asarray(terr0, dtype=float)
-    single = terr0.ndim == 1
-    u = EZ - np.atleast_2d(terr0)
+    u = EZ - np.atleast_2d(np.asarray(terr0, dtype=float))
     if v.shape != u.shape:
         raise ValueError("verr0 and terr0 shapes disagree")
     if not np.isfinite(v).all():
@@ -267,14 +272,20 @@ def integrate_error_ode(
     state0 = np.concatenate([-v, u], axis=1).T  # (6, B): (vel_est, tilt_est) components
     rest = repeat((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, gains.g0))
     # one start steps on floats: on (1,) arrays each step costs 50 times more
-    rec = run_observer(gains, dt, rest, state0[:, 0] if len(u) == 1 else state0, marks)
-    rec = rec.reshape(len(marks), 6, len(u))
-    np.negative(rec[:, :3], out=rec[:, :3])  # in place: the states become errors
-    np.subtract(EZ[:, None], rec[:, 3:], out=rec[:, 3:])
+    states = run_observer(gains, dt, rest, state0[:, 0] if len(u) == 1 else state0, marks)
+    return np.array(marks) * dt, (_ERROR_ORIGIN - s.reshape(6, -1) for s in states)
+
+
+def integrate_error_ode(verr0, terr0, gains: ObserverGains, dt: float = 1e-3,
+                        duration: float = 10.0, record_every: int = 1) -> ErrorTrajectory:
+    """:func:`error_flow` recorded: states (M, 3) for a (3,) start, (B, M, 3)
+    for (B, 3) starts.  Raises as the flow does."""
+    t, states = error_flow(verr0, terr0, gains, dt, duration, record_every)
+    rec = np.fromiter(states, dtype=(float, (6, len(np.atleast_2d(terr0)))), count=len(t))
     err = rec.transpose(2, 0, 1)  # (B, M, 6)
-    if single:
+    if np.ndim(terr0) == 1:
         err = err[0]
-    return ErrorTrajectory(t=np.array(marks) * dt, verr=err[..., :3], terr=err[..., 3:])
+    return ErrorTrajectory(t=t, verr=err[..., :3], terr=err[..., 3:])
 
 
 # basin starts are drawn below this share of the flipped equilibrium's V

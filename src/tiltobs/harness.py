@@ -436,7 +436,8 @@ def _run_on_scene(cfg: ExperimentConfig, scene: Scene, gains: ObserverGains, wal
     marks = record_marks(n_steps, cfg.decimation)
     # one list of 9-float rows converts faster than three lists of 3-float rows
     inputs = np.hstack([y1, x1, accel_robot]).tolist()
-    states = run_observer(gains, cfg.dt, inputs, np.concatenate([vel_hat0, tilt_hat0]), marks)
+    states = np.array(list(run_observer(gains, cfg.dt, inputs,
+                                        np.concatenate([vel_hat0, tilt_hat0]), marks)))
     wall_estimator = time.perf_counter()
 
     rows = np.array(marks)

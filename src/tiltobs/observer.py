@@ -21,6 +21,7 @@ below one is what makes the error dynamics contract around zero error.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -156,41 +157,40 @@ def step_floats(a, b, g, dt, wx, wy, wz, mx, my, mz, fx, fy, fz, vx, vy, vz, tx,
     )
 
 
-def run_observer(gains, dt, rows, state0, marks) -> np.ndarray:
-    """The one observer loop: :func:`step_floats` over ``rows`` of inputs,
-    recording the state at the step indices ``marks`` (ascending, from 0).
+def run_observer(gains, dt, rows, state0, marks):
+    """The one observer loop: a generator of the state at the step indices
+    ``marks`` (ascending, from 0), stepping :func:`step_floats` over ``rows``
+    of inputs in between.
 
     Each row holds the 9 inputs of one step: pivot rate, velocity
     measurement and robot-frame specific force (``mount_rot @ accel``).
     ``state0`` is ``(vel_est, tilt_est)``: a (6,) start steps on Python
     floats, a (6, B) one steps B observers at once on (B,) component arrays.
-    Returns the (M, 6) or (M, 6, B) states at the M marks.
+    Yields a fresh (6,) or (6, B) array at each mark, which the caller owns.
 
     Raises ``RuntimeError`` naming the first mark whose state is not finite,
     its time and ``alpha*dt``: a state that overflows ends in a math-domain
-    error inside the rotation on floats, or in inf and NaN on arrays.
+    error inside the rotation on floats, or in inf and NaN on arrays.  The
+    numpy error state is changed only while stepping, never across a yield.
     """
     a, b, g = gains.alpha, gains.beta, gains.g0
     state0 = np.asarray(state0, dtype=float)
-    out = np.full((len(marks), *state0.shape), np.nan)
-    if state0.ndim == 1:
-        s, step = tuple(state0.tolist()), step_floats
+    if state0.ndim == 1:  # no numpy in the step or the check: a few µs less a mark
+        s, step, quiet, finite = tuple(state0.tolist()), step_floats, nullcontext, math.isfinite
     else:
         s, step = tuple(state0), partial(step_floats, rotate=rotate_twice_arrays)
+        quiet, finite = partial(np.errstate, all="ignore"), lambda x: np.isfinite(x).all()
     rows = iter(rows)
     done = 0
-    with np.errstate(all="ignore"):
+    for mark in marks:
         try:
-            for j, mark in enumerate(marks):
+            with quiet():
                 for r in islice(rows, mark - done):
                     s = step(a, b, g, dt, *r, *s)
-                out[j] = s
-                done = mark
-        except (ValueError, OverflowError):
-            pass  # the rows from this mark on stay NaN
-    bad = ~np.isfinite(out.reshape(len(marks), -1)).all(axis=1)
-    if bad.any():
-        k = marks[int(bad.argmax())]
-        raise RuntimeError(f"estimator state diverged by step {k} (t = {k * dt:.6g} s) "
-                           f"at alpha*dt = {a * dt:.6g}")
-    return out
+        except (ValueError, OverflowError):  # a math-domain error on floats
+            s = (math.nan,)
+        if not all(map(finite, s)):
+            raise RuntimeError(f"estimator state diverged by step {mark} (t = {mark * dt:.6g} s) "
+                               f"at alpha*dt = {a * dt:.6g}")
+        done = mark
+        yield np.array(s)

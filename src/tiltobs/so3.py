@@ -50,12 +50,15 @@ def rodrigues_coefficients(t2: float):
 
 
 def rodrigues_coefficients_arrays(t2: np.ndarray):
-    """:func:`rodrigues_coefficients` on arrays, its branch as ``np.where``."""
+    """:func:`rodrigues_coefficients` on arrays: the closed form everywhere,
+    then the series where the angle is small, if it is anywhere."""
     small = t2 < SMALL_ANGLE * SMALL_ANGLE
     safe = np.where(small, 1.0, t2)
     t = np.sqrt(safe)
-    a = np.where(small, 1.0 - t2 / 6.0, np.sin(t) / t)
-    return a, np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(t)) / safe)
+    a, b = np.sin(t) / t, (1.0 - np.cos(t)) / safe
+    if small.any():
+        a, b = np.where(small, 1.0 - t2 / 6.0, a), np.where(small, 0.5 - t2 / 24.0, b)
+    return a, b
 
 
 def rotation_exp(w: np.ndarray) -> np.ndarray:

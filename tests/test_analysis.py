@@ -13,6 +13,7 @@ from tiltobs.analysis import (
     decay_rate,
     equilibria,
     error_field,
+    error_flow,
     exponential_bound,
     grade_batch,
     integrate_error_ode,
@@ -231,44 +232,69 @@ def decaying_record(n: int, m: int, seed: int) -> ErrorTrajectory:
     return ErrorTrajectory(t=t, verr=verr, terr=terr)
 
 
-def test_grade_batch_is_the_same_in_any_block_size(monkeypatch):
+def test_grade_batch_of_a_live_flow_is_its_record_graded():
+    # 150 starts, 1 s at 5 ms: some still above 1e-2 at the last mark
+    verr0, terr0 = on_manifold_samples(150, seed=4)
+    run = dict(dt=5e-3, duration=1.0, record_every=2)
+    live = grade_batch(error_flow(verr0, terr0, GAINS, **run), GAINS, 1e-2)
+    recorded = grade_batch(integrate_error_ode(verr0, terr0, GAINS, **run), GAINS, 1e-2)
+    for a, b in zip(live, recorded):
+        assert a.shape == (150,) and a.tobytes() == b.tobytes()
+    assert np.isinf(live[0]).any() and np.isfinite(live[0]).any()
+    # a hand-made record
     traj = decaying_record(150, 60, seed=4)
-    graded = []
-    for chunk in (1, 7, 150):
-        monkeypatch.setattr(analysis, "GRADE_CHUNK", chunk)
-        graded.append(grade_batch(traj, GAINS, 1e-2))
-    for got in graded[1:]:
-        for a, b in zip(graded[0], got):
-            assert a.shape == (150,) and np.array_equal(a, b)
-    conv, eps, monotone = graded[0]
+    conv, eps, monotone = grade_batch(traj, GAINS, 1e-2)
     assert np.isinf(conv).any() and np.isfinite(conv).any()
     xi = np.sqrt(np.sum(traj.verr**2 + traj.terr**2, axis=-1))
     assert np.array_equal(np.isinf(conv), xi[:, -1] >= 1e-2)
     assert_allclose(eps, 1.0 - np.max(np.sum(traj.terr**2, axis=-1), axis=1) / 4.0)
     assert monotone.all()
-    # a V rise at one record of start 148, in the last block of 7 (147-149)
+    # a V rise at one record of start 148
     traj.verr[148, 30, 0] += 10.0
-    monkeypatch.setattr(analysis, "GRADE_CHUNK", 7)
     assert np.flatnonzero(~grade_batch(traj, GAINS, 1e-2)[2]).tolist() == [148]
 
 
-def test_grade_batch_memory_stays_within_a_block():
-    # 512 starts at 1001 marks: a 24.6 MB record, whose grading in one
-    # block peaks at 1.5 times its size
-    rng = np.random.default_rng(0)
-    traj = ErrorTrajectory(
-        t=0.01 * np.arange(1001),
-        verr=rng.standard_normal((512, 1001, 3)),
-        terr=rng.standard_normal((512, 1001, 3)),
-    )
-    record = traj.verr.nbytes + traj.terr.nbytes
+def test_grading_a_live_flow_never_holds_its_record():
+    # 512 starts at 1001 marks: a record would be 24.6 MB
+    verr0, terr0 = on_manifold_samples(512, seed=5)
+    flow = error_flow(verr0, terr0, GAINS, dt=1e-2, duration=10.0)
+    record = len(flow[0]) * 6 * 512 * 8
     tracemalloc.start()
     try:
-        grade_batch(traj, GAINS, 1e-3)
+        grade_batch(flow, GAINS, 1e-3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert record > 24_000_000
     assert peak < record / 4
+
+
+def test_flow_leaves_the_numpy_error_state_alone():
+    verr0, terr0 = on_manifold_samples(4, seed=6)
+    with np.errstate(all="raise"):
+        caller = np.geterr()
+        t, states = error_flow(verr0, terr0, GAINS, duration=1.0, record_every=10)
+        for _ in range(3):  # marks 0, 10 and 20
+            next(states)
+            assert np.geterr() == caller
+        states.close()
+        assert np.geterr() == caller
+
+
+def test_flow_checks_its_input_at_call_time(monkeypatch):
+    started = []
+    monkeypatch.setattr(analysis, "run_observer", lambda *args: started.append(args))
+    verr0, terr0 = on_manifold_samples(3, seed=7)
+    for v, t, run, match in (
+        (verr0, 0.5 * terr0, {}, "off manifold"),
+        (np.full((3, 3), np.nan), terr0, {}, "finite"),
+        (verr0, terr0, {"dt": 0.2}, "alpha\\*dt"),
+        (verr0, terr0, {"duration": 1e4}, "step count"),
+        (np.zeros((9991, 3)), np.zeros((9991, 3)), {"record_every": 10}, "over the cap"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            error_flow(v, t, GAINS, **run)
+    assert started == []
 
 
 # --- direct integration ----------------------------------------------------
@@ -362,6 +388,10 @@ def test_integrator_overflow_is_reported_as_divergence():
     for v, t in ((verr0[0], np.zeros(3)), (verr0, np.zeros((2, 3)))):
         with pytest.raises(RuntimeError, match=r"diverged by step 10 \(t = 0\.01 s\)"):
             integrate_error_ode(v, t, GAINS, duration=0.1, record_every=10)
+    # and a live batch flow, graded as it runs
+    flow = error_flow(verr0, np.zeros((2, 3)), GAINS, duration=0.1, record_every=10)
+    with pytest.raises(RuntimeError, match=r"diverged by step 10 \(t = 0\.01 s\)"):
+        grade_batch(flow, GAINS, 1e-3)
 
 
 def test_integrator_rejects_steps_past_rk4_limit():

@@ -76,12 +76,25 @@ def test_analyze_report_facts(tmp_path, golden):
     assert 0.0 < quantiles[0] and quantiles[-1] <= float(report["basin_slowest_convergence_s"])
 
 
-def test_analyze_seed_7_matches_golden_digest(tmp_path, golden, monkeypatch):
-    # graded in 7 blocks of 3 starts, the last one partial
-    monkeypatch.setattr(tiltobs.analysis, "GRADE_CHUNK", 3)
+def test_analyze_seed_7_matches_golden_digest(tmp_path, golden):
     rc = main(["analyze", "--out", str(tmp_path), "--basin-samples", "20", "--seed", "7"])
     assert rc == 0
     golden("analyze seed 7: analysis.txt", tmp_path / "analysis.txt")
+
+
+def test_analyze_never_holds_the_basin_record(tmp_path):
+    # 200 starts at 1001 marks, one every 10 ms step: a record would be 9.6 MB
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text("dt = 0.01\ndecimation = 1\n")
+    tracemalloc.start()
+    try:
+        rc = main(["analyze", "--config", str(cfg), "--out", str(tmp_path),
+                   "--basin-samples", "200"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 4_000_000
 
 
 def test_analyze_huge_basin_fails_cleanly(tmp_path, capsys):

@@ -110,7 +110,7 @@ def test_tilt_norm_preserved_over_many_steps():
     n = 20_000
     rows = repeat((0.3, -0.4, 0.2, 0.1, 0.2, -0.1, 0.0, 0.5, 9.81), n)
     state0 = [*rng.standard_normal(3), 0.6, 0.0, 0.8]
-    states = run_observer(g, 1e-3, rows, state0, [0, n // 2, n])
+    states = np.array(list(run_observer(g, 1e-3, rows, state0, [0, n // 2, n])))
     assert states.shape == (3, 6)
     assert abs(np.linalg.norm(states[-1, 3:]) - 1.0) < 1e-12
 
@@ -124,7 +124,7 @@ def test_static_world_convergence():
     n = 4000
     rows = repeat((0.0,) * 6 + (*(g.g0 * tilt_true).tolist(),), n)
     tilt0 = np.array([0.5, -0.5, 0.5]) / np.linalg.norm([0.5, -0.5, 0.5])
-    states = run_observer(g, 1e-3, rows, [0.0, 0.0, 0.0, *tilt0], [0, n])
+    states = np.array(list(run_observer(g, 1e-3, rows, [0.0, 0.0, 0.0, *tilt0], [0, n])))
     assert np.linalg.norm(states[-1, 3:] - tilt_true) < 1e-6
     assert np.linalg.norm(states[-1, :3]) < 1e-6
 
@@ -139,7 +139,7 @@ def test_run_observer_is_the_step_repeated():
     rows = np.hstack([rate, vel_meas, accel]).tolist()
     s = (*rng.standard_normal(3).tolist(), 0.6, 0.0, 0.8)
     marks = [0, 1, 2, 7, 50, 51, 199, 200]
-    states = run_observer(g, 1e-3, rows, s, marks)
+    states = np.array(list(run_observer(g, 1e-3, rows, s, marks)))
     assert states.shape == (len(marks), 6)
     assert states[0].tolist() == list(s)
     for k in range(n):
@@ -157,12 +157,12 @@ def test_run_observer_overflow_names_the_step():
     row = (0.3, -0.4, 0.2, 0.0, 0.0, 0.0, 0.0, 0.5, 9.81)
     state0 = [1.0, 1.0, 1.0, *EZ]
     with pytest.raises(RuntimeError, match=r"diverged by step \d+ \(t = ") as info:
-        run_observer(g, 1e-3, repeat(row, n), state0, list(range(n + 1)))
+        list(run_observer(g, 1e-3, repeat(row, n), state0, list(range(n + 1))))
     first_bad = int(re.search(r"step (\d+)", str(info.value))[1])
     assert 0 < first_bad < n
     every_10th = list(range(0, n + 1, 10))
     with pytest.raises(RuntimeError, match=rf"diverged by step {-(-first_bad // 10) * 10} "):
-        run_observer(g, 1e-3, repeat(row, n), state0, every_10th)
+        list(run_observer(g, 1e-3, repeat(row, n), state0, every_10th))
 
 
 def test_run_observer_batch_is_single_runs_column_by_column():
@@ -179,10 +179,10 @@ def test_run_observer_batch_is_single_runs_column_by_column():
     tilt0 /= np.linalg.norm(tilt0, axis=0)
     state0 = np.vstack([rng.standard_normal((3, n_obs)), tilt0])
     marks = list(range(0, n + 1, 30))
-    batch = run_observer(g, 1e-3, rows, state0, marks)
+    batch = np.array(list(run_observer(g, 1e-3, rows, state0, marks)))
     assert batch.shape == (len(marks), 6, n_obs)
     for i in range(n_obs):
-        single = run_observer(g, 1e-3, rows, state0[:, i], marks)
+        single = np.array(list(run_observer(g, 1e-3, rows, state0[:, i], marks)))
         assert np.abs(batch[:, :, i] - single).max() <= 1e-14
 
 
