@@ -203,8 +203,9 @@ class ErrorTrajectory:
 
 
 def grade_batch(traj, gains: ObserverGains, threshold: float):
-    """Grade a batch mark by mark: ``traj`` is a (B, M, 3)
-    :class:`ErrorTrajectory` or an :func:`error_flow`, graded as it runs.
+    """Grade a batch mark by mark: ``traj`` is an :func:`error_flow`, graded
+    as it runs, or an :class:`ErrorTrajectory` record, (B, M, 3) or, for
+    one start, (M, 3), graded as a batch of one.
 
     Returns three (B,) vectors: the time from which
     xi = sqrt(|verr|^2 + |terr|^2) stays below ``threshold`` (inf if it is
@@ -212,7 +213,8 @@ def grade_batch(traj, gains: ObserverGains, threshold: float):
     and whether V never rises by over 1e-9 * max(1, V[0]).  Holds one (M, B)
     buffer of xi, not the record."""
     if isinstance(traj, ErrorTrajectory):
-        t, marks = traj.t, zip(traj.verr.swapaxes(0, 1), traj.terr.swapaxes(0, 1))
+        t = traj.t
+        marks = zip(*(x.reshape(-1, len(t), 3).swapaxes(0, 1) for x in (traj.verr, traj.terr)))
     else:  # the (6, B) states' .T views have the layout of a collected record
         t, states = traj
         marks = ((e[:3].T, e[3:].T) for e in states)

@@ -90,14 +90,14 @@ def observer_derivative(
     return vel_dot, omega_eff
 
 
-def step_floats(a, b, g, dt, wx, wy, wz, mx, my, mz, fx, fy, fz, vx, vy, vz, tx, ty, tz,
-                rotate=rotate_twice):
-    """Advance the observer one step on Python floats.
+def step_floats(a, b, g, dt, rows, state, rotate=rotate_twice):
+    """Advance the observer over a block of steps, in scalar arithmetic.
 
-    Takes the gains ``a, b, g`` (alpha, beta, g0), the step ``dt``, the pivot
-    rate ``w``, the velocity-type measurement ``m``, the specific force in the
-    robot frame ``f`` (``mount_rot @ accel``) and the state ``v``, ``t``;
-    returns the new ``(vx, vy, vz, tx, ty, tz)``.  Measurements are held
+    Takes the gains ``a, b, g`` (alpha, beta, g0), the step ``dt``, an
+    iterable of ``rows`` and the state ``(vx, vy, vz, tx, ty, tz)``; returns
+    the state after one step per row.  Each row holds the 9 inputs of one
+    step: the pivot rate ``w``, the velocity-type measurement ``m`` and the
+    specific force in the robot frame ``f`` (``mount_rot @ accel``), held
     over [t, t+dt].
 
     The tilt estimate moves along the exact rotation flow of the effective
@@ -109,58 +109,60 @@ def step_floats(a, b, g, dt, wx, wy, wz, mx, my, mz, fx, fy, fz, vx, vy, vz, tx,
     interval, and comparing them with the start-of-step estimate would leak a
     spurious rate proportional to dt times the measurement slope.
 
-    The body is spelled out in scalar arithmetic: a 10 s run at 1 ms steps
-    takes 10^4 of these and numpy dispatch on 3-vectors would dominate the
-    cost.  ``observer_derivative`` is the readable reference the tests check.
+    The body is spelled out in scalar arithmetic and loops over the rows
+    itself: a 10 s run at 1 ms steps is 10^4 steps, and numpy dispatch on
+    3-vectors or a Python call per step would dominate the cost.
+    ``observer_derivative`` is the readable reference the tests check.
 
-    One :func:`.so3.rotate_twice` call gives the tilt at the half and the
-    full step from one sin/cos evaluation.  With ``rotate=rotate_twice_arrays``
-    the body steps B observers at once: any argument may be a (B,) array,
-    per-row gains included, and the result holds (B,) arrays.
+    One :func:`.so3.rotate_twice` call a step gives the tilt at the half and
+    the full step from one sin/cos evaluation.  With
+    ``rotate=rotate_twice_arrays`` the body steps B observers at once: any
+    gain, state or row value may be a (B,) array, and the result holds (B,)
+    arrays.
     """
-    # constant part of the velocity dynamics over the step; each stage below
-    # is -pivot_rate x vel - a*vel + g*tilt + const
-    cx = a * mx - fx
-    cy = a * my - fy
-    cz = a * mz - fz
+    vx, vy, vz, tx, ty, tz = state
     h = 0.5 * dt
-    k1x = cx - (wy * vz - wz * vy) - a * vx + g * tx
-    k1y = cy - (wz * vx - wx * vz) - a * vy + g * ty
-    k1z = cz - (wx * vy - wy * vx) - a * vz + g * tz
-    px, py, pz = vx + h * k1x, vy + h * k1y, vz + h * k1z  # half-step prediction
-    ix, iy, iz = mx - px, my - py, mz - pz
-    ex = wx - b * (ty * iz - tz * iy)
-    ey = wy - b * (tz * ix - tx * iz)
-    ez = wz - b * (tx * iy - ty * ix)
-
-    rx, ry, rz = -h * ex, -h * ey, -h * ez  # half-step rotation vector
-    hx, hy, hz, ux, uy, uz = rotate(rx, ry, rz, tx, ty, tz)
-
-    gx, gy, gz = g * hx, g * hy, g * hz
-    k2x = cx - (wy * pz - wz * py) - a * px + gx
-    k2y = cy - (wz * px - wx * pz) - a * py + gy
-    k2z = cz - (wx * py - wy * px) - a * pz + gz
-    px, py, pz = vx + h * k2x, vy + h * k2y, vz + h * k2z
-    k3x = cx - (wy * pz - wz * py) - a * px + gx
-    k3y = cy - (wz * px - wx * pz) - a * py + gy
-    k3z = cz - (wx * py - wy * px) - a * pz + gz
-    px, py, pz = vx + dt * k3x, vy + dt * k3y, vz + dt * k3z
-    k4x = cx - (wy * pz - wz * py) - a * px + g * ux
-    k4y = cy - (wz * px - wx * pz) - a * py + g * uy
-    k4z = cz - (wx * py - wy * px) - a * pz + g * uz
     s = dt / 6.0
-    return (
-        vx + s * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-        vy + s * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
-        vz + s * (k1z + 2.0 * k2z + 2.0 * k3z + k4z),
-        ux, uy, uz,
-    )
+    for wx, wy, wz, mx, my, mz, fx, fy, fz in rows:
+        # constant part of the velocity dynamics over the step; each stage
+        # below is -pivot_rate x vel - a*vel + g*tilt + const
+        cx = a * mx - fx
+        cy = a * my - fy
+        cz = a * mz - fz
+        k1x = cx - (wy * vz - wz * vy) - a * vx + g * tx
+        k1y = cy - (wz * vx - wx * vz) - a * vy + g * ty
+        k1z = cz - (wx * vy - wy * vx) - a * vz + g * tz
+        px, py, pz = vx + h * k1x, vy + h * k1y, vz + h * k1z  # half-step prediction
+        ix, iy, iz = mx - px, my - py, mz - pz
+        ex = wx - b * (ty * iz - tz * iy)
+        ey = wy - b * (tz * ix - tx * iz)
+        ez = wz - b * (tx * iy - ty * ix)
+
+        # the tilt at the half and the full step: rotation vector -h * e
+        hx, hy, hz, tx, ty, tz = rotate(-h * ex, -h * ey, -h * ez, tx, ty, tz)
+
+        gx, gy, gz = g * hx, g * hy, g * hz
+        k2x = cx - (wy * pz - wz * py) - a * px + gx
+        k2y = cy - (wz * px - wx * pz) - a * py + gy
+        k2z = cz - (wx * py - wy * px) - a * pz + gz
+        px, py, pz = vx + h * k2x, vy + h * k2y, vz + h * k2z
+        k3x = cx - (wy * pz - wz * py) - a * px + gx
+        k3y = cy - (wz * px - wx * pz) - a * py + gy
+        k3z = cz - (wx * py - wy * px) - a * pz + gz
+        px, py, pz = vx + dt * k3x, vy + dt * k3y, vz + dt * k3z
+        k4x = cx - (wy * pz - wz * py) - a * px + g * tx
+        k4y = cy - (wz * px - wx * pz) - a * py + g * ty
+        k4z = cz - (wx * py - wy * px) - a * pz + g * tz
+        vx = vx + s * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        vy = vy + s * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        vz = vz + s * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+    return vx, vy, vz, tx, ty, tz
 
 
 def run_observer(gains, dt, rows, state0, marks):
     """The one observer loop: a generator of the state at the step indices
-    ``marks`` (ascending, from 0), stepping :func:`step_floats` over ``rows``
-    of inputs in between.
+    ``marks`` (ascending, from 0), one :func:`step_floats` call over the
+    ``rows`` of inputs in between each.
 
     Each row holds the 9 inputs of one step: pivot rate, velocity
     measurement and robot-frame specific force (``mount_rot @ accel``).
@@ -185,8 +187,7 @@ def run_observer(gains, dt, rows, state0, marks):
     for mark in marks:
         try:
             with quiet():
-                for r in islice(rows, mark - done):
-                    s = step(a, b, g, dt, *r, *s)
+                s = step(a, b, g, dt, islice(rows, mark - done), s)
         except (ValueError, OverflowError):  # a math-domain error on floats
             s = (math.nan,)
         if not all(map(finite, s)):

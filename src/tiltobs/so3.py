@@ -82,27 +82,23 @@ def rotation_exp_increment(w: np.ndarray) -> np.ndarray:
     return a[..., None, None] * W + b[..., None, None] * (W @ W)
 
 
-def _apply(a, b, t2, wx, wy, wz, vx, vy, vz):
-    """Rotate v by w given the coefficients ``a, b`` of ``t2 = |w|^2``."""
-    cx = wy * vz - wz * vy
-    cy = wz * vx - wx * vz
-    cz = wx * vy - wy * vx
-    d = wx * vx + wy * vy + wz * vz
-    # w x (w x v) = w (w . v) - v (w . w)
-    return (
-        vx + a * cx + b * (d * wx - t2 * vx),
-        vy + a * cy + b * (d * wy - t2 * vy),
-        vz + a * cz + b * (d * wz - t2 * vz),
-    )
-
-
 def rotate_twice(wx, wy, wz, vx, vy, vz, coefficients=rodrigues_coefficients):
     """``R v`` and ``R R v`` for R the rotation by the rotation vector w, as
     ``(hx, hy, hz, ux, uy, uz)``, from one evaluation of the coefficients."""
     t2 = wx * wx + wy * wy + wz * wz
     a, b = coefficients(t2)
-    hx, hy, hz = _apply(a, b, t2, wx, wy, wz, vx, vy, vz)
-    return (hx, hy, hz, *_apply(a, b, t2, wx, wy, wz, hx, hy, hz))
+    # R v = v + a (w x v) + b (w x (w x v)), and w x (w x v) = w (w . v) - v (w . w)
+    d = wx * vx + wy * vy + wz * vz
+    hx = vx + a * (wy * vz - wz * vy) + b * (d * wx - t2 * vx)
+    hy = vy + a * (wz * vx - wx * vz) + b * (d * wy - t2 * vy)
+    hz = vz + a * (wx * vy - wy * vx) + b * (d * wz - t2 * vz)
+    d = wx * hx + wy * hy + wz * hz
+    return (
+        hx, hy, hz,
+        hx + a * (wy * hz - wz * hy) + b * (d * wx - t2 * hx),
+        hy + a * (wz * hx - wx * hz) + b * (d * wy - t2 * hy),
+        hz + a * (wx * hy - wy * hx) + b * (d * wz - t2 * hz),
+    )
 
 
 # the same on (B,) component arrays

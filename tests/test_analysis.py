@@ -254,6 +254,18 @@ def test_grade_batch_of_a_live_flow_is_its_record_graded():
     assert np.flatnonzero(~grade_batch(traj, GAINS, 1e-2)[2]).tolist() == [148]
 
 
+def test_grade_batch_of_one_start_record_is_a_batch_of_one():
+    # a (3,) start records (M, 3) states: graded as its flow is, with (1,) vectors
+    verr0, terr0 = on_manifold_samples(1, seed=6)
+    run = dict(dt=5e-3, duration=1.0, record_every=2)
+    traj = integrate_error_ode(verr0[0], terr0[0], GAINS, **run)
+    assert traj.verr.shape == (len(traj.t), 3)
+    recorded = grade_batch(traj, GAINS, 1e-2)
+    live = grade_batch(error_flow(verr0[0], terr0[0], GAINS, **run), GAINS, 1e-2)
+    for a, b in zip(recorded, live):
+        assert a.shape == (1,) and a.tobytes() == b.tobytes()
+
+
 def test_grading_a_live_flow_never_holds_its_record():
     # 512 starts at 1001 marks: a record would be 24.6 MB
     verr0, terr0 = on_manifold_samples(512, seed=5)

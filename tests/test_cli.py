@@ -262,6 +262,17 @@ def test_error_ode_explicit_start(tmp_path, golden):
     assert np.linalg.norm(np.array([0, 0, 1.0]) - terr) == pytest.approx(1.0)
 
 
+def test_error_ode_dyadic_step_matches_golden_digest(tmp_path, golden):
+    # a power-of-two step makes every mark time an exact dyadic, whose
+    # 9-digit form pads with zeros (0.5078125 is "0.50781250")
+    rc = main(["error-ode", "--out", str(tmp_path), "--dt", "0.0009765625", "--duration", "1"])
+    assert rc == 0
+    golden("error-ode dyadic step: error_ode.csv", tmp_path / "error_ode.csv")
+    lines = (tmp_path / "error_ode.csv").read_text().splitlines()
+    assert lines[1].startswith("0.00000000,") and lines[-1].startswith("1.00000000,")
+    assert any(line.startswith("0.50781250,") for line in lines)
+
+
 def test_error_ode_degenerate_start_fails_cleanly(tmp_path, capsys):
     rc = main(["error-ode", "--out", str(tmp_path), "--terr0", "0,0,1"])
     assert rc == 1

@@ -29,6 +29,7 @@ from tiltobs.harness import (
     build_scene,
     config_gains,
     config_text,
+    csv_cell,
     emit_csv,
     format_number,
     load_config,
@@ -305,6 +306,44 @@ def test_format_number_examples():
     assert format_number(-123456789.0) == "-123456789"
     tiny = format_number(1e-12)
     assert "e" not in tiny and float(tiny) == 1e-12
+
+
+# where printf's 9 digits and Dragon4's could part: zeros, the smallest
+# subnormal, both neighbours of each power of ten, carries, exact dyadics
+# (0.5 is "0.50000000"), a half-way tie and values at or past 1e9
+POWERS_OF_TEN = [float(f"1e{k}") for k in range(-20, 12)]
+ADVERSARIAL_NUMBERS = [
+    0.0, 5e-324,
+    *POWERS_OF_TEN,
+    *(math.nextafter(p, 0.0) for p in POWERS_OF_TEN),
+    *(math.nextafter(p, math.inf) for p in POWERS_OF_TEN),
+    0.1234567897, 99999999.95, 123456788.5, 123456789.5,
+    0.5, 0.0625, 0.0009765625, 1.0, 2.0,
+    0.0001220703125,
+    999999999.5, 1e9, 1.5e9, 1e15, 1.7976931348623157e308,
+]
+
+
+def test_csv_number_path_is_format_number_on_adversarial_values():
+    assert csv_cell(-0.0) == format_number(-0.0) == "0.00000000"
+    wrong = [(x, csv_cell(x), format_number(x))
+             for v in ADVERSARIAL_NUMBERS for x in (v, -v) if csv_cell(x) != format_number(x)]
+    assert wrong == []
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                 st.floats(min_value=-1e9, max_value=1e9)))
+def test_csv_number_path_is_format_number(x):
+    assert csv_cell(x) == format_number(x)
+
+
+def test_csv_cell_fields():
+    assert csv_cell(None) == ""
+    assert csv_cell("rejected") == "rejected"
+    assert csv_cell(math.inf) == format_number(math.inf) == "inf"
+    assert csv_cell(math.nan) == format_number(math.nan) == "nan"
+    assert csv_cell(np.float64(0.5)) == csv_cell(0.5) == "0.50000000"
 
 
 def test_csv_header_only_and_single_row(tmp_path):

@@ -77,8 +77,8 @@ def test_step_fixed_point():
     g = make_gains(19.8, 10.0)
     Rc = rotation_exp(np.array([0.3, -0.2, 0.5]))
     tilt = Rc.T @ EZ
-    nxt = step_floats(g.alpha, g.beta, g.g0, 1e-3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-                      *(g.g0 * tilt).tolist(), 0.0, 0.0, 0.0, *tilt.tolist())
+    nxt = step_floats(g.alpha, g.beta, g.g0, 1e-3, [(0.0,) * 6 + (*(g.g0 * tilt).tolist(),)],
+                      (0.0, 0.0, 0.0, *tilt.tolist()))
     assert_allclose(nxt[:3], np.zeros(3), atol=1e-15)
     assert_allclose(nxt[3:], tilt, atol=1e-15)
 
@@ -97,8 +97,9 @@ def test_step_matches_derivative_to_first_order():
             vel_est, tilt_est, g, rate, vel_meas, accel, mount_rot
         )
         dt = 1e-6
-        nxt = step_floats(g.alpha, g.beta, g.g0, dt, *rate.tolist(), *vel_meas.tolist(),
-                          *(mount_rot @ accel).tolist(), *vel_est.tolist(), *tilt_est.tolist())
+        row = (*rate.tolist(), *vel_meas.tolist(), *(mount_rot @ accel).tolist())
+        nxt = step_floats(g.alpha, g.beta, g.g0, dt, [row],
+                          (*vel_est.tolist(), *tilt_est.tolist()))
         assert_allclose(nxt[:3], vel_est + dt * dvel, atol=1e-8)
         dtilt = -np.cross(omega_eff, tilt_est)
         assert_allclose(nxt[3:], tilt_est + dt * dtilt, atol=1e-8)
@@ -143,9 +144,41 @@ def test_run_observer_is_the_step_repeated():
     assert states.shape == (len(marks), 6)
     assert states[0].tolist() == list(s)
     for k in range(n):
-        s = step_floats(g.alpha, g.beta, g.g0, 1e-3, *rows[k], *s)
+        s = step_floats(g.alpha, g.beta, g.g0, 1e-3, [rows[k]], s)
         if k + 1 in marks:
             assert states[marks.index(k + 1)].tolist() == list(s)
+
+
+@pytest.mark.parametrize("batch", [None, 4])
+def test_step_over_a_block_is_the_one_row_steps_repeated(batch):
+    # one call over n rows gives, bit for bit, what n one-row calls give: on
+    # floats, and on (B,) arrays with each observer's own gains and inputs
+    rng = np.random.default_rng(16)
+    n, dt, g0 = 60, 1e-3, 9.81
+    shape = () if batch is None else (batch,)
+    a = rng.uniform(5.0, 30.0, shape)
+    b = rng.uniform(0.1, 0.9, shape) * a * a / g0
+    rows = np.concatenate([
+        0.5 * rng.standard_normal((n, 3) + shape),
+        0.2 * rng.standard_normal((n, 3) + shape),
+        g0 * EZ.reshape((3,) + (1,) * len(shape)) + rng.standard_normal((n, 3) + shape),
+    ], axis=1)
+    tilt0 = rng.standard_normal((3,) + shape)
+    tilt0 /= np.linalg.norm(tilt0, axis=0)
+    state0 = np.concatenate([rng.standard_normal((3,) + shape), tilt0])
+    rotate = rotate_twice if batch is None else rotate_twice_arrays
+    if batch is None:
+        a, b, rows, state0 = float(a), float(b), rows.tolist(), tuple(state0.tolist())
+    else:
+        rows, state0 = [tuple(r) for r in rows], tuple(state0)
+    s = state0
+    for row in rows:
+        s = step_floats(a, b, g0, dt, [row], s, rotate=rotate)
+    block = step_floats(a, b, g0, dt, rows, state0, rotate=rotate)
+    assert np.array_equal(np.array(block), np.array(s))
+    assert all(np.shape(x) == shape for x in block)
+    # an empty block leaves the state as it is
+    assert step_floats(a, b, g0, dt, [], state0, rotate=rotate) == state0
 
 
 def test_run_observer_overflow_names_the_step():
@@ -199,10 +232,12 @@ def test_step_evaluates_the_rotation_once(batch):
     s = (0.1, -0.2, 0.3, 0.6, 0.0, 0.8)
     if batch is not None:
         s = tuple(np.full(batch, x) for x in s)
+    row = (0.3, -0.4, 0.2, 0.1, 0.2, -0.1, 0.0, 0.5, 9.81)
     for k in range(5):
-        s = step_floats(g.alpha, g.beta, g.g0, 1e-3, 0.3, -0.4, 0.2, 0.1, 0.2, -0.1,
-                        0.0, 0.5, 9.81, *s, rotate=counting)
+        s = step_floats(g.alpha, g.beta, g.g0, 1e-3, [row], s, rotate=counting)
         assert len(calls) == k + 1
+    s = step_floats(g.alpha, g.beta, g.g0, 1e-3, repeat(row, 5), s, rotate=counting)
+    assert len(calls) == 10
     assert all(np.shape(x) == (() if batch is None else (batch,)) for x in s)
 
 
@@ -221,11 +256,11 @@ def test_step_on_arrays_matches_float_path_on_a_moving_scene():
     s = (*rng.standard_normal((3, n_obs)), *tilt0)
     rows = np.array(s).T.tolist()
     for k in range(n):
-        s = step_floats(a, b, g0, dt, *rate[k], *vel_meas[k], *force[k], *s,
+        s = step_floats(a, b, g0, dt, [(*rate[k], *vel_meas[k], *force[k])], s,
                         rotate=rotate_twice_arrays)
         rows = [
-            step_floats(a[i], b[i], g0, dt, *rate[k, :, i].tolist(),
-                        *vel_meas[k, :, i].tolist(), *force[k, :, i].tolist(), *rows[i])
+            step_floats(a[i], b[i], g0, dt, [(*rate[k, :, i].tolist(),
+                        *vel_meas[k, :, i].tolist(), *force[k, :, i].tolist())], rows[i])
             for i in range(n_obs)
         ]
         assert np.abs(np.array(s).T - np.array(rows)).max() <= 1e-14
