@@ -47,8 +47,8 @@ RK4_REAL_LIMIT = 2.785
 MAX_STEPS = 10**6
 
 # the most float64 values one error-ODE record may hold (480 MB): 10^4 basin
-# starts at 1001 records each.  `analyze` holds no record: at 9990 starts it
-# peaks near 137 MB, 80 MB of them its (1001, 9990) buffer of error norms.
+# starts at 1001 records each.  `analyze` holds no record, and grades in (B,)
+# vectors: at 9990 starts it peaks near 45 MB, `error-ode` near 31 MB.
 MAX_RECORD_VALUES = 6 * 10**7
 
 
@@ -179,18 +179,19 @@ def decay_rate(eps: float, gains: ObserverGains) -> float:
 
 
 def convergence_times(t: np.ndarray, err_norms: np.ndarray, threshold: float) -> np.ndarray:
-    """First time after which ``err_norms`` stays below ``threshold``, per
-    trajectory: ``err_norms`` is (..., M) over the M times ``t``.
-
-    Gives ``t[0]`` where it never reaches the threshold, ``inf`` where it
-    is still at or above it at the final sample.
-    """
-    t = np.asarray(t, dtype=float)
+    """First time after which ``err_norms``, (..., M) over the M times ``t``,
+    stays below ``threshold``: ``t[0]`` where it never reaches it, ``inf``
+    where it is still at or above it at the final sample."""
     above = np.asarray(err_norms, dtype=float) >= threshold
-    m = above.shape[-1]
-    # the sample after the last one at or above the threshold (0 if none)
-    after = np.where(above.any(axis=-1), m - np.argmax(above[..., ::-1], axis=-1), 0)
-    return np.where(after < m, t[np.minimum(after, m - 1)], np.inf)
+    return _time_after(t, np.where(above, np.arange(above.shape[-1]), -1).max(axis=-1))
+
+
+def _time_after(t, last):
+    """The convergence rule on ``last``, each trajectory's last mark at or above
+    the threshold (-1 if none): the time of the next mark, inf if there is none."""
+    t = np.asarray(t, dtype=float)
+    after = np.asarray(last) + 1
+    return np.where(after < len(t), t[np.minimum(after, len(t) - 1)], np.inf)
 
 
 @dataclass
@@ -210,8 +211,8 @@ def grade_batch(traj, gains: ObserverGains, threshold: float):
     Returns three (B,) vectors: the time from which
     xi = sqrt(|verr|^2 + |terr|^2) stays below ``threshold`` (inf if it is
     still at or above it at the last mark), the margin 1 - max |terr|^2 / 4,
-    and whether V never rises by over 1e-9 * max(1, V[0]).  Holds one (M, B)
-    buffer of xi, not the record."""
+    and whether V never rises by over 1e-9 * max(1, V[0]).  Holds (B,)
+    vectors only, such as each start's last mark at or above ``threshold``."""
     if isinstance(traj, ErrorTrajectory):
         t = traj.t
         marks = zip(*(x.reshape(-1, len(t), 3).swapaxes(0, 1) for x in (traj.verr, traj.terr)))
@@ -224,15 +225,14 @@ def grade_batch(traj, gains: ObserverGains, threshold: float):
             sq = np.einsum("...i,...i->...", terr, terr)
             V = lyapunov(verr, terr, gains)
             if j == 0:
-                xi = np.empty((len(t), len(V)))
+                last = np.full(len(V), -1)
                 top, slack, monotone = sq, 1e-9 * np.maximum(1.0, V), np.ones(len(V), bool)
             else:
                 np.maximum(top, sq, out=top)
                 monotone &= V - prev <= slack
             prev = V
-            np.add(sq, np.einsum("...i,...i->...", verr, verr), out=xi[j])
-    conv = convergence_times(t, np.sqrt(xi, out=xi).T, threshold)
-    return conv, 1.0 - top / 4.0, monotone
+            last[np.sqrt(sq + np.einsum("...i,...i->...", verr, verr)) >= threshold] = j
+    return _time_after(t, last), 1.0 - top / 4.0, monotone
 
 
 def error_flow(verr0, terr0, gains: ObserverGains, dt: float = 1e-3, duration: float = 10.0,

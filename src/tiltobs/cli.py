@@ -20,6 +20,7 @@ import argparse
 import math
 import sys
 from collections import Counter
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -215,18 +216,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Load the config, apply ``--seed``, make ``--out``, run the command, then
-    save ``effective.cfg``: a run that fails saves nothing."""
+    save ``effective.cfg``: a failed run saves nothing, and removes the ``--out``
+    levels it made while they are empty."""
     args = build_parser().parse_args(argv)
+    out, made = Path(args.out), []
     try:
         cfg = (harness.ExperimentConfig() if args.config is None
                else harness.load_config(args.config))
         if args.seed is not None:
             cfg.seed = args.seed
-        out = Path(args.out)
+        made = [p for p in (out, *out.parents) if not p.exists()]  # deepest first
         out.mkdir(parents=True, exist_ok=True)
         summary = args.handler(cfg, args, out)
         harness.save_config(cfg, out / harness.EFFECTIVE_CONFIG)
     except (ValueError, RuntimeError, OSError) as exc:
+        for path in made:  # rmdir refuses a directory that is not empty
+            with suppress(OSError):
+                path.rmdir()
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(summary)

@@ -220,6 +220,24 @@ def test_convergence_times_grade_rows_by_the_stays_below_rule():
     assert convergence_times(t, rows.reshape(2, 2, 6), 1.0).shape == (2, 2)
 
 
+def test_convergence_rule_edge_cases_grade_alike_on_both_paths():
+    # xi = |verr_x| exactly, threshold 1
+    xi = np.array([
+        [0.5, 0.5, 0.5, 0.5, 0.5],  # never at or above it: t[0]
+        [2.0, 0.5, 0.5, 0.5, 0.5],  # at or above it at mark 0 only
+        [0.5, 0.5, 0.5, 0.5, 1.0],  # exactly at it at the last mark: still not converged
+        [2.0, np.nan, 0.5, 0.5, 0.5],  # a NaN reads as below
+        [2.0, 3.0, 1.5, 0.2, 0.1],  # above, then below for good
+    ])
+    verr = np.zeros(xi.shape + (3,))
+    verr[..., 0] = xi
+    traj = ErrorTrajectory(t=0.5 * np.arange(5), verr=verr, terr=np.zeros_like(verr))
+    norms = np.sqrt(np.sum(traj.verr**2, axis=-1) + np.sum(traj.terr**2, axis=-1))
+    expected = convergence_times(traj.t, norms, 1.0)
+    assert expected.tolist() == [0.0, 0.5, np.inf, 0.5, 1.5]
+    assert grade_batch(traj, GAINS, 1.0)[0].tobytes() == expected.tobytes()
+
+
 def decaying_record(n: int, m: int, seed: int) -> ErrorTrajectory:
     """Hand-built batch record: each start's errors shrink by exp(-k t) along
     fixed directions, so xi falls and V strictly decreases, at rates k that
@@ -279,6 +297,26 @@ def test_grading_a_live_flow_never_holds_its_record():
         tracemalloc.stop()
     assert record > 24_000_000
     assert peak < record / 4
+
+
+def test_grading_memory_does_not_grow_with_the_mark_count():
+    # 256 starts at 1001 and at 4001 marks, 10 ms apart: an (M, B) buffer of
+    # xi would grow from 2 MB to 8 MB.  The flow is a hand-made one of
+    # error_flow's shape, decaying errors at fresh (6, B) arrays, as tracing
+    # 5000 live observer steps would take 15 s
+    rng = np.random.default_rng(8)
+    start, rate = rng.standard_normal((6, 256)), rng.uniform(0.2, 3.0, 256)
+    peaks = []
+    for m in (1001, 4001):
+        t = 1e-2 * np.arange(m)
+        tracemalloc.start()
+        try:
+            conv = grade_batch((t, (start * np.exp(-rate * s) for s in t)), GAINS, 1e-3)[0]
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(conv).any() and (conv > 0.0).all()
+    assert abs(peaks[1] - peaks[0]) < 20_000, peaks
 
 
 def test_flow_leaves_the_numpy_error_state_alone():

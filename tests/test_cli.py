@@ -315,7 +315,25 @@ def test_analyze_step_past_rk4_limit_fails_before_the_basin(tmp_path, capsys, mo
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: dt = 0.001 ")
     assert "alpha*dt = 3.0 " in err[0]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+def test_failed_run_removes_only_the_out_levels_it_made(tmp_path, capsys):
+    # an existing --out, empty or not, outlives a failed run; levels the run
+    # made below it go, deepest first
+    cfg_path = tmp_path / "stiff.cfg"
+    cfg_path.write_text("gains.alpha = 3000\n")
+    kept, empty = tmp_path / "kept", tmp_path / "empty"
+    kept.mkdir()
+    empty.mkdir()
+    (kept / "notes.txt").write_text("mine\n")
+    for out in (kept, kept / "a" / "b", empty):
+        argv = ["analyze", "--config", str(cfg_path), "--out", str(out), "--basin-samples", "1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: dt = 0.001 ")
+    assert [p.name for p in kept.iterdir()] == ["notes.txt"]
+    assert (kept / "notes.txt").read_text() == "mine\n"
+    assert empty.is_dir() and list(empty.iterdir()) == []
 
 
 def test_overflowing_step_count_fails_cleanly(tmp_path, capsys):

@@ -9,6 +9,7 @@ import copy
 import dataclasses
 import math
 import logging
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -570,6 +571,36 @@ def test_sweep_base_config_may_break_the_gain_rule():
     cfg.gains.g0 = -9.81
     with pytest.raises(ValueError, match=r"^gains\.g0 must be finite and positive, got -9.81$"):
         sweep(cfg, alphas=[19.8], betas=[10.0], threshold=0.5)
+
+
+def test_observer_rows_are_converted_a_block_at_a_time(monkeypatch):
+    # the run's 10^4 input rows reach the loop as an iterator; by the first
+    # stepped mark, at most one block of them has become Python lists
+    real, seen = harness.run_observer, {}
+
+    def spy(gains, dt, rows, state0, marks):
+        seen["rows"] = rows
+        states = real(gains, dt, rows, state0, marks)
+        tracemalloc.start()
+        try:
+            first = [next(states), next(states)]  # marks 0 and 10
+            seen["peak"] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        yield from first
+        yield from states
+
+    monkeypatch.setattr(harness, "run_observer", spy)
+    assert len(run_simulation(ExperimentConfig()).t) == 1001
+    assert not isinstance(seen["rows"], (list, tuple))
+    assert harness.ROW_BLOCK < 10**4
+    tracemalloc.start()
+    try:
+        block = np.ones((harness.ROW_BLOCK, 9)).tolist()
+        one_block = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert seen["peak"] < 2 * one_block, (seen["peak"], one_block, len(block))
 
 
 def test_sweep_rows_are_the_runs_of_their_cells(monkeypatch):
