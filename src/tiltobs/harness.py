@@ -19,6 +19,7 @@ the single config seed: child stream 0 feeds measurement noise, child stream
 
 from __future__ import annotations
 
+import collections
 import copy
 import itertools
 import logging
@@ -47,7 +48,10 @@ ERROR_ODE_HEADER = "t,verr_x,verr_y,verr_z,terr_x,terr_y,terr_z,V,Vdot"
 ATTITUDE_MODES = ("identity", "consistent", "rotvec")
 TILT_THRESHOLD = 0.05  # the tilt-error norm a run converges below, unless told otherwise
 EFFECTIVE_CONFIG = "effective.cfg"  # the config a command saves beside its outputs
-ROW_BLOCK = 1024  # observer input rows converted to Python floats at a time
+# steps per block of a run: block k is the interleaved samples [2048 k,
+# 2048 (k + 1)), one mount-noise basis block, and the basis matmul's bits
+# depend on the block width, so another value changes the outputs
+ROW_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +334,9 @@ class Scene:
     """The part of a run that is free of seed, gains, noise and mount
     translation: time grids, initial estimate, both rotation paths and the
     seed-free truth, built from ``duration``, ``dt``, ``pivot.*``, the mount's
-    rotation keys and the initial tilt keys.  :func:`sweep` builds one from
-    its base config and runs every cell on it."""
+    rotation keys and the initial tilt keys.  A run walks it in blocks of
+    :data:`ROW_BLOCK` steps; :func:`sweep` builds one from its base config
+    and walks it once, its cells in lockstep."""
 
     t_mid: np.ndarray  # step midpoints: samples the estimator consumes
     t_grid: np.ndarray  # step boundaries: samples recorded as truth
@@ -393,94 +398,121 @@ def run_simulation(cfg: ExperimentConfig) -> RunLog:
     (:func:`.observer.run_observer`).  Pure function of the config: no files,
     no globals."""
     wall0 = time.perf_counter()
-    scene = build_scene(cfg)
-    return _run_on_scene(cfg, scene, config_gains(cfg), wall0)
+    cell = _Cell(cfg, build_scene(cfg), config_gains(cfg), wall0)
+    _run_cells(cell.scene, [cell])
+    if cell.error:
+        raise cell.error
+    return cell.log()
 
 
-def _run_on_scene(cfg: ExperimentConfig, scene: Scene, gains: ObserverGains, wall0) -> RunLog:
-    """The run of ``cfg`` with ``gains`` on ``scene``, the :func:`build_scene`
-    result of ``cfg`` or of a config that differs from it only outside the
-    scene; its phase times count from ``wall0``."""
-    n_steps = len(scene.t_mid)
-    Rm_mid = scene.Rm_mid
-    wall_scene = time.perf_counter()
+def _run_cells(scene: Scene, cells) -> None:
+    """Advance the :class:`_Cell` runs on ``scene`` in lockstep, a block of
+    :data:`ROW_BLOCK` steps at a time, making each block's noise basis once
+    for all; a cell that diverges keeps its ``RuntimeError`` as ``error``."""
+    live = list(cells)
+    for lo in range(0, len(scene.t_all), 2 * ROW_BLOCK):
+        wall, hi = time.perf_counter(), lo + 2 * ROW_BLOCK  # the last block may be shorter
+        basis = plant.noise_basis(scene.t_all[lo:hi])
+        basis_s = time.perf_counter() - wall
+        for cell in list(live):
+            try:
+                cell.advance(lo, hi, basis, time.perf_counter() - basis_s)
+            except RuntimeError as exc:
+                cell.error = exc
+                live.remove(cell)
 
-    motion_noise = plant.MountNoise(cfg.mount.noise_std, cfg.mount.noise_tau, seed=[cfg.seed, 1])
-    # one mount evaluation on the interleaved grid
-    pos_all, vel_all, acc_all = plant.mount_translation(cfg.mount, motion_noise, scene.t_all)
-    pos_mid, vel_mid, acc_mid = pos_all[1::2], vel_all[1::2], acc_all[1::2]
-    wall_mount = time.perf_counter()
 
-    accel_true = plant.accel_stream(
-        scene.Rp_mid, scene.w_held, scene.alpha_mid, pos_mid, vel_mid, acc_mid, Rm_mid,
-        cfg.gains.g0,
-    )
+class _Cell:
+    """The run of ``cfg`` with ``gains`` on ``scene`` (built from ``cfg`` or
+    from a config that differs only outside the scene), fed block by block
+    by :func:`_run_cells`; it keeps only its rows at the marks.  Phase times
+    count from ``wall0``, each shared basis in every cell's mount phase."""
 
-    # per-sample draw order is gyro, then accel (C-order fill)
-    rng = np.random.default_rng([cfg.seed, 0])
-    draws = rng.standard_normal((n_steps, 2, 3))
-    gyro_meas = scene.gyro_true + cfg.noise.gyro_std * draws[:, 0]
-    accel_meas = accel_true + cfg.noise.accel_std * draws[:, 1]
+    def __init__(self, cfg: ExperimentConfig, scene: Scene, gains: ObserverGains, wall0):
+        self.cfg, self.scene, self.gains, self.wall0, self.error = cfg, scene, gains, wall0, None
+        self.noise = plant.MountNoise(cfg.mount.noise_std, cfg.mount.noise_tau, seed=[cfg.seed, 1])
+        self.rng = np.random.default_rng([cfg.seed, 0])
+        self.marks = np.array(record_marks(len(scene.t_mid), cfg.decimation))
+        self.held = np.minimum(self.marks, len(scene.t_mid) - 1)  # the final row repeats the last
+        self.feed = collections.deque()  # blocks of observer rows, pulled as they are stepped
+        self.observer, self.kept = None, []  # per block: states, x1 truth, gyro, accel at marks
+        self.timings = dict.fromkeys(("rotation", "mount", "sensors", "estimator", "record"), 0.0)
+        self.timings["rotation"] = time.perf_counter() - wall0
 
-    # measured pivot rate and velocity-type measurement, robot frame
-    y1 = plant.pivot_rate_from_gyro(gyro_meas, Rm_mid, scene.wm_held)
-    x1 = plant.velocity_measurement(pos_mid, vel_mid, y1)
+    def advance(self, lo: int, hi: int, basis, since) -> None:
+        """Run the steps whose samples lie in ``scene.t_all[lo:hi]``, given
+        their :func:`.plant.noise_basis`, up to the last mark whose step
+        boundary lies there, and keep the rows of those marks."""
+        s, cfg, laps = self.scene, self.cfg, [since]
+        steps = slice(lo // 2, hi // 2)  # boundaries at the even samples, midpoints at the odd
+        pos, vel, acc = plant.mount_translation(cfg.mount, self.noise, s.t_all[lo:hi], basis)
+        laps.append(time.perf_counter())
+        Rm_mid = s.Rm_mid[steps]
+        accel_true = plant.accel_stream(s.Rp_mid[steps], s.w_held[steps], s.alpha_mid[steps],
+                                        pos[1::2], vel[1::2], acc[1::2], Rm_mid, cfg.gains.g0)
+        # per-sample draw order is gyro, then accel (C-order fill), block after block
+        draws = self.rng.standard_normal((len(accel_true), 2, 3))
+        gyro_meas = s.gyro_true[steps] + cfg.noise.gyro_std * draws[:, 0]
+        accel_meas = accel_true + cfg.noise.accel_std * draws[:, 1]
+        # measured pivot rate and velocity-type measurement, robot frame
+        y1 = plant.pivot_rate_from_gyro(gyro_meas, Rm_mid, s.wm_held[steps])
+        x1 = plant.velocity_measurement(pos[1::2], vel[1::2], y1)
+        rows = np.hstack([y1, x1, np.matmul(Rm_mid, accel_meas[:, :, None])[:, :, 0]])
+        marks = self.marks[(lo <= 2 * self.marks) & (2 * self.marks < hi)]
+        # one walk over the block's floats makes its 9-float rows at half
+        # tolist's cost; the rows past the block's last mark wait as a copy
+        cut = marks[-1] - steps.start if len(marks) else 0
+        head = iter(memoryview(rows[:cut].ravel()))
+        tail = iter(memoryview(rows[cut:].copy().ravel()))
+        self.feed.extend((zip(*[head] * 9), zip(*[tail] * 9)))
+        grid = 2 * marks - lo
+        x1_true = plant.velocity_measurement(pos[grid], vel[grid], s.rate_loc[marks])
+        if self.observer is None:  # mark 0 opens the first block
+            self.observer = run_observer(
+                self.gains, cfg.dt, itertools.chain.from_iterable(iter(self.feed.popleft, None)),
+                np.concatenate([x1_true[0] - cfg.init.vel_err, s.tilt_hat0]), self.marks)
+        laps.append(time.perf_counter())
+        states = list(itertools.islice(self.observer, len(marks)))
+        next(head, None)  # ends the stepped head's walk, which would hold the block till the next
+        laps.append(time.perf_counter())
+        held = self.held[(steps.start <= self.held) & (self.held < steps.stop)] - steps.start
+        self.kept.append((np.reshape(states, (-1, 6)), x1_true, gyro_meas[held], accel_meas[held]))
+        laps.append(time.perf_counter())
+        for phase, start, end in zip(("mount", "sensors", "estimator", "record"), laps, laps[1:]):
+            self.timings[phase] += end - start
 
-    # ground truth on the record grid
-    x1_true = plant.velocity_measurement(pos_all[0::2], vel_all[0::2], scene.rate_loc)
-    vel_hat0 = x1_true[0] - cfg.init.vel_err
-    tilt_hat0 = scene.tilt_hat0
-    wall_sensors = time.perf_counter()
-
-    # the states (vel_est, tilt_est) at the recorded steps
-    marks = record_marks(n_steps, cfg.decimation)
-    # 9-float rows convert fastest; by blocks, never all 3.6 MB of lists at once
-    stacked = np.hstack([y1, x1, np.matmul(Rm_mid, accel_meas[:, :, None])[:, :, 0]])
-    inputs = itertools.chain.from_iterable(
-        stacked[i:i + ROW_BLOCK].tolist() for i in range(0, n_steps, ROW_BLOCK))
-    states = np.array(list(run_observer(gains, cfg.dt, inputs,
-                                        np.concatenate([vel_hat0, tilt_hat0]), marks)))
-    wall_estimator = time.perf_counter()
-
-    rows = np.array(marks)
-    vel_hat = states[:, :3]
-    tilt_hat = states[:, 3:]
-    x1err = x1_true[rows] - vel_hat
-    x2err = scene.x2_true[rows] - tilt_hat
-    # pivot-rotated errors: one batched matmul on the (m, 3, 2) error pairs
-    z = np.matmul(scene.Rp[rows], np.stack([x1err, x2err], axis=-1))
-    z1, z2 = z[..., 0], z[..., 1]
-    held = np.minimum(rows, n_steps - 1)  # final row repeats the last consumed sample
-    V = lyapunov(z1, z2, gains)
-    Vdot = lyapunov_rate(z1, z2, gains)
-    wall_end = time.perf_counter()
-
-    estimator_s = wall_estimator - wall_sensors
-    return RunLog(
-        t=scene.t_grid[rows],
-        tilt=scene.x2_true[rows],
-        tilt_est=tilt_hat,
-        vel_err=x1err,
-        tilt_err=x2err,
-        verr_world=z1,
-        terr_world=z2,
-        V=V,
-        Vdot=Vdot,
-        gyro=gyro_meas[held],
-        accel=accel_meas[held],
-        applied_tilt_err0=scene.applied_tilt_err0.copy(),
-        config=cfg,
-        gains=gains,
-        runtime=wall_end - wall0,
-        timings={
-            "rotation": wall_scene - wall0,
-            "mount": wall_mount - wall_scene,
-            "sensors": wall_sensors - wall_mount,
-            "estimator": estimator_s,
-            "record": wall_end - wall_estimator,
-        },
-        steps_per_s=n_steps / estimator_s,
-    )
+    def log(self) -> RunLog:
+        """The record of the run, once every block has been advanced."""
+        wall = time.perf_counter()
+        s, gains, rows = self.scene, self.gains, self.marks
+        states, x1_true, gyro, accel = (np.concatenate(kept) for kept in zip(*self.kept))
+        tilt_hat = states[:, 3:]
+        x1err, x2err = x1_true - states[:, :3], s.x2_true[rows] - tilt_hat
+        # pivot-rotated errors: one batched matmul on the (m, 3, 2) error pairs
+        z = np.matmul(s.Rp[rows], np.stack([x1err, x2err], axis=-1))
+        z1, z2 = z[..., 0], z[..., 1]
+        V, Vdot = lyapunov(z1, z2, gains), lyapunov_rate(z1, z2, gains)
+        wall_end = time.perf_counter()
+        self.timings["record"] += wall_end - wall
+        return RunLog(
+            t=s.t_grid[rows],
+            tilt=s.x2_true[rows],
+            tilt_est=tilt_hat,
+            vel_err=x1err,
+            tilt_err=x2err,
+            verr_world=z1,
+            terr_world=z2,
+            V=V,
+            Vdot=Vdot,
+            gyro=gyro,
+            accel=accel,
+            applied_tilt_err0=s.applied_tilt_err0.copy(),
+            config=self.cfg,
+            gains=gains,
+            runtime=wall_end - self.wall0,
+            timings=dict(self.timings),
+            steps_per_s=len(s.t_mid) / self.timings["estimator"],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -576,41 +608,42 @@ def write_report(log: RunLog, path, threshold: float = TILT_THRESHOLD) -> None:
 def sweep(cfg: ExperimentConfig, alphas, betas, threshold: float = TILT_THRESHOLD):
     """Run the scenario over a grid of gains.
 
-    The cells run one after another on one scene, built once from the base
-    config (:func:`build_scene`), but each draws its own mount and
-    measurement noise from its own seed (base seed XOR cell index), so noisy
-    cells stay independent.  Gain pairs that are not finite or violate the
-    stability condition are reported as rejected rows, and runs whose state
-    diverges as diverged rows (the step and ``alpha*dt`` go to the log),
-    instead of aborting the sweep.  The base config's own ``alpha`` and
+    The cells run on one scene, built once from the base config
+    (:func:`build_scene`), in lockstep, block by block, sharing each block's
+    mount-noise basis; each draws its own mount and measurement noise from
+    its own seed (base seed XOR cell index), so noisy cells stay
+    independent.  Gain pairs that are not finite or violate the stability
+    condition are reported as rejected rows, and runs whose state diverges
+    as diverged rows (the step and ``alpha*dt`` go to the log), instead of
+    aborting the sweep.  The base config's own ``alpha`` and
     ``beta`` are not checked; its ``g0``, which every cell keeps, is.
     """
     require_positive("gains.g0", cfg.gains.g0)
+    wall0 = time.perf_counter()
     scene = build_scene(cfg)
-
-    def run_cell(i, a, b):
+    rows, cells = [], []
+    for i, (a, b) in enumerate(itertools.product(alphas, betas)):
         row = dict.fromkeys(SWEEP_HEADER.split(","))
         row.update(alpha=a, beta=b, status="ok")
+        rows.append(row)
         try:
             gains = make_gains(a, b, cfg.gains.g0)
         except ValueError:
             row["status"] = "rejected"
-            return row
+            continue
         sub = copy.deepcopy(cfg)
-        sub.gains.alpha = a
-        sub.gains.beta = b
+        sub.gains.alpha, sub.gains.beta = a, b
         sub.seed = cfg.seed ^ i
         row["gain_ratio"] = gains.gain_ratio
-        try:
-            log = _run_on_scene(sub, scene, gains, time.perf_counter())
-        except RuntimeError as exc:
-            logger.warning("sweep cell alpha=%r beta=%r: %s", a, b, exc)
-            row["status"] = "diverged"
-            return row
-        row["convergence_time"], row["final_tilt_err_norm"] = grade_tilt(log, threshold)
-        return row
-
-    return [run_cell(i, a, b) for i, (a, b) in enumerate(itertools.product(alphas, betas))]
+        cells.append((row, _Cell(sub, scene, gains, wall0)))
+    _run_cells(scene, [cell for _, cell in cells])
+    for row, cell in cells:
+        if cell.error is None:
+            row["convergence_time"], row["final_tilt_err_norm"] = grade_tilt(cell.log(), threshold)
+            continue
+        logger.warning("sweep cell alpha=%r beta=%r: %s", row["alpha"], row["beta"], cell.error)
+        row["status"] = "diverged"
+    return rows
 
 
 def write_sweep_csv(rows, path) -> None:

@@ -128,18 +128,17 @@ class MountNoise:
         self.amp = std * np.sqrt(2.0 * gain2 / gain2.sum())
         self.phase = rng.uniform(0.0, 2.0 * np.pi, size=(3, NOISE_HARMONICS))
 
-    def series(self, t, kp: float):
+    def series(self, t, kp: float, basis=None):
         """``(value, deriv, lag)`` at time(s) t, plus ``lag`` at t = 0.
 
         ``value`` is the disturbance, ``deriv`` its time derivative, and
         ``lag`` the particular solution of ``qdot + kp q = value``, per axis.
-        One sin/cos basis of ``omega * t`` serves all three: angle addition,
-        ``sin(w t + p) = sin(w t) cos(p) + cos(w t) sin(p)``, folds the phases,
-        amplitudes and per-signal factors into (128, 9) weights, so the signals
-        come from one matmul per block of samples.  The frequencies are the
-        multiples ``m * omega[0]``, so the basis needs ``sin``/``cos`` of the
-        fundamental only (see :func:`_harmonic_basis`).  At t = 0 the basis is
-        exactly ``sin = 0``, ``cos = 1``.
+        One sin/cos basis of ``omega * t``, :func:`noise_basis`, serves all
+        three: angle addition, ``sin(w t + p) = sin(w t) cos(p) + cos(w t)
+        sin(p)``, folds the phases, amplitudes and per-signal factors into
+        (128, 9) weights, so the signals come from one matmul.  The basis is
+        free of the seed: pass it as ``basis`` to share it (a sweep's cells
+        do).  At t = 0 the basis is exactly ``sin = 0``, ``cos = 1``.
         """
         w = self.omega[:, None]
         a = self.amp[:, None]
@@ -152,18 +151,15 @@ class MountNoise:
         w_cos = np.hstack([a * sp, a * w * cp, lag * (kp * sp - w * cp)])
         weights = np.vstack([w_sin, w_cos])
         t = np.asarray(t, dtype=float)
-        x = self.omega[0] * t.ravel()
-        out = np.empty((9, x.size))
-        for i in range(0, x.size, BASIS_CHUNK):
-            basis = _harmonic_basis(x[i : i + BASIS_CHUNK], len(self.omega))
-            np.matmul(weights.T, basis, out=out[:, i : i + BASIS_CHUNK])
-        out = out.T.reshape(t.shape + (9,))
+        out = (weights.T @ (noise_basis(t) if basis is None else basis)).T.reshape(t.shape + (9,))
         return out[..., 0:3], out[..., 3:6], out[..., 6:9], w_cos[:, 6:9].sum(axis=0)
 
 
-# samples per harmonic basis block: a (128, 2048) block is 2 MB, so the
-# basis never grows with the run length
-BASIS_CHUNK = 2048
+def noise_basis(t) -> np.ndarray:
+    """The sin/cos basis of every :class:`MountNoise` at time(s) t, raveled:
+    (2 :data:`NOISE_HARMONICS`, t.size), from ``sin``/``cos`` of the
+    fundamental only (see :func:`_harmonic_basis`)."""
+    return _harmonic_basis(2.0 * np.pi / NOISE_PERIOD * np.ravel(t), NOISE_HARMONICS)
 
 
 def _harmonic_basis(x, m: int) -> np.ndarray:
@@ -186,14 +182,15 @@ def _harmonic_basis(x, m: int) -> np.ndarray:
     return basis
 
 
-def mount_translation(mount: MountSettings, noise: MountNoise, t):
+def mount_translation(mount: MountSettings, noise: MountNoise, t, basis=None):
     """Closed-form (pos, vel, acc) of the mount at time(s) t.
 
     Solves ``pdot = noise + kp (p_ref - p)`` exactly: low-pass particular
-    response plus exponentially decaying homogeneous part.
+    response plus exponentially decaying homogeneous part.  ``basis``, if
+    given, is ``noise_basis(t)`` (see :meth:`MountNoise.series`).
     """
     t = np.asarray(t, dtype=float)
-    value, deriv, q, q0 = noise.series(t, mount.kp)
+    value, deriv, q, q0 = noise.series(t, mount.kp, basis)
     decay = np.exp(-mount.kp * t)[..., None]
     pos = mount.p_ref + (mount.p0 - mount.p_ref - q0) * decay + q
     vel = value + mount.kp * (mount.p_ref - pos)

@@ -5,8 +5,10 @@ test_acceptance.py; here we cover config handling, the record/CSV contracts,
 determinism, and the self-consistency floors of the closed loop.
 """
 
+import collections
 import copy
 import dataclasses
+import itertools
 import math
 import logging
 import tracemalloc
@@ -609,13 +611,13 @@ def test_sweep_rows_are_the_runs_of_their_cells(monkeypatch):
     cfg = load_config(NOISY_CFG)
     alphas, betas = [19.8, 15.0], [10.0, 5.0]
     logs = []
-    run_on_scene = harness._run_on_scene
+    cell_log = harness._Cell.log
 
-    def recording_run(*args):
-        logs.append(run_on_scene(*args))
+    def recording_log(cell):
+        logs.append(cell_log(cell))
         return logs[-1]
 
-    monkeypatch.setattr(harness, "_run_on_scene", recording_run)
+    monkeypatch.setattr(harness._Cell, "log", recording_log)
     rows = sweep(cfg, alphas, betas)
     monkeypatch.undo()
     assert len(logs) == 4
@@ -647,6 +649,67 @@ def test_sweep_builds_the_rotation_paths_once(monkeypatch, alphas):
     rows = sweep(cfg, alphas, [10.0], threshold=0.5)
     assert [r["status"] for r in rows] == ["ok"] * len(alphas)
     assert len(calls) == 2  # pivot and mount, once per sweep
+
+
+@pytest.mark.parametrize("alphas", [[19.8], [19.8, 15.0, 1.0, 12.0, 25.0]])
+def test_sweep_makes_each_noise_basis_block_once(monkeypatch, alphas):
+    # 2100 steps: 4201 interleaved samples, three basis blocks shared by
+    # every cell, whatever the number of cells run
+    sizes = []
+
+    def counting_basis(x, m):
+        sizes.append(x.size)
+        return harmonic_basis(x, m)
+
+    harmonic_basis = plant._harmonic_basis
+    monkeypatch.setattr(plant, "_harmonic_basis", counting_basis)
+    cfg = ExperimentConfig()
+    cfg.duration = 2.1
+    rows = sweep(cfg, alphas, [10.0], threshold=0.5)
+    assert [r["status"] for r in rows].count("ok") == min(len(alphas), 4)
+    assert sizes == [2048, 2048, 105]
+
+
+def test_sweep_memory_does_not_grow_with_the_cell_count(monkeypatch):
+    # the traced peak past the shared scene, with 2 and with 8 cells of 4096
+    # steps: each extra cell holds less than one block of observer rows,
+    # never a series as long as the run.  A resting observer that only
+    # consumes its rows stands in for the float kernel, which costs seconds
+    # under tracing.
+    def scene_then_reset(cfg):
+        scene = build(cfg)
+        tracemalloc.reset_peak()
+        floor.append(tracemalloc.get_traced_memory()[0])
+        return scene
+
+    def resting_observer(gains, dt, rows, state0, marks):
+        done = 0
+        for mark in marks:
+            collections.deque(itertools.islice(rows, mark - done), maxlen=0)
+            done = mark
+            yield np.array(state0)
+
+    build, floor = harness.build_scene, []
+    monkeypatch.setattr(harness, "build_scene", scene_then_reset)
+    monkeypatch.setattr(harness, "run_observer", resting_observer)
+    cfg = ExperimentConfig()
+    cfg.duration = 4.096
+    cfg.decimation = 100
+
+    def peak(cells):
+        tracemalloc.start()
+        try:
+            rows = sweep(cfg, [19.8 + i for i in range(cells)], [10.0], threshold=0.5)
+            traced = tracemalloc.get_traced_memory()[1] - floor[-1]
+        finally:
+            tracemalloc.stop()
+        assert [r["status"] for r in rows] == ["ok"] * cells
+        return traced
+
+    sweep(cfg, [19.8], [10.0], threshold=0.5)  # first-call set-up, untraced
+    growth = (peak(8) - peak(2)) / 6
+    one_block = harness.ROW_BLOCK * 9 * 8
+    assert growth < one_block, (growth, one_block)
 
 
 def test_scene_ignores_seed_gains_and_noise():

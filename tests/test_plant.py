@@ -207,7 +207,7 @@ def direct_series(noise: MountNoise, t, kp: float):
 @pytest.mark.parametrize("shape", [(), (5001,), (1500, 3)])
 def test_mount_noise_doubled_basis_matches_direct_evaluation(shape):
     # harmonics filled by angle doubling from the fundamental agree with a
-    # direct sin/cos(omega t) on t in [0, 10] s, across basis blocks
+    # direct sin/cos(omega t) on t in [0, 10] s
     noise = MountNoise(0.05, 0.2, seed=[0, 1])
     kp = 2.0
     t = np.linspace(0.0, 10.0, int(np.prod(shape))).reshape(shape) if shape else 7.3
