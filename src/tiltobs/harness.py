@@ -19,7 +19,6 @@ the single config seed: child stream 0 feeds measurement noise, child stream
 
 from __future__ import annotations
 
-import collections
 import copy
 import itertools
 import logging
@@ -31,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import plant
-from .analysis import EZ, convergence_times, lyapunov, lyapunov_rate, record_marks, step_count
+from .analysis import (EZ, _time_after, convergence_times, lyapunov, lyapunov_rate, record_marks,
+                       step_count)
 from .observer import ObserverGains, make_gains, require_positive, run_observer
 from .so3 import rotation_between, rotation_exp
 
@@ -48,9 +48,8 @@ ERROR_ODE_HEADER = "t,verr_x,verr_y,verr_z,terr_x,terr_y,terr_z,V,Vdot"
 ATTITUDE_MODES = ("identity", "consistent", "rotvec")
 TILT_THRESHOLD = 0.05  # the tilt-error norm a run converges below, unless told otherwise
 EFFECTIVE_CONFIG = "effective.cfg"  # the config a command saves beside its outputs
-# steps per block of a run: block k is the interleaved samples [2048 k,
-# 2048 (k + 1)), one mount-noise basis block, and the basis matmul's bits
-# depend on the block width, so another value changes the outputs
+# steps per block of a run: block k is the samples [2048 k, 2048 (k + 1)) of t_all, one
+# noise basis block; the basis matmul's bits depend on its width, so no other value will do
 ROW_BLOCK = 1024
 
 
@@ -332,15 +331,15 @@ def project_tilt_error(tilt, tilt_err, name: str):
 @dataclass
 class Scene:
     """The part of a run that is free of seed, gains, noise and mount
-    translation: time grids, initial estimate, both rotation paths and the
-    seed-free truth, built from ``duration``, ``dt``, ``pivot.*``, the mount's
-    rotation keys and the initial tilt keys.  A run walks it in blocks of
-    :data:`ROW_BLOCK` steps; :func:`sweep` builds one from its base config
-    and walks it once, its cells in lockstep."""
+    translation (time grids, record marks, initial estimate, both rotation
+    paths, seed-free truth), built from ``duration``, ``dt``, ``decimation``,
+    ``pivot.*``, the mount's rotation keys and the initial tilt keys.  Runs
+    walk it in blocks of :data:`ROW_BLOCK` steps, a sweep's cells in lockstep."""
 
     t_mid: np.ndarray  # step midpoints: samples the estimator consumes
     t_grid: np.ndarray  # step boundaries: samples recorded as truth
     t_all: np.ndarray  # both interleaved: boundaries at even indices, midpoints at odd
+    marks: np.ndarray  # the recorded step boundaries
     tilt_hat0: np.ndarray
     applied_tilt_err0: np.ndarray
     w_held: np.ndarray  # pivot rate (world frame) at the midpoints
@@ -379,6 +378,7 @@ def build_scene(cfg: ExperimentConfig) -> Scene:
         t_mid=t_mid,
         t_grid=t_grid,
         t_all=t_all,
+        marks=np.array(record_marks(n_steps, cfg.decimation)),
         tilt_hat0=tilt_hat0,
         applied_tilt_err0=applied_err0,
         w_held=w_held,
@@ -408,45 +408,51 @@ def run_simulation(cfg: ExperimentConfig) -> RunLog:
 def _run_cells(scene: Scene, cells) -> None:
     """Advance the :class:`_Cell` runs on ``scene`` in lockstep, a block of
     :data:`ROW_BLOCK` steps at a time, making each block's noise basis once
-    for all; a cell that diverges keeps its ``RuntimeError`` as ``error``."""
-    live = list(cells)
+    for all.  A cell that diverges drops out and keeps its ``RuntimeError``
+    as ``error``, less the traceback, which would hold its last block."""
     for lo in range(0, len(scene.t_all), 2 * ROW_BLOCK):
-        wall, hi = time.perf_counter(), lo + 2 * ROW_BLOCK  # the last block may be shorter
+        wall, hi = time.perf_counter(), min(lo + 2 * ROW_BLOCK, len(scene.t_all))
         basis = plant.noise_basis(scene.t_all[lo:hi])
         basis_s = time.perf_counter() - wall
-        for cell in list(live):
+        for cell in [cell for cell in cells if cell.error is None]:
             try:
                 cell.advance(lo, hi, basis, time.perf_counter() - basis_s)
             except RuntimeError as exc:
-                cell.error = exc
-                live.remove(cell)
+                cell.error = exc.with_traceback(None)
 
 
 class _Cell:
     """The run of ``cfg`` with ``gains`` on ``scene`` (built from ``cfg`` or
-    from a config that differs only outside the scene), fed block by block
-    by :func:`_run_cells`; it keeps only its rows at the marks.  Phase times
-    count from ``wall0``, each shared basis in every cell's mount phase."""
+    from a config that differs only outside the scene), fed block by block by
+    :func:`_run_cells`.  It keeps its rows at the marks for :meth:`log` or,
+    given a ``threshold`` (a sweep's cells), only their ``grade``.  Phase
+    times count from ``wall0``, each shared basis in every cell's mount phase."""
 
-    def __init__(self, cfg: ExperimentConfig, scene: Scene, gains: ObserverGains, wall0):
+    def __init__(self, cfg, scene: Scene, gains: ObserverGains, wall0, threshold=None):
         self.cfg, self.scene, self.gains, self.wall0, self.error = cfg, scene, gains, wall0, None
         self.noise = plant.MountNoise(cfg.mount.noise_std, cfg.mount.noise_tau, seed=[cfg.seed, 1])
         self.rng = np.random.default_rng([cfg.seed, 0])
-        self.marks = np.array(record_marks(len(scene.t_mid), cfg.decimation))
-        self.held = np.minimum(self.marks, len(scene.t_mid) - 1)  # the final row repeats the last
-        self.feed = collections.deque()  # blocks of observer rows, pulled as they are stepped
-        self.observer, self.kept = None, []  # per block: states, x1 truth, gyro, accel at marks
+        self.observer, self.walk, self.unread = None, None, np.empty((0, 9))
+        # per block: states, x1 truth, gyro, accel at the marks; or the grade
+        self.threshold, self.kept, self.last_above, self.grade = threshold, [], -1, None
         self.timings = dict.fromkeys(("rotation", "mount", "sensors", "estimator", "record"), 0.0)
         self.timings["rotation"] = time.perf_counter() - wall0
 
+    def _rows(self):
+        """The observer's rows, a walk a block, each ending where the observer stops."""
+        while self.walk is not None:
+            walk, self.walk = self.walk, None
+            yield from zip(*[walk] * 9)
+        raise RuntimeError("the observer read past the rows of the blocks run so far")
+
     def advance(self, lo: int, hi: int, basis, since) -> None:
         """Run the steps whose samples lie in ``scene.t_all[lo:hi]``, given
-        their :func:`.plant.noise_basis`, up to the last mark whose step
-        boundary lies there, and keep the rows of those marks."""
-        s, cfg, laps = self.scene, self.cfg, [since]
+        their :func:`.plant.noise_basis`, to the block's last mark, and keep
+        the rows or the grade of the block's marks."""
+        s, cfg = self.scene, self.cfg
         steps = slice(lo // 2, hi // 2)  # boundaries at the even samples, midpoints at the odd
         pos, vel, acc = plant.mount_translation(cfg.mount, self.noise, s.t_all[lo:hi], basis)
-        laps.append(time.perf_counter())
+        self.timings["mount"] += (t1 := time.perf_counter()) - since
         Rm_mid = s.Rm_mid[steps]
         accel_true = plant.accel_stream(s.Rp_mid[steps], s.w_held[steps], s.alpha_mid[steps],
                                         pos[1::2], vel[1::2], acc[1::2], Rm_mid, cfg.gains.g0)
@@ -458,36 +464,42 @@ class _Cell:
         y1 = plant.pivot_rate_from_gyro(gyro_meas, Rm_mid, s.wm_held[steps])
         x1 = plant.velocity_measurement(pos[1::2], vel[1::2], y1)
         rows = np.hstack([y1, x1, np.matmul(Rm_mid, accel_meas[:, :, None])[:, :, 0]])
-        marks = self.marks[(lo <= 2 * self.marks) & (2 * self.marks < hi)]
-        # one walk over the block's floats makes its 9-float rows at half
-        # tolist's cost; the rows past the block's last mark wait as a copy
-        cut = marks[-1] - steps.start if len(marks) else 0
-        head = iter(memoryview(rows[:cut].ravel()))
-        tail = iter(memoryview(rows[cut:].copy().ravel()))
-        self.feed.extend((zip(*[head] * 9), zip(*[tail] * 9)))
+        i, j = np.searchsorted(s.marks, (lo // 2, (hi + 1) // 2))
+        marks = s.marks[i:j]  # the step boundaries of the block that are marks
+        # unread rows to the last mark are walked at half tolist's cost; the rest wait, copied
+        rows = np.concatenate([self.unread, rows])
+        cut = len(rows) - steps.stop + marks[-1] if j > i else 0
+        walk = self.walk = iter(memoryview(rows[:cut].ravel()))
+        self.unread = rows[cut:].copy()
         grid = 2 * marks - lo
         x1_true = plant.velocity_measurement(pos[grid], vel[grid], s.rate_loc[marks])
         if self.observer is None:  # mark 0 opens the first block
-            self.observer = run_observer(
-                self.gains, cfg.dt, itertools.chain.from_iterable(iter(self.feed.popleft, None)),
-                np.concatenate([x1_true[0] - cfg.init.vel_err, s.tilt_hat0]), self.marks)
-        laps.append(time.perf_counter())
-        states = list(itertools.islice(self.observer, len(marks)))
-        next(head, None)  # ends the stepped head's walk, which would hold the block till the next
-        laps.append(time.perf_counter())
-        held = self.held[(steps.start <= self.held) & (self.held < steps.stop)] - steps.start
-        self.kept.append((np.reshape(states, (-1, 6)), x1_true, gyro_meas[held], accel_meas[held]))
-        laps.append(time.perf_counter())
-        for phase, start, end in zip(("mount", "sensors", "estimator", "record"), laps, laps[1:]):
-            self.timings[phase] += end - start
+            state0 = np.concatenate([x1_true[0] - cfg.init.vel_err, s.tilt_hat0])
+            self.observer = run_observer(self.gains, cfg.dt, self._rows(), state0, s.marks)
+        self.timings["sensors"] += (t2 := time.perf_counter()) - t1
+        states = np.reshape(list(itertools.islice(self.observer, j - i)), (-1, 6))
+        next(walk, None)  # ends the walk, which would hold the block till the next
+        self.timings["estimator"] += (t3 := time.perf_counter()) - t2
+        if self.threshold is None:
+            # the final mark repeats step n - 1's measurement, kept by the block of that step
+            n = len(s.t_mid)
+            end = np.searchsorted(s.marks, steps.stop + (steps.start < steps.stop == n))
+            held = np.minimum(s.marks[i:end], n - 1) - steps.start
+            self.kept.append((states, x1_true, gyro_meas[held], accel_meas[held]))
+        elif j > i:  # grade_tilt's grade so far, from the last mark at or above the threshold
+            norms = np.linalg.norm(s.x2_true[marks] - states[:, 3:], axis=-1)
+            above = np.flatnonzero(norms >= self.threshold)
+            self.last_above = i + above[-1] if len(above) else self.last_above
+            conv = float(_time_after(s.t_grid[s.marks], self.last_above))
+            self.grade = (None if math.isinf(conv) else conv), float(norms[-1])
+        self.timings["record"] += time.perf_counter() - t3
 
     def log(self) -> RunLog:
         """The record of the run, once every block has been advanced."""
         wall = time.perf_counter()
-        s, gains, rows = self.scene, self.gains, self.marks
+        s, gains, rows = self.scene, self.gains, self.scene.marks
         states, x1_true, gyro, accel = (np.concatenate(kept) for kept in zip(*self.kept))
-        tilt_hat = states[:, 3:]
-        x1err, x2err = x1_true - states[:, :3], s.x2_true[rows] - tilt_hat
+        x1err, x2err = x1_true - states[:, :3], s.x2_true[rows] - states[:, 3:]
         # pivot-rotated errors: one batched matmul on the (m, 3, 2) error pairs
         z = np.matmul(s.Rp[rows], np.stack([x1err, x2err], axis=-1))
         z1, z2 = z[..., 0], z[..., 1]
@@ -495,22 +507,10 @@ class _Cell:
         wall_end = time.perf_counter()
         self.timings["record"] += wall_end - wall
         return RunLog(
-            t=s.t_grid[rows],
-            tilt=s.x2_true[rows],
-            tilt_est=tilt_hat,
-            vel_err=x1err,
-            tilt_err=x2err,
-            verr_world=z1,
-            terr_world=z2,
-            V=V,
-            Vdot=Vdot,
-            gyro=gyro,
-            accel=accel,
-            applied_tilt_err0=s.applied_tilt_err0.copy(),
-            config=self.cfg,
-            gains=gains,
-            runtime=wall_end - self.wall0,
-            timings=dict(self.timings),
+            t=s.t_grid[rows], tilt=s.x2_true[rows], tilt_est=states[:, 3:], vel_err=x1err,
+            tilt_err=x2err, verr_world=z1, terr_world=z2, V=V, Vdot=Vdot, gyro=gyro, accel=accel,
+            applied_tilt_err0=s.applied_tilt_err0.copy(), config=self.cfg, gains=gains,
+            runtime=wall_end - self.wall0, timings=dict(self.timings),
             steps_per_s=len(s.t_mid) / self.timings["estimator"],
         )
 
@@ -623,8 +623,7 @@ def sweep(cfg: ExperimentConfig, alphas, betas, threshold: float = TILT_THRESHOL
     scene = build_scene(cfg)
     rows, cells = [], []
     for i, (a, b) in enumerate(itertools.product(alphas, betas)):
-        row = dict.fromkeys(SWEEP_HEADER.split(","))
-        row.update(alpha=a, beta=b, status="ok")
+        row = dict.fromkeys(SWEEP_HEADER.split(",")) | {"alpha": a, "beta": b, "status": "ok"}
         rows.append(row)
         try:
             gains = make_gains(a, b, cfg.gains.g0)
@@ -632,14 +631,13 @@ def sweep(cfg: ExperimentConfig, alphas, betas, threshold: float = TILT_THRESHOL
             row["status"] = "rejected"
             continue
         sub = copy.deepcopy(cfg)
-        sub.gains.alpha, sub.gains.beta = a, b
-        sub.seed = cfg.seed ^ i
+        sub.gains.alpha, sub.gains.beta, sub.seed = a, b, cfg.seed ^ i
         row["gain_ratio"] = gains.gain_ratio
-        cells.append((row, _Cell(sub, scene, gains, wall0)))
+        cells.append((row, _Cell(sub, scene, gains, wall0, threshold)))
     _run_cells(scene, [cell for _, cell in cells])
     for row, cell in cells:
         if cell.error is None:
-            row["convergence_time"], row["final_tilt_err_norm"] = grade_tilt(cell.log(), threshold)
+            row["convergence_time"], row["final_tilt_err_norm"] = cell.grade
             continue
         logger.warning("sweep cell alpha=%r beta=%r: %s", row["alpha"], row["beta"], cell.error)
         row["status"] = "diverged"

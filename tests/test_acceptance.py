@@ -258,13 +258,13 @@ def test_criterion_09_sensor_model_oracles(criterion):
     _, Rm = plant.rotation_path(np.eye(3), plant.mount_rate(mount, tg + 0.5 * fine), fine)
 
     def world_pos(i):
-        pos, _, _ = plant.mount_translation(mount, noise, i * fine)
+        pos, _, _ = plant.mount_translation(mount, noise, i * fine, plant.noise_basis(i * fine))
         return Rp[i] @ pos
 
     # the harness's own sensor formulas, on one sample
     i0 = int(round(0.2 / fine))
     t0 = i0 * fine
-    pos, vel, acc = plant.mount_translation(mount, noise, t0)
+    pos, vel, acc = plant.mount_translation(mount, noise, t0, plant.noise_basis(t0))
     w0, a0 = plant.pivot_rate(pivot, t0), plant.pivot_accel(pivot, t0)
     ya = plant.accel_stream(Rp[i0], w0, a0, pos, vel, acc, Rm[i0], g0)
     errs = []

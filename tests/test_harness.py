@@ -35,6 +35,7 @@ from tiltobs.harness import (
     csv_cell,
     emit_csv,
     format_number,
+    grade_tilt,
     load_config,
     parse_config,
     run_simulation,
@@ -606,32 +607,34 @@ def test_observer_rows_are_converted_a_block_at_a_time(monkeypatch):
 
 
 def test_sweep_rows_are_the_runs_of_their_cells(monkeypatch):
-    # every cell's log, taken from inside the sweep, equals a stand-alone
-    # run of that cell's config, bit for bit
+    # every cell's observer, stepped inside the sweep, reads the rows of a
+    # stand-alone run of that cell's config and yields its states, bit for
+    # bit, and the cell's row is that run's grade
     cfg = load_config(NOISY_CFG)
     alphas, betas = [19.8, 15.0], [10.0, 5.0]
-    logs = []
-    cell_log = harness._Cell.log
+    runs, observer = [], harness.run_observer
 
-    def recording_log(cell):
-        logs.append(cell_log(cell))
-        return logs[-1]
+    def recording_observer(gains, dt, rows, state0, marks):
+        read, states = [], []
+        runs.append((read, states))
+        for state in observer(gains, dt, (read.append(row) or row for row in rows), state0, marks):
+            states.append(state)
+            yield state
 
-    monkeypatch.setattr(harness._Cell, "log", recording_log)
+    monkeypatch.setattr(harness, "run_observer", recording_observer)
     rows = sweep(cfg, alphas, betas)
-    monkeypatch.undo()
-    assert len(logs) == 4
-    for i, (row, log) in enumerate(zip(rows, logs)):
+    assert len(runs) == 4
+    for i, (row, (read, states)) in enumerate(zip(rows, runs[:4])):
         sub = copy.deepcopy(cfg)
         sub.gains.alpha, sub.gains.beta = row["alpha"], row["beta"]
         sub.seed = cfg.seed ^ i
         alone = run_simulation(sub)
-        assert config_text(log.config) == config_text(sub)
-        for f in dataclasses.fields(alone):
-            if isinstance(getattr(alone, f.name), np.ndarray):
-                assert getattr(log, f.name).tobytes() == getattr(alone, f.name).tobytes(), f.name
-        norms = np.linalg.norm(alone.tilt_err, axis=-1)
-        assert row["final_tilt_err_norm"] == float(norms[-1])
+        read_alone, states_alone = runs[-1]
+        assert len(read) == len(read_alone) == 10**4
+        assert np.array(read).tobytes() == np.array(read_alone).tobytes()
+        assert np.array(states).tobytes() == np.array(states_alone).tobytes()
+        assert (row["convergence_time"], row["final_tilt_err_norm"]) == grade_tilt(alone, harness.TILT_THRESHOLD)
+        assert row["convergence_time"] is not None
 
 
 @pytest.mark.parametrize("alphas", [[19.8], [19.8, 15.0, 12.0, 25.0]])
@@ -670,12 +673,13 @@ def test_sweep_makes_each_noise_basis_block_once(monkeypatch, alphas):
     assert sizes == [2048, 2048, 105]
 
 
-def test_sweep_memory_does_not_grow_with_the_cell_count(monkeypatch):
-    # the traced peak past the shared scene, with 2 and with 8 cells of 4096
+@pytest.mark.parametrize("decimation", [1, ExperimentConfig().decimation])
+def test_sweep_memory_does_not_grow_with_the_cell_count(monkeypatch, decimation):
+    # the traced peak past the shared scene, with 2 and with 8 cells of 10^4
     # steps: each extra cell holds less than one block of observer rows,
-    # never a series as long as the run.  A resting observer that only
-    # consumes its rows stands in for the float kernel, which costs seconds
-    # under tracing.
+    # never a series as long as the run, nor one as long as its marks.  A
+    # resting observer that only consumes its rows stands in for the float
+    # kernel, which costs seconds under tracing.
     def scene_then_reset(cfg):
         scene = build(cfg)
         tracemalloc.reset_peak()
@@ -693,8 +697,7 @@ def test_sweep_memory_does_not_grow_with_the_cell_count(monkeypatch):
     monkeypatch.setattr(harness, "build_scene", scene_then_reset)
     monkeypatch.setattr(harness, "run_observer", resting_observer)
     cfg = ExperimentConfig()
-    cfg.duration = 4.096
-    cfg.decimation = 100
+    cfg.decimation = decimation
 
     def peak(cells):
         tracemalloc.start()

@@ -15,6 +15,7 @@ from tiltobs.plant import (
     gyro_stream,
     mount_rate,
     mount_translation,
+    noise_basis,
     pivot_accel,
     pivot_rate,
     pivot_rate_from_gyro,
@@ -46,7 +47,7 @@ def midpoint_readings(pivot: PivotSettings, R0: np.ndarray, noise: MountNoise, n
     wm = mount_rate(MOUNT, t_mid)
     Rp_mid, _ = rotation_path(R0, w, dt)
     Rm_mid, _ = rotation_path(I3, wm, dt)
-    pos, vel, acc = mount_translation(MOUNT, noise, t_mid)
+    pos, vel, acc = mount_translation(MOUNT, noise, t_mid, noise_basis(t_mid))
     return (
         gyro_stream(Rp_mid, w, Rm_mid, wm),
         accel_stream(Rp_mid, w, pivot_accel(pivot, t_mid), pos, vel, acc, Rm_mid, G0),
@@ -110,12 +111,12 @@ def test_accel_matches_finite_difference_of_world_position():
     _, Rm = rotation_path(I3, mount_rate(MOUNT, tg + 0.5 * fine), fine)
 
     def world_pos(i):
-        pos, _, _ = mount_translation(MOUNT, noise, i * fine)
+        pos, _, _ = mount_translation(MOUNT, noise, i * fine, noise_basis(i * fine))
         return Rp[i] @ pos
 
     i0 = int(round(0.2 / fine))
     t0 = i0 * fine
-    pos, vel, acc = mount_translation(MOUNT, noise, t0)
+    pos, vel, acc = mount_translation(MOUNT, noise, t0, noise_basis(t0))
     ya = accel_stream(
         Rp[i0], pivot_rate(PIVOT, t0), pivot_accel(PIVOT, t0), pos, vel, acc, Rm[i0], G0
     )
@@ -138,7 +139,7 @@ def test_mount_setpoint_approach_is_exact_exponential():
     mount = MountSettings(kp=1.0, p_ref=np.array([0.0, 0.0, 1.3]), p0=np.array([0.0, 0.0, 1.0]))
     noise = MountNoise(0.0, NOISE_TAU, seed=0)
     t = np.array([0.0, 0.5, 1.0, 3.0])
-    pos, vel, acc = mount_translation(mount, noise, t)
+    pos, vel, acc = mount_translation(mount, noise, t, noise_basis(t))
     assert_allclose(pos[:, 2], 1.3 - 0.3 * np.exp(-t), rtol=1e-14)
     assert_allclose(pos[:, :2], 0.0, atol=0)
     assert_allclose(vel[:, 2], 0.3 * np.exp(-t), rtol=1e-14)
@@ -149,9 +150,9 @@ def test_mount_translation_derivatives_consistent():
     noise = MountNoise(NOISE_STD, NOISE_TAU, seed=8)
     h = 1e-5
     for t0 in (0.1, 0.9, 2.3):
-        pp, vp, _ = mount_translation(MOUNT, noise, t0 + h)
-        pm, vm, _ = mount_translation(MOUNT, noise, t0 - h)
-        p0, v0, a0 = mount_translation(MOUNT, noise, t0)
+        pp, vp, _ = mount_translation(MOUNT, noise, t0 + h, noise_basis(t0 + h))
+        pm, vm, _ = mount_translation(MOUNT, noise, t0 - h, noise_basis(t0 - h))
+        p0, v0, a0 = mount_translation(MOUNT, noise, t0, noise_basis(t0))
         assert_allclose((pp - pm) / (2 * h), v0, atol=1e-6)
         assert_allclose((vp - vm) / (2 * h), a0, atol=1e-6)
 
@@ -161,13 +162,13 @@ def test_mount_noise_statistics_and_smoothness():
     kp = 2.0
 
     def value(t):
-        return noise.series(t, kp)[0]
+        return noise.series(t, kp, noise_basis(t))[0]
 
     def deriv(t):
-        return noise.series(t, kp)[1]
+        return noise.series(t, kp, noise_basis(t))[1]
 
     def lag(t):
-        return noise.series(t, kp)[2]
+        return noise.series(t, kp, noise_basis(t))[2]
 
     # over one full period of the harmonic series the empirical power equals
     # the requested variance exactly (cross terms integrate away)
@@ -181,17 +182,17 @@ def test_mount_noise_statistics_and_smoothness():
     # returned on its own
     q_fd = (lag(0.37 + h) - lag(0.37 - h)) / (2 * h)
     assert_allclose(q_fd + kp * lag(0.37), value(0.37), atol=1e-5)
-    assert_allclose(noise.series(0.37, kp)[3], lag(0.0), atol=1e-15)
+    assert_allclose(noise.series(0.37, kp, noise_basis(0.37))[3], lag(0.0), atol=1e-15)
 
 
 def test_mount_noise_deterministic_and_zero():
     t = np.linspace(0, 5, 7)
-    a = MountNoise(0.05, 0.2, seed=9).series(t, 2.0)[0]
-    b = MountNoise(0.05, 0.2, seed=9).series(t, 2.0)[0]
+    a = MountNoise(0.05, 0.2, seed=9).series(t, 2.0, noise_basis(t))[0]
+    b = MountNoise(0.05, 0.2, seed=9).series(t, 2.0, noise_basis(t))[0]
     assert (a == b).all()
-    c = MountNoise(0.05, 0.2, seed=10).series(t, 2.0)[0]
+    c = MountNoise(0.05, 0.2, seed=10).series(t, 2.0, noise_basis(t))[0]
     assert np.abs(a - c).max() > 1e-3
-    assert (MountNoise(0.0, 0.2, seed=9).series(t, 2.0)[0] == 0.0).all()
+    assert (MountNoise(0.0, 0.2, seed=9).series(t, 2.0, noise_basis(t))[0] == 0.0).all()
 
 
 def direct_series(noise: MountNoise, t, kp: float):
@@ -211,14 +212,14 @@ def test_mount_noise_doubled_basis_matches_direct_evaluation(shape):
     noise = MountNoise(0.05, 0.2, seed=[0, 1])
     kp = 2.0
     t = np.linspace(0.0, 10.0, int(np.prod(shape))).reshape(shape) if shape else 7.3
-    value, deriv, lag, lag0 = noise.series(t, kp)
+    value, deriv, lag, lag0 = noise.series(t, kp, noise_basis(t))
     d_value, d_deriv, d_lag = direct_series(noise, t, kp)
     assert value.shape == deriv.shape == lag.shape == np.shape(t) + (3,)
     assert np.abs(value - d_value).max() <= 1e-14
     assert np.abs(deriv - d_deriv).max() <= 1e-13
     assert np.abs(lag - d_lag).max() <= 1e-14
     # at t = 0 the basis is exactly sin = 0, cos = 1
-    at_zero = noise.series(0.0, kp)[2]
+    at_zero = noise.series(0.0, kp, noise_basis(0.0))[2]
     assert_allclose(at_zero, direct_series(noise, 0.0, kp)[2], rtol=0, atol=1e-17)
     assert_allclose(lag0, at_zero, rtol=0, atol=1e-17)
 
@@ -340,9 +341,10 @@ def test_mount_step_and_midstate():
     dt = 1e-3
     n = 100
     t_all = np.arange(2 * n + 1) * (0.5 * dt)
-    joint = mount_translation(MOUNT, noise, t_all)
-    mid = mount_translation(MOUNT, noise, (np.arange(n) + 0.5) * dt)
-    bound = mount_translation(MOUNT, noise, np.arange(n + 1) * dt)
+    joint = mount_translation(MOUNT, noise, t_all, noise_basis(t_all))
+    t_mid, t_grid = (np.arange(n) + 0.5) * dt, np.arange(n + 1) * dt
+    mid = mount_translation(MOUNT, noise, t_mid, noise_basis(t_mid))
+    bound = mount_translation(MOUNT, noise, t_grid, noise_basis(t_grid))
     for j, m, b in zip(joint, mid, bound):
         assert_allclose(j[1::2], m, atol=1e-15)
         assert_allclose(j[0::2], b, atol=1e-15)
