@@ -13,10 +13,12 @@ studied independently of any particular robot motion.  The module provides
 the vector field, its Lyapunov function with a closed-form decay rate, the
 two equilibria with their linearizations, an exponential convergence bound,
 and the error flow, graded mark by mark as it runs or recorded for
-cross-checks against the full simulation.  The flow has no loop of its own:
-these dynamics are the observer at rest, so it runs
-:func:`observer.run_observer`, the loop the closed-loop simulation runs too,
-on rest inputs: on Python floats for one start and on (B,) arrays for a batch.
+cross-checks against the full simulation; :func:`stability_report` gathers
+the facts of a gain set that ``analyze`` reports, its basin sample included.
+The flow has no loop of its own: these dynamics are the observer at rest, so
+it runs :func:`observer.run_observer`, the loop the closed-loop simulation
+runs too, on rest inputs: on Python floats for one start and on (B,) arrays
+for a batch.
 """
 
 from __future__ import annotations
@@ -74,19 +76,23 @@ def require_stable_step(gains: ObserverGains, dt: float) -> None:
                          f"below {RK4_REAL_LIMIT} (RK4 stability limit)")
 
 
+class RecordCapError(ValueError):
+    """A batch too large to record, so its caller can name the setting at fault."""
+
+
 def record_marks(n_steps: int, record_every: int, batch: int = 1) -> list:
     """Step indices an error-ODE run records: every ``record_every``-th step
     and the last one.
 
-    Raises ``ValueError`` naming the batch size when the record, six values
-    per start and mark, would be over :data:`MAX_RECORD_VALUES`; nothing is
-    allocated before the check.
+    Raises :class:`RecordCapError` naming the batch size when the record, six
+    values per start and mark, would be over :data:`MAX_RECORD_VALUES`;
+    nothing is allocated before the check.
     """
     marks = list(range(0, n_steps + 1, record_every))
     if marks[-1] != n_steps:
         marks.append(n_steps)
     if len(marks) * 6 * batch > MAX_RECORD_VALUES:
-        raise ValueError(
+        raise RecordCapError(
             f"a batch of {batch} starts recorded at {len(marks)} marks is "
             f"{len(marks) * 6 * batch} values, over the cap of {MAX_RECORD_VALUES}"
         )
@@ -331,3 +337,42 @@ def sample_basin(n: int, gains: ObserverGains, rng: np.random.Generator):
         terr[got : got + take] = z2[:take]
         got += take
     return verr, terr
+
+
+def stability_report(gains: ObserverGains, dt: float, record_every: int, samples: int,
+                     rng: np.random.Generator) -> dict:
+    """The facts of the gains, in report order: the field at both equilibria,
+    the flipped point's spectrum, then ``samples`` basin starts graded as they
+    run for 10 s.  The step and the record cap (:class:`RecordCapError`) are
+    checked before the basin is drawn."""
+    (v_zero, t_zero), (v_flip, t_flip) = equilibria(gains)
+    eig = np.linalg.eigvals(linearization(v_flip, t_flip, gains))
+    horizon = 10.0  # seconds each basin start runs
+    n_steps = step_count(horizon, dt)
+    require_stable_step(gains, dt)  # sample_basin does not check it
+    record_marks(n_steps, record_every, samples)  # a huge batch fails here, allocating nothing
+    verr0, terr0 = sample_basin(samples, gains, rng)
+    flow = error_flow(verr0, terr0, gains, dt, horizon, record_every)
+    # not below 1e-3 at the horizon: inf, so uncounted, and a quantile it reaches reads "none"
+    conv, eps, monotone = grade_batch(flow, gains, 1e-3)
+    p50, p90, p99 = np.percentile(conv, [50, 90, 99], method="inverted_cdf").tolist()
+    return {
+        "gains.alpha": gains.alpha,
+        "gains.beta": gains.beta,
+        "gains.g0": gains.g0,
+        "gain_ratio": gains.gain_ratio,
+        "basin_level": 2.0 * gains.g0 ** 2,
+        "field_norm_at_zero": float(np.linalg.norm(error_field(v_zero, t_zero, gains))),
+        "field_norm_at_flipped": float(np.linalg.norm(error_field(v_flip, t_flip, gains))),
+        "flipped_verr_z": float(v_flip[2]),
+        "unstable_root": unstable_root(gains),
+        "flipped_eigenvalues_real": np.sort(eig.real),
+        "basin_samples": samples,
+        "basin_converged": int(np.isfinite(conv).sum()),
+        "basin_slowest_convergence_s": float(conv.max()),
+        "basin_convergence_s.p50": p50,
+        "basin_convergence_s.p90": p90,
+        "basin_convergence_s.p99": p99,
+        "basin_v_monotone": bool(monotone.all()),
+        "basin_epsilon_min": float(eps.min()),
+    }

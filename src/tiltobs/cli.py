@@ -9,9 +9,10 @@ Four subcommands around the same config format:
 
 Every subcommand takes ``--config`` (defaults apply when absent), ``--out``
 (output directory) and ``--seed`` (override the config's seed).  Each is a
-handler around the one sequence in :func:`main`, which writes the effective
-config next to the outputs once the handler has succeeded, so a run can be
-reproduced from its artifacts alone.
+handler that writes nothing: it returns its files as ``{file name: text}``
+and the detail of its summary line.  :func:`main` alone writes, once the
+handler has succeeded: the files and the effective config beside them, so a
+run can be reproduced from its artifacts alone.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import argparse
 import math
 import sys
 from collections import Counter
-from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -74,79 +74,34 @@ def _int_at_least(low: int):
     return parse
 
 
-def cmd_simulate(cfg, args, out) -> str:
+def cmd_simulate(cfg, args):
     log = harness.run_simulation(cfg)
-    csv_path = out / cfg.output.csv
-    report_path = out / cfg.output.report
-    harness.emit_csv(log, csv_path)
-    harness.write_report(log, report_path, threshold=args.threshold)
-    _, final = harness.grade_tilt(log, args.threshold)
-    return (
-        f"wrote {csv_path} and {report_path} "
-        f"({len(log.t)} rows, final tilt error {final:.3g})"
-    )
+    report = harness.run_report(log, args.threshold)
+    files = {cfg.output.csv: harness.run_csv(log),
+             cfg.output.report: harness.key_value_text(report)}
+    return files, f"{len(log.t)} rows, final tilt error {report['tilt_err_final_norm']:.3g}"
 
 
-def cmd_analyze(cfg, args, out) -> str:
-    gains = harness.config_gains(cfg)
-    (v_zero, t_zero), (v_flip, t_flip) = analysis.equilibria(gains)
-    f_zero = float(np.linalg.norm(analysis.error_field(v_zero, t_zero, gains)))
-    f_flip = float(np.linalg.norm(analysis.error_field(v_flip, t_flip, gains)))
-    lam = analysis.unstable_root(gains)
-    eig = np.linalg.eigvals(analysis.linearization(v_flip, t_flip, gains))
-
-    horizon = 10.0  # seconds each basin start runs
-    n_steps = analysis.step_count(horizon, cfg.dt)
-    analysis.require_stable_step(gains, cfg.dt)  # sample_basin does not check it
-    try:  # before the basin is drawn: a huge batch fails here, allocating nothing
-        analysis.record_marks(n_steps, cfg.decimation, args.basin_samples)
-    except ValueError as exc:
-        raise ValueError(f"--basin-samples {args.basin_samples}: {exc}") from None
-    rng = np.random.default_rng(cfg.seed)
-    verr0, terr0 = analysis.sample_basin(args.basin_samples, gains, rng)
-    flow = analysis.error_flow(
-        verr0, terr0, gains, duration=horizon, dt=cfg.dt, record_every=cfg.decimation
-    )
-    # graded as it runs, never recorded.  Not below 1e-3 at the horizon:
-    # inf, so uncounted, and a quantile it reaches reads "none"
-    conv, eps, monotone = analysis.grade_batch(flow, gains, 1e-3)
-    converged = int(np.isfinite(conv).sum())
-    p50, p90, p99 = np.percentile(conv, [50, 90, 99], method="inverted_cdf").tolist()
-
-    path = out / "analysis.txt"
-    path.write_text(harness.key_value_text({
-        "gains.alpha": gains.alpha,
-        "gains.beta": gains.beta,
-        "gains.g0": gains.g0,
-        "gain_ratio": gains.gain_ratio,
-        "basin_level": 2.0 * gains.g0 ** 2,
-        "field_norm_at_zero": f_zero,
-        "field_norm_at_flipped": f_flip,
-        "flipped_verr_z": float(v_flip[2]),
-        "unstable_root": lam,
-        "flipped_eigenvalues_real": np.sort(eig.real),
-        "basin_samples": args.basin_samples,
-        "basin_converged": converged,
-        "basin_slowest_convergence_s": float(conv.max()),
-        "basin_convergence_s.p50": p50,
-        "basin_convergence_s.p90": p90,
-        "basin_convergence_s.p99": p99,
-        "basin_v_monotone": bool(monotone.all()),
-        "basin_epsilon_min": float(eps.min()),
-    }))
-    return f"wrote {path} ({converged}/{args.basin_samples} basin samples converged)"
+def cmd_analyze(cfg, args):
+    n = args.basin_samples
+    try:
+        facts = analysis.stability_report(harness.config_gains(cfg), cfg.dt, cfg.decimation, n,
+                                          np.random.default_rng(cfg.seed))
+    except analysis.RecordCapError as exc:
+        raise ValueError(f"--basin-samples {n}: {exc}") from None
+    files = {"analysis.txt": harness.key_value_text(facts)}
+    return files, f"{facts['basin_converged']}/{n} basin samples converged"
 
 
-def cmd_sweep(cfg, args, out) -> str:
+def cmd_sweep(cfg, args):
     rows = harness.sweep(cfg, args.alphas, args.betas, threshold=args.threshold)
-    path = out / "sweep.csv"
-    harness.write_sweep_csv(rows, path)
     counts = Counter(r["status"] for r in rows)
     summary = ", ".join(f"{counts[s]} {s}" for s in ("ok", "rejected", "diverged"))
-    return f"wrote {path} ({summary} of {len(rows)} cells)"
+    files = {"sweep.csv": harness.csv_text(harness.SWEEP_HEADER, (r.values() for r in rows))}
+    return files, f"{summary} of {len(rows)} cells"
 
 
-def cmd_error_ode(cfg, args, out) -> str:
+def cmd_error_ode(cfg, args):
     gains = harness.config_gains(cfg)
     verr0 = cfg.init.vel_err if args.verr0 is None else args.verr0
     if args.terr0 is None:
@@ -162,12 +117,9 @@ def cmd_error_ode(cfg, args, out) -> str:
     )
     V = analysis.lyapunov(traj.verr, traj.terr, gains)
     Vdot = analysis.lyapunov_rate(traj.verr, traj.terr, gains)
-    path = out / "error_ode.csv"
-    harness.write_csv(
-        path, harness.ERROR_ODE_HEADER,
-        np.column_stack([traj.t, traj.verr, traj.terr, V, Vdot]).tolist(),
-    )
-    return f"wrote {path} ({len(traj.t)} rows, final V {float(V[-1]):.3g})"
+    rows = np.column_stack([traj.t, traj.verr, traj.terr, V, Vdot]).tolist()
+    files = {"error_ode.csv": harness.csv_text(harness.ERROR_ODE_HEADER, rows)}
+    return files, f"{len(traj.t)} rows, final V {float(V[-1]):.3g}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,24 +167,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Load the config, apply ``--seed``, make ``--out``, run the command, then
-    save ``effective.cfg``: a failed run saves nothing, and removes the ``--out``
-    levels it made while they are empty."""
+    """Load the config, apply ``--seed`` and run the command; only once it has
+    succeeded, make ``--out`` and write the command's files and
+    ``effective.cfg`` there, so a failed run makes and writes nothing."""
     args = build_parser().parse_args(argv)
-    out, made = Path(args.out), []
+    out = Path(args.out)
     try:
         cfg = (harness.ExperimentConfig() if args.config is None
                else harness.load_config(args.config))
         if args.seed is not None:
             cfg.seed = args.seed
-        made = [p for p in (out, *out.parents) if not p.exists()]  # deepest first
+        files, detail = args.handler(cfg, args)
+        summary = f"wrote {' and '.join(str(out / name) for name in files)} ({detail})"
         out.mkdir(parents=True, exist_ok=True)
-        summary = args.handler(cfg, args, out)
-        harness.save_config(cfg, out / harness.EFFECTIVE_CONFIG)
+        for name, text in {**files, harness.EFFECTIVE_CONFIG: harness.config_text(cfg)}.items():
+            (out / name).write_text(text)
     except (ValueError, RuntimeError, OSError) as exc:
-        for path in made:  # rmdir refuses a directory that is not empty
-            with suppress(OSError):
-                path.rmdir()
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(summary)

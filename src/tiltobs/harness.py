@@ -5,9 +5,9 @@ dotted section prefixes, ``#`` comments; :func:`load_config` is the one
 loader, and :func:`config_gains` checks the gains where it makes them),
 synthesizes IMU data along the closed-form trajectory (:func:`build_scene`,
 shared by a sweep's cells, holds its seed- and gain-free part), drives the
-observer step by step, and owns every output file format: one CSV writer
-(the run, sweep and error-ODE logs) and one ``key = value`` format (the
-reports and the saved config).
+observer step by step, and owns every output format, as text that the CLI
+writes: one CSV format (the run, sweep and error-ODE logs) and one
+``key = value`` format (the reports and the saved config).
 
 Sampling convention: the measurement a step consumes is synthesized at that
 step's midpoint (halving the hold error of zero-order-held inputs), and the
@@ -254,10 +254,6 @@ def config_text(cfg: ExperimentConfig) -> str:
     return key_value_text({key: _get(cfg, key) for key in SCHEMA})
 
 
-def save_config(cfg: ExperimentConfig, path) -> None:
-    Path(path).write_text(config_text(cfg))
-
-
 # ---------------------------------------------------------------------------
 # simulation
 
@@ -408,13 +404,15 @@ def run_simulation(cfg: ExperimentConfig) -> RunLog:
 def _run_cells(scene: Scene, cells) -> None:
     """Advance the :class:`_Cell` runs on ``scene`` in lockstep, a block of
     :data:`ROW_BLOCK` steps at a time, making each block's noise basis once
-    for all.  A cell that diverges drops out and keeps its ``RuntimeError``
-    as ``error``, less the traceback, which would hold its last block."""
+    for the cells still running.  A cell that diverges drops out, keeping its
+    ``RuntimeError`` as ``error`` less the traceback (it holds its last block)."""
     for lo in range(0, len(scene.t_all), 2 * ROW_BLOCK):
+        if not (live := [cell for cell in cells if cell.error is None]):
+            return
         wall, hi = time.perf_counter(), min(lo + 2 * ROW_BLOCK, len(scene.t_all))
         basis = plant.noise_basis(scene.t_all[lo:hi])
         basis_s = time.perf_counter() - wall
-        for cell in [cell for cell in cells if cell.error is None]:
+        for cell in live:
             try:
                 cell.advance(lo, hi, basis, time.perf_counter() - basis_s)
             except RuntimeError as exc:
@@ -486,7 +484,7 @@ class _Cell:
             end = np.searchsorted(s.marks, steps.stop + (steps.start < steps.stop == n))
             held = np.minimum(s.marks[i:end], n - 1) - steps.start
             self.kept.append((states, x1_true, gyro_meas[held], accel_meas[held]))
-        elif j > i:  # grade_tilt's grade so far, from the last mark at or above the threshold
+        elif j > i:  # the report's tilt grade so far, from the last mark at or above threshold
             norms = np.linalg.norm(s.x2_true[marks] - states[:, 3:], axis=-1)
             above = np.flatnonzero(norms >= self.threshold)
             self.last_above = i + above[-1] if len(above) else self.last_above
@@ -547,34 +545,27 @@ def csv_cell(v) -> str:
     return format_number(v)
 
 
-def write_csv(path, header: str, rows) -> None:
-    """The one CSV writer: ``header``, then one line per row of
+def csv_text(header: str, rows) -> str:
+    """The one CSV format: ``header``, then one line per row of
     :func:`csv_cell` fields."""
     lines = [header]
     lines.extend(",".join(map(csv_cell, row)) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def emit_csv(log: RunLog, path) -> None:
+def run_csv(log: RunLog) -> str:
+    """The run's CSV: one :data:`CSV_HEADER` row per mark."""
     cols = np.column_stack([log.t, log.tilt, log.tilt_est, log.vel_err, log.tilt_err,
                             log.V, log.Vdot, log.accel, log.gyro])
-    write_csv(path, CSV_HEADER, cols.tolist())
+    return csv_text(CSV_HEADER, cols.tolist())
 
 
-def grade_tilt(log: RunLog, threshold: float):
-    """The one grade of a run's tilt error: its convergence time at
-    ``threshold`` (``None`` if it has not converged by the end) and its final
-    norm."""
-    norms = np.linalg.norm(log.tilt_err, axis=-1)
-    conv = float(convergence_times(log.t, norms, threshold))
-    return (None if math.isinf(conv) else conv), float(norms[-1])
-
-
-def write_report(log: RunLog, path, threshold: float = TILT_THRESHOLD) -> None:
-    """Flat key = value summary of a run."""
-    cfg = log.config
-    conv, final = grade_tilt(log, threshold)
-    Path(path).write_text(key_value_text({
+def run_report(log: RunLog, threshold: float = TILT_THRESHOLD) -> dict:
+    """The run's report, in order, for :func:`key_value_text`: its tilt error
+    is graded at ``threshold``, and a convergence time not reached by the end
+    is inf, written ``none``."""
+    cfg, norms = log.config, np.linalg.norm(log.tilt_err, axis=-1)
+    return {
         "duration": cfg.duration,
         "dt": cfg.dt,
         "steps": step_count(cfg.duration, cfg.dt),
@@ -589,16 +580,16 @@ def write_report(log: RunLog, path, threshold: float = TILT_THRESHOLD) -> None:
         "attitude_mode": cfg.init.attitude_mode,
         "requested_tilt_err0": cfg.init.tilt_err,
         "applied_tilt_err0": log.applied_tilt_err0,
-        "tilt_err_final_norm": final,
+        "tilt_err_final_norm": float(norms[-1]),
         "vel_err_final_norm": float(np.linalg.norm(log.vel_err[-1])),
         "tilt_convergence_threshold": threshold,
-        "tilt_convergence_time": conv,
+        "tilt_convergence_time": float(convergence_times(log.t, norms, threshold)),
         "v_initial": float(log.V[0]),
         "v_final": float(log.V[-1]),
         "runtime_s": log.runtime,
         **{f"time.{phase}_s": seconds for phase, seconds in log.timings.items()},
         "steps_per_s": log.steps_per_s,
-    }))
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +608,7 @@ def sweep(cfg: ExperimentConfig, alphas, betas, threshold: float = TILT_THRESHOL
     as diverged rows (the step and ``alpha*dt`` go to the log), instead of
     aborting the sweep.  The base config's own ``alpha`` and
     ``beta`` are not checked; its ``g0``, which every cell keeps, is.
+    Returns one row per cell in grid order, a dict in :data:`SWEEP_HEADER` order.
     """
     require_positive("gains.g0", cfg.gains.g0)
     wall0 = time.perf_counter()
@@ -642,8 +634,3 @@ def sweep(cfg: ExperimentConfig, alphas, betas, threshold: float = TILT_THRESHOL
         logger.warning("sweep cell alpha=%r beta=%r: %s", row["alpha"], row["beta"], cell.error)
         row["status"] = "diverged"
     return rows
-
-
-def write_sweep_csv(rows, path) -> None:
-    keys = SWEEP_HEADER.split(",")
-    write_csv(path, SWEEP_HEADER, ([r[k] for k in keys] for r in rows))

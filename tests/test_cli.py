@@ -432,10 +432,10 @@ def test_module_entry_point(tmp_path):
 
 
 COMMANDS = {
-    "simulate": (["simulate"], "run.csv"),
-    "analyze": (["analyze", "--basin-samples", "5"], "analysis.txt"),
-    "sweep": (["sweep", "--alphas", "19.8", "--betas", "10"], "sweep.csv"),
-    "error-ode": (["error-ode"], "error_ode.csv"),
+    "simulate": (["simulate"], ["run.csv", "report.txt"]),
+    "analyze": (["analyze", "--basin-samples", "5"], ["analysis.txt"]),
+    "sweep": (["sweep", "--alphas", "19.8", "--betas", "10"], ["sweep.csv"]),
+    "error-ode": (["error-ode"], ["error_ode.csv"]),
 }
 
 
@@ -443,11 +443,12 @@ COMMANDS = {
 def test_effective_config_is_the_run_config(tmp_path, command):
     cfg_path = tmp_path / "my.cfg"
     cfg_path.write_text("duration = 0.5\ngains.alpha = 15.0\nseed = 2\n")
-    argv, output = COMMANDS[command]
+    argv, outputs = COMMANDS[command]
     out = tmp_path / "o"
     rc = main(argv + ["--config", str(cfg_path), "--seed", "4", "--out", str(out)])
     assert rc == 0
-    assert (out / output).exists()
+    # the command's files and the effective config, and nothing else
+    assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, "effective.cfg"])
     expected = load_config(cfg_path)
     expected.seed = 4
     assert config_text(load_config(out / "effective.cfg")) == config_text(expected)
@@ -462,10 +463,12 @@ def test_effective_config_is_the_run_config(tmp_path, command):
     ],
 )
 def test_failing_run_saves_no_effective_config(tmp_path, argv, output):
-    rc = main(argv + ["--out", str(tmp_path)])
+    out = tmp_path / "o"
+    rc = main(argv + ["--out", str(out)])
     assert rc == 1
-    assert not (tmp_path / output).exists()
-    assert not (tmp_path / "effective.cfg").exists()
+    assert not (out / output).exists()
+    assert not (out / "effective.cfg").exists()
+    assert not out.exists()  # --out is made only once a run has succeeded
 
 
 def test_sweep_cell_not_converged_by_its_end_has_an_empty_time(tmp_path):

@@ -33,17 +33,16 @@ from tiltobs.harness import (
     config_gains,
     config_text,
     csv_cell,
-    emit_csv,
+    csv_text,
     format_number,
-    grade_tilt,
+    key_value_text,
     load_config,
     parse_config,
+    run_csv,
+    run_report,
     run_simulation,
-    save_config,
     sweep,
     validate_config,
-    write_report,
-    write_sweep_csv,
 )
 
 REFERENCE_CFG = Path(__file__).resolve().parents[1] / "configs" / "reference.cfg"
@@ -232,7 +231,7 @@ def test_save_and_load_config(tmp_path):
     cfg = ExperimentConfig()
     cfg.duration = 1.25
     path = tmp_path / "run.cfg"
-    save_config(cfg, path)
+    path.write_text(config_text(cfg))
     again = load_config(path)
     assert config_text(again) == config_text(cfg)
 
@@ -281,21 +280,17 @@ def test_final_row_always_recorded():
     assert log.t[-2] == pytest.approx(0.497)
 
 
-def test_csv_shape_and_header(tmp_path):
+def test_csv_shape_and_header():
     log = short_run(decimation=50)
-    path = tmp_path / "run.csv"
-    emit_csv(log, path)
-    lines = path.read_text().splitlines()
+    lines = run_csv(log).splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + len(log.t)
     assert all(len(line.split(",")) == 21 for line in lines)
 
 
-def test_csv_numbers_plain_decimal(tmp_path):
+def test_csv_numbers_plain_decimal():
     log = short_run(decimation=50, **{"noise.gyro_std": 0.04, "noise.accel_std": 0.2})
-    path = tmp_path / "run.csv"
-    emit_csv(log, path)
-    body = path.read_text().splitlines()[1:]
+    body = run_csv(log).splitlines()[1:]
     for line in body:
         for fieldnum in line.split(","):
             assert "e" not in fieldnum and "E" not in fieldnum
@@ -350,39 +345,35 @@ def test_csv_cell_fields():
     assert csv_cell(np.float64(0.5)) == csv_cell(0.5) == "0.50000000"
 
 
-def test_csv_header_only_and_single_row(tmp_path):
+def test_csv_header_only_and_single_row():
     log = short_run(decimation=50)
     empty = copy.copy(log)
     for name in ("t", "tilt", "tilt_est", "vel_err", "tilt_err", "verr_world",
                  "terr_world", "V", "Vdot", "gyro", "accel"):
         setattr(empty, name, getattr(log, name)[:0])
-    emit_csv(empty, tmp_path / "empty.csv")
-    assert (tmp_path / "empty.csv").read_text() == CSV_HEADER + "\n"
+    assert run_csv(empty) == CSV_HEADER + "\n"
 
     one = copy.copy(log)
     for name in ("t", "tilt", "tilt_est", "vel_err", "tilt_err", "verr_world",
                  "terr_world", "V", "Vdot", "gyro", "accel"):
         setattr(one, name, getattr(log, name)[:1])
-    emit_csv(one, tmp_path / "one.csv")
-    lines = (tmp_path / "one.csv").read_text().splitlines()
+    lines = run_csv(one).splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("0.00000000,")
 
 
-def test_determinism_bitwise(tmp_path):
+def test_determinism_bitwise():
     cfg = ExperimentConfig()
     cfg.duration = 1.0
     cfg.noise.gyro_std = 0.04
     cfg.noise.accel_std = 0.2
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_csv(run_simulation(cfg), a)
-    emit_csv(run_simulation(copy.deepcopy(cfg)), b)
-    assert a.read_bytes() == b.read_bytes()
+    a = run_csv(run_simulation(cfg))
+    b = run_csv(run_simulation(copy.deepcopy(cfg)))
+    assert a == b
 
     cfg.seed = 1
-    c = tmp_path / "c.csv"
-    emit_csv(run_simulation(cfg), c)
-    assert a.read_bytes() != c.read_bytes()
+    c = run_csv(run_simulation(cfg))
+    assert a != c
 
 
 def test_noise_channels_independent():
@@ -408,12 +399,10 @@ def test_noise_draw_order_is_pinned():
     assert_allclose(noisy.accel - quiet.accel, accel_std * draws[held, 1], rtol=0, atol=1e-13)
 
 
-def test_report_contents(tmp_path):
+def test_report_contents():
     log = run_simulation(ExperimentConfig())
-    path = tmp_path / "report.txt"
-    write_report(log, path)
     entries = dict(
-        line.split(" = ", 1) for line in path.read_text().splitlines()
+        line.split(" = ", 1) for line in key_value_text(run_report(log)).splitlines()
     )
     assert entries["gains.alpha"] == "19.8"
     assert float(entries["gain_ratio"]) == pytest.approx(0.2502295684113866)
@@ -475,7 +464,7 @@ def test_blowup_aborts_with_step_index():
         run_simulation(cfg)
 
 
-def test_phase_timings_add_up_to_runtime(tmp_path):
+def test_phase_timings_add_up_to_runtime():
     cfg = ExperimentConfig()
     cfg.duration = 1.0
     log = run_simulation(cfg)
@@ -484,9 +473,7 @@ def test_phase_timings_add_up_to_runtime(tmp_path):
     assert sum(log.timings.values()) == pytest.approx(log.runtime, rel=0.05)
     assert log.steps_per_s == pytest.approx(1000 / log.timings["estimator"])
 
-    path = tmp_path / "report.txt"
-    write_report(log, path)
-    keys = [line.split(" = ", 1)[0] for line in path.read_text().splitlines()]
+    keys = [line.split(" = ", 1)[0] for line in key_value_text(run_report(log)).splitlines()]
     i = keys.index("runtime_s")
     assert keys[i + 1 :] == [
         "time.rotation_s",
@@ -502,7 +489,7 @@ def test_phase_timings_add_up_to_runtime(tmp_path):
 # gain sweep
 
 
-def test_sweep_reports_rejected_cells(tmp_path):
+def test_sweep_reports_rejected_cells():
     cfg = ExperimentConfig()
     cfg.duration = 0.5
     rows = sweep(cfg, alphas=[19.8, 1.0], betas=[10.0], threshold=0.5)
@@ -511,9 +498,9 @@ def test_sweep_reports_rejected_cells(tmp_path):
     assert by_gains[(1.0, 10.0)]["status"] == "rejected"
     assert by_gains[(1.0, 10.0)]["convergence_time"] is None
 
-    path = tmp_path / "sweep.csv"
-    write_sweep_csv(rows, path)
-    lines = path.read_text().splitlines()
+    # each row is a dict in SWEEP_HEADER order, written as it is
+    assert all(list(r) == SWEEP_HEADER.split(",") for r in rows)
+    lines = csv_text(SWEEP_HEADER, (r.values() for r in rows)).splitlines()
     assert lines[0] == SWEEP_HEADER
     assert len(lines) == 3
     rejected = [line for line in lines if "rejected" in line]
@@ -535,7 +522,7 @@ def test_sweep_deterministic_and_seed_varied():
     assert rows1[0]["final_tilt_err_norm"] != rows1[1]["final_tilt_err_norm"]
 
 
-def test_sweep_reports_diverged_cell(tmp_path, caplog):
+def test_sweep_reports_diverged_cell(caplog):
     cfg = ExperimentConfig()
     cfg.duration = 0.5
     with caplog.at_level(logging.WARNING, logger="tiltobs.harness"):
@@ -545,9 +532,7 @@ def test_sweep_reports_diverged_cell(tmp_path, caplog):
     assert any("alpha=5000.0" in m and "step" in m and "alpha*dt = 5" in m
                for m in caplog.messages)
 
-    path = tmp_path / "sweep.csv"
-    write_sweep_csv(rows, path)
-    lines = path.read_text().splitlines()
+    lines = csv_text(SWEEP_HEADER, (r.values() for r in rows)).splitlines()
     assert lines[0] == SWEEP_HEADER
     assert lines[2].startswith("5000.00000,1.00000000,diverged,")
     assert lines[2].endswith(",,")
@@ -633,9 +618,10 @@ def test_sweep_rows_are_the_runs_of_their_cells(monkeypatch):
         assert len(read) == len(read_alone) == 10**4
         assert np.array(read).tobytes() == np.array(read_alone).tobytes()
         assert np.array(states).tobytes() == np.array(states_alone).tobytes()
-        grade = grade_tilt(alone, harness.TILT_THRESHOLD)
+        report = run_report(alone)
+        grade = report["tilt_convergence_time"], report["tilt_err_final_norm"]
         assert (row["convergence_time"], row["final_tilt_err_norm"]) == grade
-        assert grade[0] is not None
+        assert math.isfinite(grade[0])
 
 
 @pytest.mark.parametrize("alphas", [[19.8], [19.8, 15.0, 12.0, 25.0]])
@@ -672,6 +658,24 @@ def test_sweep_makes_each_noise_basis_block_once(monkeypatch, alphas):
     rows = sweep(cfg, alphas, [10.0], threshold=0.5)
     assert [r["status"] for r in rows].count("ok") == min(len(alphas), 4)
     assert sizes == [2048, 2048, 105]
+
+
+@pytest.mark.parametrize("alphas,betas,status,blocks", [
+    ([5000.0], [1.0], "diverged", 1),  # diverges at step 150, in the first block
+    ([1.0], [10.0], "rejected", 0),
+])
+def test_sweep_makes_no_noise_basis_once_no_cell_runs(monkeypatch, alphas, betas, status, blocks):
+    calls = []
+
+    def counting_basis(x, m):
+        calls.append(x.size)
+        return harmonic_basis(x, m)
+
+    harmonic_basis = plant._harmonic_basis
+    monkeypatch.setattr(plant, "_harmonic_basis", counting_basis)
+    rows = sweep(ExperimentConfig(), alphas, betas)
+    assert [r["status"] for r in rows] == [status]
+    assert len(calls) == blocks
 
 
 @pytest.mark.parametrize("decimation", [1, ExperimentConfig().decimation])

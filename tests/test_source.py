@@ -51,3 +51,22 @@ def test_every_public_definition_is_used_in_the_package():
     unused = sorted(f"{module}: {name}" for name, module in defined.items()
                     if name not in used and name not in ORACLES)
     assert not unused, f"public definitions no code in src uses: {unused}"
+
+
+# file-system calls that write or open a file or make a directory
+WRITES = {"write_text", "write_bytes", "mkdir", "open"}
+
+
+def test_only_the_cli_writes_files():
+    # commands return their files as text, and cli.main alone writes them
+    # once the command has succeeded; reading (load_config's read_text) is free
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in WRITES:
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert [call for call in calls if not call.startswith("cli.py:")] == []
+    assert calls, "the guard found no write in cli.py, so it may look for the wrong names"
