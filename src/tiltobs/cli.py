@@ -83,9 +83,9 @@ def cmd_simulate(cfg, args):
 
 
 def cmd_analyze(cfg, args):
-    n = args.basin_samples
+    gains, n = harness.config_gains(cfg), args.basin_samples
     try:
-        facts = analysis.stability_report(harness.config_gains(cfg), cfg.dt, cfg.decimation, n,
+        facts = analysis.stability_report(gains, cfg.dt, cfg.decimation, n,
                                           np.random.default_rng(cfg.seed))
     except analysis.RecordCapError as exc:
         raise ValueError(f"--basin-samples {n}: {exc}") from None
