@@ -6,9 +6,10 @@ one-line verdict.  Printing from inside a test gets swallowed by capture, so
 the lines are replayed in the terminal summary where they are always visible.
 
 The CLI tests hash the artifacts they write against ``golden_digests.json``,
-so a refactor that changes any output byte fails.  After an intended output
-change, ``python -m pytest tests/test_cli.py --update-golden`` rewrites the
-digests of the artifacts that run hashed.
+so a refactor that changes any output byte fails; a harness test hashes the
+RunLog arrays of two runs at full precision too.  After an intended output
+change, ``python -m pytest tests/test_cli.py tests/test_harness.py
+--update-golden`` rewrites the digests of the artifacts that run hashed.
 """
 
 import hashlib

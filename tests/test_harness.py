@@ -376,6 +376,20 @@ def test_determinism_bitwise():
     assert a != c
 
 
+@pytest.mark.parametrize("config", ["reference", "noisy"])
+def test_run_log_bits_match_golden_digest(tmp_path, golden, config):
+    # every RunLog array at full precision, one line a mark, since the CSV's
+    # 9 digits would let a last-bit change through
+    log = run_simulation(load_config(REFERENCE_CFG.with_name(f"{config}.cfg")))
+    names = [f.name for f in dataclasses.fields(log)
+             if isinstance(getattr(log, f.name), np.ndarray) and f.name != "applied_tilt_err0"]
+    cols = np.column_stack([getattr(log, name) for name in names])
+    lines = [" ".join(["applied_tilt_err0", *map(float.hex, log.applied_tilt_err0.tolist())]),
+             " ".join(names), *(" ".join(map(float.hex, row)) for row in cols.tolist())]
+    (tmp_path / "run_log.hex").write_text("\n".join(lines) + "\n")
+    golden(f"simulate {config}.cfg seed 0: RunLog arrays as float.hex", tmp_path / "run_log.hex")
+
+
 def test_noise_channels_independent():
     quiet = short_run()
     noisy = short_run(**{"noise.gyro_std": 0.04})
