@@ -327,66 +327,75 @@ def project_tilt_error(tilt, tilt_err, name: str):
 @dataclass
 class Scene:
     """The part of a run that is free of seed, gains, noise and mount
-    translation (time grids, record marks, initial estimate, both rotation
-    paths, seed-free truth), built from ``duration``, ``dt``, ``decimation``,
-    ``pivot.*``, the mount's rotation keys and the initial tilt keys.  Runs
-    walk it in blocks of :data:`ROW_BLOCK` steps, a sweep's cells in lockstep."""
+    translation, and that a run must keep whole: the time grid, the record
+    marks, the initial estimate and both midpoint rotation paths, plus the
+    pivot's truth at the marks.  Built from ``duration``, ``dt``,
+    ``decimation``, ``pivot.*``, the mount's rotation keys and the initial tilt
+    keys.  Runs walk it in blocks of :data:`ROW_BLOCK` steps, a sweep's cells
+    in lockstep, and :func:`_run_cells` makes each block's other seed-free
+    truth (:func:`_block_truth`) as they go."""
 
-    t_mid: np.ndarray  # step midpoints: samples the estimator consumes
-    t_grid: np.ndarray  # step boundaries: samples recorded as truth
-    t_all: np.ndarray  # both interleaved: boundaries at even indices, midpoints at odd
+    t_all: np.ndarray  # step boundaries at even indices, step midpoints at odd
     marks: np.ndarray  # the recorded step boundaries
     tilt_hat0: np.ndarray
     applied_tilt_err0: np.ndarray
-    w_held: np.ndarray  # pivot rate (world frame) at the midpoints
-    wm_held: np.ndarray  # mount rate at the midpoints
-    alpha_mid: np.ndarray  # pivot angular acceleration (world frame) at the midpoints
     Rp_mid: np.ndarray  # pivot attitude at the midpoints
-    Rp: np.ndarray  # pivot attitude at the boundaries
     Rm_mid: np.ndarray  # mount attitude at the midpoints
-    gyro_true: np.ndarray
-    rate_loc: np.ndarray  # pivot rate (robot frame) at the boundaries
-    x2_true: np.ndarray  # true tilt at the boundaries
+    Rp: np.ndarray  # pivot attitude at the marks
+    rate_loc: np.ndarray  # pivot rate (robot frame) at the marks
+    x2_true: np.ndarray  # true tilt at the marks
 
 
 def build_scene(cfg: ExperimentConfig) -> Scene:
     """Build the scene of a config, checking its settings
-    (:func:`validate_config`).  The gains are not checked: they are not part
-    of the scene, and a sweep's base config need not keep the gain rule that
-    its cells keep."""
+    (:func:`validate_config`) and that its rotation paths are finite, naming
+    the keys at fault.  The gains are not checked: they are not part of the
+    scene, and a sweep's base config need not keep the gain rule that its
+    cells keep."""
     validate_config(cfg)
     dt = cfg.dt
     n_steps = step_count(cfg.duration, dt)
-    R0, tilt_hat0, applied_err0 = _initial_conditions(cfg, rotation_exp(cfg.pivot.world_rotvec))
-
-    # closed-form trajectory signals, sampled on the step midpoints and on
-    # the step boundaries
-    t_mid = (np.arange(n_steps) + 0.5) * dt
-    t_grid = np.arange(n_steps + 1) * dt
+    marks = np.array(record_marks(n_steps, cfg.decimation))
     t_all = np.empty(2 * n_steps + 1)
-    t_all[0::2] = t_grid
-    t_all[1::2] = t_mid
-    w_held = plant.pivot_rate(cfg.pivot, t_mid)
-    wm_held = plant.mount_rate(cfg.mount, t_mid)
-    Rp_mid, Rp = plant.rotation_path(R0, w_held, dt)
-    Rm_mid, _ = plant.rotation_path(np.eye(3), wm_held, dt)
+    t_all[0::2] = np.arange(n_steps + 1) * dt
+    t_all[1::2] = (np.arange(n_steps) + 0.5) * dt
+    t_mid = t_all[1::2]
+    # each path is integrated at the closed-form rate on the step midpoints;
+    # an overflow anywhere in it leaves it non-finite, and is reported once
+    with np.errstate(all="ignore"):
+        R0, tilt_hat0, applied_err0 = _initial_conditions(
+            cfg, rotation_exp(cfg.pivot.world_rotvec))
+        Rp_mid, Rp = plant.rotation_path(R0, plant.pivot_rate(cfg.pivot, t_mid), dt)
+        Rp = Rp[marks]  # freed past the marks before the mount path is made
+        Rm_mid, _ = plant.rotation_path(np.eye(3), plant.mount_rate(cfg.mount, t_mid), dt)
+    _require_finite("pivot.*", Rp_mid, Rp)
+    _require_finite("mount.rate_*", Rm_mid)
     return Scene(
-        t_mid=t_mid,
-        t_grid=t_grid,
         t_all=t_all,
-        marks=np.array(record_marks(n_steps, cfg.decimation)),
+        marks=marks,
         tilt_hat0=tilt_hat0,
         applied_tilt_err0=applied_err0,
-        w_held=w_held,
-        wm_held=wm_held,
-        alpha_mid=plant.pivot_accel(cfg.pivot, t_mid),
         Rp_mid=Rp_mid,
-        Rp=Rp,
         Rm_mid=Rm_mid,
-        gyro_true=plant.gyro_stream(Rp_mid, w_held, Rm_mid, wm_held),
-        rate_loc=np.einsum("nji,nj->ni", Rp, plant.pivot_rate(cfg.pivot, t_grid)),
+        Rp=Rp,
+        rate_loc=np.einsum("nji,nj->ni", Rp, plant.pivot_rate(cfg.pivot, t_all[2 * marks])),
         x2_true=Rp[:, 2, :],
     )
+
+
+def _require_finite(keys: str, *path) -> None:
+    if not all(np.isfinite(part).all() for part in path):
+        raise ValueError(f"{keys} keys make a rotation path overflow to a non-finite attitude")
+
+
+def _block_truth(cfg: ExperimentConfig, scene: Scene, steps: slice):
+    """The seed-free truth of a block's steps at their midpoints, from the
+    closed forms: pivot rate and angular acceleration (world frame), mount
+    rate, and the noise-free gyro reading."""
+    t = scene.t_all[2 * steps.start + 1 : 2 * steps.stop : 2]
+    w, wm = plant.pivot_rate(cfg.pivot, t), plant.mount_rate(cfg.mount, t)
+    gyro = plant.gyro_stream(scene.Rp_mid[steps], w, scene.Rm_mid[steps], wm)
+    return w, wm, plant.pivot_accel(cfg.pivot, t), gyro
 
 
 def run_simulation(cfg: ExperimentConfig) -> RunLog:
@@ -403,20 +412,23 @@ def run_simulation(cfg: ExperimentConfig) -> RunLog:
 
 def _run_cells(scene: Scene, cells) -> None:
     """Advance the :class:`_Cell` runs on ``scene`` in lockstep, a block of
-    :data:`ROW_BLOCK` steps at a time, making each block's noise basis once
-    for the cells still running.  A cell that diverges drops out, keeping its
+    :data:`ROW_BLOCK` steps at a time, making each block's noise basis and
+    seed-free truth once for the cells still running (their configs share
+    the scene's keys).  A cell that diverges drops out, keeping its
     ``RuntimeError`` as ``error`` less the traceback (it holds its last block)."""
     for lo in range(0, len(scene.t_all), 2 * ROW_BLOCK):
         if not (live := [cell for cell in cells if cell.error is None]):
             return
         wall, hi = time.perf_counter(), min(lo + 2 * ROW_BLOCK, len(scene.t_all))
         basis = plant.noise_basis(scene.t_all[lo:hi])
-        basis_s = time.perf_counter() - wall
+        truth = _block_truth(live[0].cfg, scene, slice(lo // 2, hi // 2))
+        shared_s = time.perf_counter() - wall
         for cell in live:
             try:
-                cell.advance(lo, hi, basis, time.perf_counter() - basis_s)
+                cell.advance(lo, hi, basis, truth, time.perf_counter() - shared_s)
             except RuntimeError as exc:
                 cell.error = exc.with_traceback(None)
+        del basis, truth  # freed before the next block's are made
 
 
 class _Cell:
@@ -443,23 +455,23 @@ class _Cell:
             yield from zip(*[walk] * 9)
         raise RuntimeError("the observer read past the rows of the blocks run so far")
 
-    def advance(self, lo: int, hi: int, basis, since) -> None:
+    def advance(self, lo: int, hi: int, basis, truth, since) -> None:
         """Run the steps whose samples lie in ``scene.t_all[lo:hi]``, given
-        their :func:`.plant.noise_basis`, to the block's last mark, and keep
-        the rows or the grade of the block's marks."""
-        s, cfg = self.scene, self.cfg
+        their :func:`.plant.noise_basis` and :func:`_block_truth`, to the
+        block's last mark, and keep the rows or the grade of the block's marks."""
+        s, cfg, (w, wm, alpha, gyro_true) = self.scene, self.cfg, truth
         steps = slice(lo // 2, hi // 2)  # boundaries at the even samples, midpoints at the odd
         pos, vel, acc = plant.mount_translation(cfg.mount, self.noise, s.t_all[lo:hi], basis)
         self.timings["mount"] += (t1 := time.perf_counter()) - since
         Rm_mid = s.Rm_mid[steps]
-        accel_true = plant.accel_stream(s.Rp_mid[steps], s.w_held[steps], s.alpha_mid[steps],
-                                        pos[1::2], vel[1::2], acc[1::2], Rm_mid, cfg.gains.g0)
+        accel_true = plant.accel_stream(s.Rp_mid[steps], w, alpha, pos[1::2], vel[1::2],
+                                        acc[1::2], Rm_mid, cfg.gains.g0)
         # per-sample draw order is gyro, then accel (C-order fill), block after block
         draws = self.rng.standard_normal((len(accel_true), 2, 3))
-        gyro_meas = s.gyro_true[steps] + cfg.noise.gyro_std * draws[:, 0]
+        gyro_meas = gyro_true + cfg.noise.gyro_std * draws[:, 0]
         accel_meas = accel_true + cfg.noise.accel_std * draws[:, 1]
         # measured pivot rate and velocity-type measurement, robot frame
-        y1 = plant.pivot_rate_from_gyro(gyro_meas, Rm_mid, s.wm_held[steps])
+        y1 = plant.pivot_rate_from_gyro(gyro_meas, Rm_mid, wm)
         x1 = plant.velocity_measurement(pos[1::2], vel[1::2], y1)
         rows = np.hstack([y1, x1, np.matmul(Rm_mid, accel_meas[:, :, None])[:, :, 0]])
         i, j = np.searchsorted(s.marks, (lo // 2, (hi + 1) // 2))
@@ -470,7 +482,7 @@ class _Cell:
         walk = self.walk = iter(memoryview(rows[:cut].ravel()))
         self.unread = rows[cut:].copy()
         grid = 2 * marks - lo
-        x1_true = plant.velocity_measurement(pos[grid], vel[grid], s.rate_loc[marks])
+        x1_true = plant.velocity_measurement(pos[grid], vel[grid], s.rate_loc[i:j])
         if self.observer is None:  # mark 0 opens the first block
             state0 = np.concatenate([x1_true[0] - cfg.init.vel_err, s.tilt_hat0])
             self.observer = run_observer(self.gains, cfg.dt, self._rows(), state0, s.marks)
@@ -480,36 +492,36 @@ class _Cell:
         self.timings["estimator"] += (t3 := time.perf_counter()) - t2
         if self.threshold is None:
             # the final mark repeats step n - 1's measurement, kept by the block of that step
-            n = len(s.t_mid)
+            n = len(s.Rp_mid)
             end = np.searchsorted(s.marks, steps.stop + (steps.start < steps.stop == n))
             held = np.minimum(s.marks[i:end], n - 1) - steps.start
             self.kept.append((states, x1_true, gyro_meas[held], accel_meas[held]))
         elif j > i:  # the report's tilt grade so far, from the last mark at or above threshold
-            norms = np.linalg.norm(s.x2_true[marks] - states[:, 3:], axis=-1)
+            norms = np.linalg.norm(s.x2_true[i:j] - states[:, 3:], axis=-1)
             above = np.flatnonzero(norms >= self.threshold)
             self.last_above = i + above[-1] if len(above) else self.last_above
-            conv = float(_time_after(s.t_grid[s.marks], self.last_above))
+            conv = float(_time_after(s.t_all[2 * s.marks], self.last_above))
             self.grade = (None if math.isinf(conv) else conv), float(norms[-1])
         self.timings["record"] += time.perf_counter() - t3
 
     def log(self) -> RunLog:
         """The record of the run, once every block has been advanced."""
         wall = time.perf_counter()
-        s, gains, rows = self.scene, self.gains, self.scene.marks
+        s, gains = self.scene, self.gains
         states, x1_true, gyro, accel = (np.concatenate(kept) for kept in zip(*self.kept))
-        x1err, x2err = x1_true - states[:, :3], s.x2_true[rows] - states[:, 3:]
+        x1err, x2err = x1_true - states[:, :3], s.x2_true - states[:, 3:]
         # pivot-rotated errors: one batched matmul on the (m, 3, 2) error pairs
-        z = np.matmul(s.Rp[rows], np.stack([x1err, x2err], axis=-1))
+        z = np.matmul(s.Rp, np.stack([x1err, x2err], axis=-1))
         z1, z2 = z[..., 0], z[..., 1]
         V, Vdot = lyapunov(z1, z2, gains), lyapunov_rate(z1, z2, gains)
         wall_end = time.perf_counter()
         self.timings["record"] += wall_end - wall
         return RunLog(
-            t=s.t_grid[rows], tilt=s.x2_true[rows], tilt_est=states[:, 3:], vel_err=x1err,
+            t=s.t_all[2 * s.marks], tilt=s.x2_true.copy(), tilt_est=states[:, 3:], vel_err=x1err,
             tilt_err=x2err, verr_world=z1, terr_world=z2, V=V, Vdot=Vdot, gyro=gyro, accel=accel,
             applied_tilt_err0=s.applied_tilt_err0.copy(), config=self.cfg, gains=gains,
             runtime=wall_end - self.wall0, timings=dict(self.timings),
-            steps_per_s=len(s.t_mid) / self.timings["estimator"],
+            steps_per_s=len(s.Rp_mid) / self.timings["estimator"],
         )
 
 

@@ -127,6 +127,7 @@ class MountNoise:
         gain2 = 1.0 / (1.0 + (self.omega * tau) ** 2)
         self.amp = std * np.sqrt(2.0 * gain2 / gain2.sum())
         self.phase = rng.uniform(0.0, 2.0 * np.pi, size=(3, NOISE_HARMONICS))
+        self.kp = None  # the kp of the weights made last, kept till kp changes
 
     def series(self, t, kp: float, basis):
         """``(value, deriv, lag)`` at time(s) t, plus ``lag`` at t = 0.
@@ -141,19 +142,21 @@ class MountNoise:
         for every noise on the same times (a sweep's cells share each block's).
         At t = 0 the basis is exactly ``sin = 0``, ``cos = 1``.
         """
-        w = self.omega[:, None]
-        a = self.amp[:, None]
-        cp = np.cos(self.phase).T
-        sp = np.sin(self.phase).T
-        lag = a / (kp * kp + w**2)
-        # value: a sin(wt+p); deriv: a w cos(wt+p);
-        # lag: a (kp sin(wt+p) - w cos(wt+p)) / (kp^2 + w^2)
-        w_sin = np.hstack([a * cp, -a * w * sp, lag * (kp * cp + w * sp)])
-        w_cos = np.hstack([a * sp, a * w * cp, lag * (kp * sp - w * cp)])
-        weights = np.vstack([w_sin, w_cos])
+        if kp != self.kp:
+            w = self.omega[:, None]
+            a = self.amp[:, None]
+            cp = np.cos(self.phase).T
+            sp = np.sin(self.phase).T
+            lag = a / (kp * kp + w**2)
+            # value: a sin(wt+p); deriv: a w cos(wt+p);
+            # lag: a (kp sin(wt+p) - w cos(wt+p)) / (kp^2 + w^2)
+            w_sin = np.hstack([a * cp, -a * w * sp, lag * (kp * cp + w * sp)])
+            w_cos = np.hstack([a * sp, a * w * cp, lag * (kp * sp - w * cp)])
+            self.kp, self.weights = kp, np.vstack([w_sin, w_cos])
+            self.lag0 = w_cos[:, 6:9].sum(axis=0)
         t = np.asarray(t, dtype=float)
-        out = (weights.T @ basis).T.reshape(t.shape + (9,))
-        return out[..., 0:3], out[..., 3:6], out[..., 6:9], w_cos[:, 6:9].sum(axis=0)
+        out = (self.weights.T @ basis).T.reshape(t.shape + (9,))
+        return out[..., 0:3], out[..., 3:6], out[..., 6:9], self.lag0
 
 
 def noise_basis(t) -> np.ndarray:
@@ -176,8 +179,11 @@ def _harmonic_basis(x, m: int) -> np.ndarray:
     while k < m:
         j = min(k, m - k)
         sk, ck = s[k - 1], c[k - 1]
-        s[k : k + j] = sk * c[:j] + ck * s[:j]
-        c[k : k + j] = ck * c[:j] - sk * s[:j]
+        # sin(a + b) = sin a cos b + cos a sin b, cos(a + b) = cos a cos b - sin a sin b
+        np.multiply(c[:j], sk, out=s[k : k + j])
+        s[k : k + j] += ck * s[:j]
+        np.multiply(c[:j], ck, out=c[k : k + j])
+        c[k : k + j] -= sk * s[:j]
         k += j
     return basis
 
@@ -230,15 +236,17 @@ def rotation_path(R0: np.ndarray, w_held: np.ndarray, dt: float):
     Q[:n] = rotation_exp_increment(w_held * dt)
     Q = Q.reshape(blocks, size, 3, 3)
     for i in range(1, size):  # I + Q[:, i] becomes the product of steps i..0 of its block
-        prev, cur = Q[:, i - 1], Q[:, i]
-        cur += prev + cur @ prev
+        Q[:, i] += Q[:, i - 1] + Q[:, i] @ Q[:, i - 1]
     C = np.empty((blocks, 3, 3))  # attitude at the start of each block
     C[0] = R0
     for j in range(1, blocks):
         C[j] = C[j - 1] + Q[j - 1, -1] @ C[j - 1]
+    Q = Q @ C[:, None]  # each attitude C + Q C, summed in place
+    Q += C[:, None]
     R = np.empty((n + 1, 3, 3))
     R[0] = R0
-    R[1:] = (C[:, None] + Q @ C[:, None]).reshape(-1, 3, 3)[:n]
+    R[1:] = Q.reshape(-1, 3, 3)[:n]
+    del Q  # freed before the midpoint rotations are made
     R_mid = rotation_exp(w_held * (0.5 * dt)) @ R[:-1]
     return R_mid, R
 

@@ -67,7 +67,9 @@ def rotation_exp(w: np.ndarray) -> np.ndarray:
     Broadcasts over leading axes: (..., 3) -> (..., 3, 3).  Exact identity
     for ``w = 0``; orthonormal to machine precision for any input magnitude.
     """
-    return _EYE3 + rotation_exp_increment(w)
+    R = rotation_exp_increment(w)
+    R += _EYE3
+    return R
 
 
 def rotation_exp_increment(w: np.ndarray) -> np.ndarray:
@@ -79,7 +81,11 @@ def rotation_exp_increment(w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     a, b = rodrigues_coefficients_arrays(np.sum(w * w, axis=-1))
     W = skew(w)
-    return a[..., None, None] * W + b[..., None, None] * (W @ W)
+    WW = W @ W
+    W *= a[..., None, None]  # a S(w) + b S(w)^2, in place: two stacks live, not five
+    WW *= b[..., None, None]
+    W += WW
+    return W
 
 
 def rotate_twice(wx, wy, wz, vx, vy, vz, coefficients=rodrigues_coefficients):

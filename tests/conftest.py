@@ -20,6 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+pytest_plugins = ["pytester"]  # runs pytest on a generated file
+
 ACCEPTANCE_LINES: list[str] = []
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")

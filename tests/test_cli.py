@@ -56,6 +56,22 @@ def test_simulate_whose_last_basis_block_is_one_sample_matches_golden_digest(tmp
         golden(f"simulate 2048 steps: {name}", tmp_path / "o" / name)
 
 
+@pytest.mark.parametrize("key,group", [
+    ("pivot.accel_amp", "pivot.*"),
+    ("pivot.rate0", "pivot.*"),
+    ("pivot.world_rotvec", "pivot.*"),
+    ("mount.rate_amp", "mount.rate_*"),
+])
+def test_scene_that_overflows_is_named_by_its_keys(tmp_path, capsys, key, group):
+    cfg_path = tmp_path / "huge.cfg"
+    cfg_path.write_text(f"duration = 1\n{key} = 1e300,0,0\n")
+    rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: ") and group in err[0], err
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_config_and_seed_override(tmp_path):
     cfg_path = tmp_path / "my.cfg"
     cfg_path.write_text(

@@ -12,6 +12,7 @@ import itertools
 import math
 import logging
 import tracemalloc
+import weakref
 from functools import partial
 from pathlib import Path
 
@@ -692,25 +693,68 @@ def test_sweep_makes_no_noise_basis_once_no_cell_runs(monkeypatch, alphas, betas
     assert len(calls) == blocks
 
 
+def resting_observer(gains, dt, rows, state0, marks):
+    """Stands in for the float kernel, which costs seconds under tracing: it
+    consumes each mark's rows and yields the initial state."""
+    done = 0
+    for mark in marks:
+        collections.deque(itertools.islice(rows, mark - done), maxlen=0)
+        done = mark
+        yield np.array(state0)
+
+
+def test_run_memory_grows_by_under_450_bytes_a_step(monkeypatch):
+    # the traced peak of a whole run, scene build included: the scene keeps
+    # its two midpoint rotation paths (144 B a step) and the run one block
+    monkeypatch.setattr(harness, "run_observer", resting_observer)
+
+    def peak(duration):
+        cfg = load_config(NOISY_CFG)
+        cfg.duration = duration
+        tracemalloc.start()
+        try:
+            run_simulation(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1.0)  # first-call set-up, traced apart
+    growth = (peak(40.0) - peak(20.0)) / 20_000
+    assert growth < 450, growth
+
+
+@pytest.mark.parametrize("run", [
+    run_simulation,
+    partial(sweep, alphas=[19.8, 15.0], betas=[10.0], threshold=0.5),
+])
+def test_runs_never_hold_two_noise_basis_blocks(monkeypatch, run):
+    made = []
+
+    def watched_basis(t):
+        # every block made so far is freed before the next is made
+        assert all(ref() is None for ref in made), len(made)
+        basis = noise_basis(t)
+        made.append(weakref.ref(basis))
+        return basis
+
+    noise_basis = plant.noise_basis
+    monkeypatch.setattr(plant, "noise_basis", watched_basis)
+    cfg = ExperimentConfig()
+    cfg.duration = 3.0  # 6001 interleaved samples: three blocks
+    run(cfg)
+    assert len(made) == 3
+
+
 @pytest.mark.parametrize("decimation", [1, ExperimentConfig().decimation])
 def test_sweep_memory_does_not_grow_with_the_cell_count(monkeypatch, decimation):
     # the traced peak past the shared scene, with 2 and with 8 cells of 10^4
     # steps: each extra cell holds less than one block of observer rows,
-    # never a series as long as the run, nor one as long as its marks.  A
-    # resting observer that only consumes its rows stands in for the float
-    # kernel, which costs seconds under tracing.
+    # never a series as long as the run, nor one as long as its marks
     def scene_then_reset(cfg):
         scene = build(cfg)
         tracemalloc.reset_peak()
         floor.append(tracemalloc.get_traced_memory()[0])
         return scene
-
-    def resting_observer(gains, dt, rows, state0, marks):
-        done = 0
-        for mark in marks:
-            collections.deque(itertools.islice(rows, mark - done), maxlen=0)
-            done = mark
-            yield np.array(state0)
 
     build, floor = harness.build_scene, []
     monkeypatch.setattr(harness, "build_scene", scene_then_reset)

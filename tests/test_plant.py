@@ -224,6 +224,17 @@ def test_mount_noise_doubled_basis_matches_direct_evaluation(shape):
     assert_allclose(lag0, at_zero, rtol=0, atol=1e-17)
 
 
+
+def test_mount_noise_outputs_hold_across_a_kp_change():
+    # the weights made for one kp serve its calls until kp changes
+    t = np.linspace(0.0, 3.0, 301)
+    basis = noise_basis(t)
+    noise = MountNoise(0.05, 0.2, seed=[3, 1])
+    for kp in (2.0, 2.0, 0.5, 2.0, 0.0, 0.0):
+        got = noise.series(t, kp, basis)
+        fresh = MountNoise(0.05, 0.2, seed=[3, 1]).series(t, kp, basis)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in fresh], kp
+
 # --- rotation paths ----------------------------------------------------------
 
 

@@ -70,3 +70,22 @@ def test_only_the_cli_writes_files():
                     calls.append(f"{path.name}:{node.lineno} {name}")
     assert [call for call in calls if not call.startswith("cli.py:")] == []
     assert calls, "the guard found no write in cli.py, so it may look for the wrong names"
+
+
+def test_a_failing_property_does_not_end_the_run(pytester):
+    # under the project's own warning filters, a failing Hypothesis property
+    # is one failed test, and the tests after it still run
+    pytester.makepyprojecttoml((SRC.parents[1] / "pyproject.toml").read_text())
+    path = pytester.makepyfile(
+        """
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 5
+
+        def test_passes():
+            pass
+        """
+    )
+    pytester.runpytest_subprocess("-p", "no:cacheprovider", path).assert_outcomes(failed=1, passed=1)
