@@ -53,6 +53,10 @@ MAX_STEPS = 10**6
 # vectors: at 9990 starts it peaks near 45 MB, `error-ode` near 31 MB.
 MAX_RECORD_VALUES = 6 * 10**7
 
+# the most start-steps (basin starts times steps each) one stability report
+# may run: 9990 starts of 10^4 steps took 24 s
+MAX_BASIN_WORK = 10**8
+
 
 def step_count(duration: float, dt: float) -> int:
     """Steps of ``dt`` in ``duration``, checked before anything is allocated.
@@ -76,26 +80,24 @@ def require_stable_step(gains: ObserverGains, dt: float) -> None:
                          f"below {RK4_REAL_LIMIT} (RK4 stability limit)")
 
 
-class RecordCapError(ValueError):
-    """A batch too large to record, so its caller can name the setting at fault."""
+def record_marks(n_steps: int, record_every: int, batch: int = 0) -> list:
+    """Step indices a run records or grades at: every ``record_every``-th
+    step and the last one.
 
-
-def record_marks(n_steps: int, record_every: int, batch: int = 1) -> list:
-    """Step indices an error-ODE run records: every ``record_every``-th step
-    and the last one.
-
-    Raises :class:`RecordCapError` naming the batch size when the record, six
-    values per start and mark, would be over :data:`MAX_RECORD_VALUES`;
+    ``batch`` is the number of starts whose record is kept (none for a flow
+    graded as it runs).  Raises ``ValueError`` naming it when that record,
+    six values per start and mark, would be over :data:`MAX_RECORD_VALUES`;
     nothing is allocated before the check.
     """
+    count = -(-n_steps // record_every) + 1  # the multiples of record_every, then n_steps
+    if count * 6 * batch > MAX_RECORD_VALUES:
+        raise ValueError(
+            f"a batch of {batch} starts recorded at {count} marks is "
+            f"{count * 6 * batch} values, over the cap of {MAX_RECORD_VALUES}"
+        )
     marks = list(range(0, n_steps + 1, record_every))
     if marks[-1] != n_steps:
         marks.append(n_steps)
-    if len(marks) * 6 * batch > MAX_RECORD_VALUES:
-        raise RecordCapError(
-            f"a batch of {batch} starts recorded at {len(marks)} marks is "
-            f"{len(marks) * 6 * batch} values, over the cap of {MAX_RECORD_VALUES}"
-        )
     return marks
 
 
@@ -259,8 +261,8 @@ def error_flow(verr0, terr0, gains: ObserverGains, dt: float = 1e-3, duration: f
     ``alpha * dt`` is below 2.785, RK4's real stability limit
     (:func:`require_stable_step`).  The limit is necessary, not sufficient:
     just under it the Lyapunov function can still rise along some basin
-    starts.  Also raises when the step count or a record of the flow would
-    be over its cap (see :func:`step_count`, :func:`record_marks`).  The
+    starts.  Also raises when the step count would be over its cap (see
+    :func:`step_count`); the flow holds no record, so no record cap binds.  The
     generator raises ``RuntimeError`` naming the first mark whose state is
     not finite when any start's run overflows, such as one from a huge
     ``verr0``.
@@ -276,7 +278,7 @@ def error_flow(verr0, terr0, gains: ObserverGains, dt: float = 1e-3, duration: f
         raise ValueError("tilt error off manifold: |e_z - terr| must be 1")
     require_stable_step(gains, dt)
 
-    marks = record_marks(step_count(duration, dt), record_every, len(u))
+    marks = record_marks(step_count(duration, dt), record_every)
     state0 = np.concatenate([-v, u], axis=1).T  # (6, B): (vel_est, tilt_est) components
     rest = repeat((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, gains.g0))
     # one start steps on floats: on (1,) arrays each step costs 50 times more
@@ -287,7 +289,9 @@ def error_flow(verr0, terr0, gains: ObserverGains, dt: float = 1e-3, duration: f
 def integrate_error_ode(verr0, terr0, gains: ObserverGains, dt: float = 1e-3,
                         duration: float = 10.0, record_every: int = 1) -> ErrorTrajectory:
     """:func:`error_flow` recorded: states (M, 3) for a (3,) start, (B, M, 3)
-    for (B, 3) starts.  Raises as the flow does."""
+    for (B, 3) starts.  Raises as the flow does, and, before the flow is
+    made, when the record would be over its cap (see :func:`record_marks`)."""
+    record_marks(step_count(duration, dt), record_every, len(np.atleast_2d(terr0)))
     t, states = error_flow(verr0, terr0, gains, dt, duration, record_every)
     rec = np.fromiter(states, dtype=(float, (6, len(np.atleast_2d(terr0)))), count=len(t))
     err = rec.transpose(2, 0, 1)  # (B, M, 6)
@@ -343,14 +347,19 @@ def stability_report(gains: ObserverGains, dt: float, record_every: int, samples
                      rng: np.random.Generator) -> dict:
     """The facts of the gains, in report order: the field at both equilibria,
     the flipped point's spectrum, then ``samples`` basin starts graded as they
-    run for 10 s.  The step and the record cap (:class:`RecordCapError`) are
-    checked before the basin is drawn."""
+    run for 10 s.  The step, and the work of the basin against
+    :data:`MAX_BASIN_WORK`, are checked before the basin is drawn; too much
+    work is named as ``--basin-samples``, the flag that sets ``samples``."""
     (v_zero, t_zero), (v_flip, t_flip) = equilibria(gains)
     eig = np.linalg.eigvals(linearization(v_flip, t_flip, gains))
     horizon = 10.0  # seconds each basin start runs
     n_steps = step_count(horizon, dt)
     require_stable_step(gains, dt)  # sample_basin does not check it
-    record_marks(n_steps, record_every, samples)  # a huge batch fails here, allocating nothing
+    if samples * n_steps > MAX_BASIN_WORK:  # a huge batch fails here, allocating nothing
+        raise ValueError(
+            f"--basin-samples {samples}: {samples} starts of {n_steps} steps each are "
+            f"{samples * n_steps} start-steps, over the cap of {MAX_BASIN_WORK} (about 25 s)"
+        )
     verr0, terr0 = sample_basin(samples, gains, rng)
     flow = error_flow(verr0, terr0, gains, dt, horizon, record_every)
     # not below 1e-3 at the horizon: inf, so uncounted, and a quantile it reaches reads "none"

@@ -84,11 +84,8 @@ def cmd_simulate(cfg, args):
 
 def cmd_analyze(cfg, args):
     gains, n = harness.config_gains(cfg), args.basin_samples
-    try:
-        facts = analysis.stability_report(gains, cfg.dt, cfg.decimation, n,
-                                          np.random.default_rng(cfg.seed))
-    except analysis.RecordCapError as exc:
-        raise ValueError(f"--basin-samples {n}: {exc}") from None
+    facts = analysis.stability_report(gains, cfg.dt, cfg.decimation, n,
+                                      np.random.default_rng(cfg.seed))
     files = {"analysis.txt": harness.key_value_text(facts)}
     return files, f"{facts['basin_converged']}/{n} basin samples converged"
 
@@ -117,8 +114,8 @@ def cmd_error_ode(cfg, args):
     )
     V = analysis.lyapunov(traj.verr, traj.terr, gains)
     Vdot = analysis.lyapunov_rate(traj.verr, traj.terr, gains)
-    rows = np.column_stack([traj.t, traj.verr, traj.terr, V, Vdot]).tolist()
-    files = {"error_ode.csv": harness.csv_text(harness.ERROR_ODE_HEADER, rows)}
+    cols = np.column_stack([traj.t, traj.verr, traj.terr, V, Vdot])
+    files = {"error_ode.csv": harness.csv_text(harness.ERROR_ODE_HEADER, cols)}
     return files, f"{len(traj.t)} rows, final V {float(V[-1]):.3g}"
 
 

@@ -51,6 +51,10 @@ EFFECTIVE_CONFIG = "effective.cfg"  # the config a command saves beside its outp
 # steps per block of a run: block k is the samples [2048 k, 2048 (k + 1)) of t_all, one
 # noise basis block; the basis matmul's bits depend on its width, so no other value will do
 ROW_BLOCK = 1024
+# observer inputs (rad/s, m/s, m/s^2) past this magnitude come from no pendulum:
+# configs/noisy.cfg's stay under 11.  A run that diverges on them is blamed on the
+# mount.* and noise.* keys that make them, not on the gains or the step
+INPUT_BOUND = 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +419,11 @@ def _run_cells(scene: Scene, cells) -> None:
     :data:`ROW_BLOCK` steps at a time, making each block's noise basis and
     seed-free truth once for the cells still running (their configs share
     the scene's keys).  A cell that diverges drops out, keeping its
-    ``RuntimeError`` as ``error`` less the traceback (it holds its last block)."""
+    ``RuntimeError``'s message as ``error``: its traceback, or its context's,
+    would hold the cell's last block."""
     for lo in range(0, len(scene.t_all), 2 * ROW_BLOCK):
         if not (live := [cell for cell in cells if cell.error is None]):
-            return
+            break
         wall, hi = time.perf_counter(), min(lo + 2 * ROW_BLOCK, len(scene.t_all))
         basis = plant.noise_basis(scene.t_all[lo:hi])
         truth = _block_truth(live[0].cfg, scene, slice(lo // 2, hi // 2))
@@ -427,8 +432,21 @@ def _run_cells(scene: Scene, cells) -> None:
             try:
                 cell.advance(lo, hi, basis, truth, time.perf_counter() - shared_s)
             except RuntimeError as exc:
-                cell.error = exc.with_traceback(None)
+                cell.error = RuntimeError(*exc.args)
         del basis, truth  # freed before the next block's are made
+    for cell in cells:  # its observer's rows refer back to it: a cycle that would
+        cell.observer = None  # hold the scene till the cyclic collector ran
+
+
+def _input_note(rows) -> str:
+    """What a divergence message says of the observer rows of its block:
+    their largest magnitude and, past :data:`INPUT_BOUND`, the keys that
+    make them."""
+    peak = float(np.abs(rows).max())
+    note = f"its inputs reach |{peak:.3g}|"
+    if not peak <= INPUT_BOUND:  # NaN too
+        note += f", past any pendulum's {INPUT_BOUND:g}: check the mount.* and noise.* keys"
+    return note
 
 
 class _Cell:
@@ -443,8 +461,8 @@ class _Cell:
         self.noise = plant.MountNoise(cfg.mount.noise_std, cfg.mount.noise_tau, seed=[cfg.seed, 1])
         self.rng = np.random.default_rng([cfg.seed, 0])
         self.observer, self.walk, self.unread = None, None, np.empty((0, 9))
-        # per block: states, x1 truth, gyro, accel at the marks; or the grade
-        self.threshold, self.kept, self.last_above, self.grade = threshold, [], -1, None
+        # per block: states, x1 truth, gyro, accel at the marks; or what the grade needs
+        self.threshold, self.kept, self.last_above, self.final_norm = threshold, [], -1, None
         self.timings = dict.fromkeys(("rotation", "mount", "sensors", "estimator", "record"), 0.0)
         self.timings["rotation"] = time.perf_counter() - wall0
 
@@ -482,12 +500,17 @@ class _Cell:
         walk = self.walk = iter(memoryview(rows[:cut].ravel()))
         self.unread = rows[cut:].copy()
         grid = 2 * marks - lo
-        x1_true = plant.velocity_measurement(pos[grid], vel[grid], s.rate_loc[i:j])
+        # a sweep cell reads the x1 truth only for its start
+        x1_true = (plant.velocity_measurement(pos[grid], vel[grid], s.rate_loc[i:j])
+                   if self.threshold is None or self.observer is None else None)
         if self.observer is None:  # mark 0 opens the first block
             state0 = np.concatenate([x1_true[0] - cfg.init.vel_err, s.tilt_hat0])
             self.observer = run_observer(self.gains, cfg.dt, self._rows(), state0, s.marks)
         self.timings["sensors"] += (t2 := time.perf_counter()) - t1
-        states = np.reshape(list(itertools.islice(self.observer, j - i)), (-1, 6))
+        try:
+            states = np.reshape(list(itertools.islice(self.observer, j - i)), (-1, 6))
+        except RuntimeError as exc:
+            raise RuntimeError(f"{exc}; {_input_note(rows)}") from None
         next(walk, None)  # ends the walk, which would hold the block till the next
         self.timings["estimator"] += (t3 := time.perf_counter()) - t2
         if self.threshold is None:
@@ -496,13 +519,19 @@ class _Cell:
             end = np.searchsorted(s.marks, steps.stop + (steps.start < steps.stop == n))
             held = np.minimum(s.marks[i:end], n - 1) - steps.start
             self.kept.append((states, x1_true, gyro_meas[held], accel_meas[held]))
-        elif j > i:  # the report's tilt grade so far, from the last mark at or above threshold
+        elif j > i:  # the last mark at or above threshold so far, and the last norm
             norms = np.linalg.norm(s.x2_true[i:j] - states[:, 3:], axis=-1)
             above = np.flatnonzero(norms >= self.threshold)
             self.last_above = i + above[-1] if len(above) else self.last_above
-            conv = float(_time_after(s.t_all[2 * s.marks], self.last_above))
-            self.grade = (None if math.isinf(conv) else conv), float(norms[-1])
+            self.final_norm = float(norms[-1])
         self.timings["record"] += time.perf_counter() - t3
+
+    def grade(self):
+        """A sweep cell's report grade, once every block has been advanced:
+        its tilt convergence time (``None`` if never reached) and final
+        tilt-error norm."""
+        conv = float(_time_after(self.scene.t_all[2 * self.scene.marks], self.last_above))
+        return (None if math.isinf(conv) else conv), self.final_norm
 
     def log(self) -> RunLog:
         """The record of the run, once every block has been advanced."""
@@ -536,8 +565,9 @@ def format_number(x: float) -> str:
 
 
 def csv_cell(v) -> str:
-    """One CSV field: a number as :func:`format_number` writes it, ``None``
-    as an empty field and text as it is.
+    """One CSV field of a row that may hold more than numbers: a number as
+    :func:`format_number` writes it, ``None`` as an empty field and text as
+    it is.  It is the field-by-field oracle of :func:`csv_text`'s array path.
 
     A finite float with a nonzero magnitude in [1e-300, 1e9) takes printf's
     9 significant digits, at under half Dragon4's cost.  Both printers round the
@@ -557,19 +587,73 @@ def csv_cell(v) -> str:
     return format_number(v)
 
 
+# rows per numpy pass and printf of csv_text's array path: a pass over a whole
+# run's log would hold a dozen temporaries, each as large as the log's text
+CSV_BLOCK = 16
+# a field's printf spec and the separator after it: precisions 0 to 308, then
+# "%s" for a field that format_number writes (index 309), each ending in ","
+# and, from index 310 on, in the "\n" that ends a row
+_CSV_SPECS = tuple(spec + end for end in ",\n"
+                   for spec in (*(f"%.{p}f" for p in range(309)), "%s"))
+
+
+def _array_blocks(cols: np.ndarray):
+    """The text of the 2-D float array ``cols``, a block of
+    :data:`CSV_BLOCK` lines at a time: one numpy pass finds every field's
+    spec, then one printf writes the block.
+
+    A field takes printf's 9 significant digits (precision 8 - e, with
+    e = floor(log10 |v|)) unless it is flagged, when :func:`format_number`
+    writes it.  Where printf's last digit is 0 and |v| is at most the printed
+    decimal (exact or rounded up), Dragon4 drops the trailing zeros and pads
+    the fraction back to 9 - (integer digits) places.  That is printf's own
+    width, 8 - e, except below 1 (the integer part "0" is one digit) and
+    where the rounding carries into a new integer digit.  With
+    q = |v| 10^(8 - e), printf's digits are q rounded, so the flag takes
+    q mod 10 at or above 9.5, or at 0, with a margin of 1e-5 over the few
+    ulps that q is off by: it flags a superset.  It also flags q at or past
+    the edges of [1e8, 1e9), where np.log10 may be an ulp off next to a
+    power of ten, and, as :func:`csv_cell` does, zero, non-finite and
+    out-of-range values (|v| outside [1e-300, 1e9)).
+    """
+    for lo in range(0, len(cols), CSV_BLOCK):
+        block = cols[lo : lo + CSV_BLOCK]
+        m = np.abs(block)
+        with np.errstate(all="ignore"):  # zero, NaN and inf make a NaN q; |v| < 1e-300 an inf
+            p = 8.0 - np.floor(np.log10(m))
+            q = m * 10.0**p
+            r = q % 10.0  # exact
+        trims = (r >= 9.5 - 1e-5) | (r <= 1e-5)
+        flag = ~((q >= 1e8 + 1e-3) & (q <= 1e9 - 1e-3) & (m < 1e9))
+        flag |= trims & ((p > 8.0) | (q >= 1e9 - 0.5 - 1e-5))
+        specs = np.where(flag, 309, p).astype(int)
+        specs[:, -1] += 310
+        values = block.ravel().tolist()
+        for k in np.flatnonzero(flag).tolist():
+            values[k] = format_number(values[k])
+        yield "".join(map(_CSV_SPECS.__getitem__, specs.ravel().tolist())) % tuple(values)
+
+
 def csv_text(header: str, rows) -> str:
-    """The one CSV format: ``header``, then one line per row of
-    :func:`csv_cell` fields."""
-    lines = [header]
-    lines.extend(",".join(map(csv_cell, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+    """The one CSV format: ``header``, then one line per row.
+
+    A 2-D float array (a run's or an error-ODE's columns) takes the array
+    path, :func:`_array_blocks`: a few rows a numpy pass and a printf, so
+    neither the values nor the lines of the whole text ever live as Python
+    objects at once.  Rows of other values (a sweep's, with ``None`` and
+    text) are :func:`csv_cell` fields.  Both write a number as
+    :func:`format_number` does."""
+    if isinstance(rows, np.ndarray):
+        return "".join([header, "\n", *_array_blocks(rows)])
+    # the "" ends the text with a newline without copying it again
+    return "\n".join([header, *(",".join(map(csv_cell, row)) for row in rows), ""])
 
 
 def run_csv(log: RunLog) -> str:
     """The run's CSV: one :data:`CSV_HEADER` row per mark."""
     cols = np.column_stack([log.t, log.tilt, log.tilt_est, log.vel_err, log.tilt_err,
                             log.V, log.Vdot, log.accel, log.gyro])
-    return csv_text(CSV_HEADER, cols.tolist())
+    return csv_text(CSV_HEADER, cols)
 
 
 def run_report(log: RunLog, threshold: float = TILT_THRESHOLD) -> dict:
@@ -641,7 +725,7 @@ def sweep(cfg: ExperimentConfig, alphas, betas, threshold: float = TILT_THRESHOL
     _run_cells(scene, [cell for _, cell in cells])
     for row, cell in cells:
         if cell.error is None:
-            row["convergence_time"], row["final_tilt_err_norm"] = cell.grade
+            row["convergence_time"], row["final_tilt_err_norm"] = cell.grade()
             continue
         logger.warning("sweep cell alpha=%r beta=%r: %s", row["alpha"], row["beta"], cell.error)
         row["status"] = "diverged"

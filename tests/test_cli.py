@@ -72,6 +72,27 @@ def test_scene_that_overflows_is_named_by_its_keys(tmp_path, capsys, key, group)
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("line", [
+    "mount.noise_std = 1e300",
+    "noise.accel_std = 1e300",
+    "noise.gyro_std = 1e300",
+    "mount.kp = 1e160",
+    "mount.p0 = 1e300,0,0",
+    "mount.p_ref = 1e300,0,0",
+])
+def test_divergence_on_absurd_inputs_names_their_keys(tmp_path, capsys, line):
+    # the observer's inputs stay finite, up to 1e301, but no pendulum makes them:
+    # the divergence they cause is blamed on the keys that make them
+    cfg_path = tmp_path / "absurd.cfg"
+    cfg_path.write_text(f"duration = 1\n{line}\n")
+    rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "mount." in err[0] or "noise." in err[0], err
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_config_and_seed_override(tmp_path):
     cfg_path = tmp_path / "my.cfg"
     cfg_path.write_text(
@@ -125,8 +146,19 @@ def test_analyze_never_holds_the_basin_record(tmp_path):
     assert peak < 4_000_000
 
 
+def test_analyze_grades_a_basin_whose_record_would_be_over_the_cap(tmp_path, monkeypatch):
+    # analyze grades mark by mark and holds no record, so the record cap never binds it
+    monkeypatch.setattr(tiltobs.analysis, "MAX_RECORD_VALUES", 100)
+    cfg_path = tmp_path / "coarse.cfg"
+    cfg_path.write_text("dt = 0.01\n")
+    rc = main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+               "--basin-samples", "5"])
+    assert rc == 0
+    assert read_report(tmp_path / "o" / "analysis.txt")["basin_samples"] == "5"
+
+
 def test_analyze_huge_basin_fails_cleanly(tmp_path, capsys):
-    # a 4.8 GB record: refused before the basin is drawn
+    # 10^9 start-steps, minutes of stepping: refused before the basin is drawn
     tracemalloc.start()
     try:
         rc = main(["analyze", "--out", str(tmp_path), "--basin-samples", "100000"])
@@ -135,7 +167,7 @@ def test_analyze_huge_basin_fails_cleanly(tmp_path, capsys):
         tracemalloc.stop()
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: --basin-samples 100000: a batch of 100000 starts")
+    assert err.startswith("error: --basin-samples 100000: 100000 starts of 10000 steps")
     assert peak < 1_000_000
     assert not (tmp_path / "analysis.txt").exists()
 

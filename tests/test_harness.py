@@ -8,6 +8,7 @@ determinism, and the self-consistency floors of the closed loop.
 import collections
 import copy
 import dataclasses
+import gc
 import itertools
 import math
 import logging
@@ -344,6 +345,79 @@ def test_csv_cell_fields():
     assert csv_cell(math.inf) == format_number(math.inf) == "inf"
     assert csv_cell(math.nan) == format_number(math.nan) == "nan"
     assert csv_cell(np.float64(0.5)) == csv_cell(0.5) == "0.50000000"
+
+
+# values where the array path's flag could go wrong: zeros, the smallest
+# subnormal, 1e-300 and 1e9 (the ends of printf's range) and the powers of
+# ten, each with both neighbours, short decimals and non-finite values
+EDGES = [0.0, 5e-324, 1e-300, 1e9, *POWERS_OF_TEN]
+CSV_ARRAY_VALUES = st.one_of(
+    st.sampled_from([*EDGES, *(math.nextafter(v, 0.0) for v in EDGES),
+                     *(math.nextafter(v, math.inf) for v in EDGES), math.inf, math.nan]),
+    st.builds(lambda k, n: k / 10.0**n, st.integers(1, 10**9), st.integers(-10, 20)),
+    st.floats(min_value=-1e9, max_value=1e9),
+    st.floats(allow_nan=True, allow_infinity=True),
+).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40), st.integers(1, 21), st.lists(CSV_ARRAY_VALUES, min_size=1, max_size=60),
+       st.integers(0, 2**32 - 1))
+def test_csv_array_path_is_the_csv_cell_path(n_rows, n_cols, pool, seed):
+    # csv_cell field by field is the oracle of the array path; the fields are
+    # picked from a drawn pool, so a 40 x 21 array costs a draw of 60 values
+    cols = np.random.default_rng(seed).choice(np.array(pool), size=(n_rows, n_cols))
+    assert csv_text("h", cols) == csv_text("h", cols.tolist())
+
+
+def test_csv_array_path_is_format_number_on_adversarial_values():
+    values = np.array([x for v in ADVERSARIAL_NUMBERS for x in (v, -v)] + [math.inf, -math.inf,
+                                                                         math.nan])
+    for cols in (values[:, None], values[None, :], np.resize(values, (16, 21))):
+        expect = "".join(",".join(map(format_number, row)) + "\n" for row in cols.tolist())
+        assert csv_text("h", cols) == "h\n" + expect
+
+
+def test_run_csv_memory_peak():
+    # the array path formats a few rows per numpy pass and joins a block's
+    # lines as it goes: no whole-log lists of Python floats or line strings
+    log = run_simulation(load_config(NOISY_CFG))
+    tracemalloc.start()
+    try:
+        run_csv(log)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("command", ["run_simulation", "sweep"])
+def test_a_finished_run_frees_its_scene_without_the_cyclic_collector(monkeypatch, command):
+    # a cell's observer reads the cell's own rows generator, and a diverged
+    # cell's error could hold the frame that ran it: left as they were, either
+    # cycle would hold the scene until the cyclic collector ran
+    scenes = []
+    build = harness.build_scene
+
+    def watched(cfg):
+        scene = build(cfg)
+        scenes.append(weakref.ref(scene))
+        return scene
+
+    monkeypatch.setattr(harness, "build_scene", watched)
+    cfg = ExperimentConfig()
+    cfg.duration = 0.5
+    gc.disable()
+    try:
+        if command == "sweep":
+            rows = sweep(cfg, alphas=[19.8, 5000.0], betas=[1.0], threshold=0.5)
+            assert [row["status"] for row in rows] == ["ok", "diverged"]
+        else:
+            run_simulation(cfg)
+        alive = scenes[0]() is not None
+    finally:
+        gc.enable()
+    assert not alive
 
 
 def test_csv_header_only_and_single_row():

@@ -72,6 +72,22 @@ def test_only_the_cli_writes_files():
     assert calls, "the guard found no write in cli.py, so it may look for the wrong names"
 
 
+def test_one_function_joins_csv_fields():
+    # one CSV format: harness.csv_text is the only function that joins fields with ","
+    joins = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for function in functions:
+            for node in ast.walk(function):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "join" and isinstance(node.func.value, ast.Constant)
+                        and node.func.value.value == ","):
+                    joins.append(f"{path.name}: {function.name}")
+    assert sorted(set(joins)) == ["harness.py: csv_text"]
+
+
 def test_a_failing_property_does_not_end_the_run(pytester):
     # under the project's own warning filters, a failing Hypothesis property
     # is one failed test, and the tests after it still run
