@@ -12,9 +12,10 @@ with ``S(w)`` the cross-product matrix, so the observer's convergence can be
 studied independently of any particular robot motion.  The module provides
 the vector field, its Lyapunov function with a closed-form decay rate, the
 two equilibria with their linearizations, an exponential convergence bound,
-and the error flow, graded mark by mark as it runs or recorded for
-cross-checks against the full simulation; :func:`stability_report` gathers
-the facts of a gain set that ``analyze`` reports, its basin sample included.
+and the error flow, graded mark by mark as it runs or, for one start,
+recorded for cross-checks against the full simulation;
+:func:`stability_report` gathers the facts of a gain set that ``analyze``
+reports, its basin sample included.
 The flow has no loop of its own: these dynamics are the observer at rest, so
 it runs :func:`observer.run_observer`, the loop the closed-loop simulation
 runs too, on rest inputs: on Python floats for one start and on (B,) arrays
@@ -48,11 +49,6 @@ RK4_REAL_LIMIT = 2.785
 # 430 MB at 10^6 (Python 3.11, numpy 2.4), so this also bounds its memory.
 MAX_STEPS = 10**6
 
-# the most float64 values one error-ODE record may hold (480 MB): 10^4 basin
-# starts at 1001 records each.  `analyze` holds no record, and grades in (B,)
-# vectors: at 9990 starts it peaks near 45 MB, `error-ode` near 31 MB.
-MAX_RECORD_VALUES = 6 * 10**7
-
 # the most start-steps (basin starts times steps each) one stability report
 # may run: 9990 starts of 10^4 steps took 24 s
 MAX_BASIN_WORK = 10**8
@@ -80,21 +76,9 @@ def require_stable_step(gains: ObserverGains, dt: float) -> None:
                          f"below {RK4_REAL_LIMIT} (RK4 stability limit)")
 
 
-def record_marks(n_steps: int, record_every: int, batch: int = 0) -> list:
+def record_marks(n_steps: int, record_every: int) -> list:
     """Step indices a run records or grades at: every ``record_every``-th
-    step and the last one.
-
-    ``batch`` is the number of starts whose record is kept (none for a flow
-    graded as it runs).  Raises ``ValueError`` naming it when that record,
-    six values per start and mark, would be over :data:`MAX_RECORD_VALUES`;
-    nothing is allocated before the check.
-    """
-    count = -(-n_steps // record_every) + 1  # the multiples of record_every, then n_steps
-    if count * 6 * batch > MAX_RECORD_VALUES:
-        raise ValueError(
-            f"a batch of {batch} starts recorded at {count} marks is "
-            f"{count * 6 * batch} values, over the cap of {MAX_RECORD_VALUES}"
-        )
+    step and the last one."""
     marks = list(range(0, n_steps + 1, record_every))
     if marks[-1] != n_steps:
         marks.append(n_steps)
@@ -204,32 +188,27 @@ def _time_after(t, last):
 
 @dataclass
 class ErrorTrajectory:
-    """Recorded error-dynamics run: times (M,), states (M, 3) or (B, M, 3)."""
+    """Recorded error-dynamics run of one start: (M,) times, (M, 3) states."""
 
     t: np.ndarray
     verr: np.ndarray
     terr: np.ndarray
 
 
-def grade_batch(traj, gains: ObserverGains, threshold: float):
-    """Grade a batch mark by mark: ``traj`` is an :func:`error_flow`, graded
-    as it runs, or an :class:`ErrorTrajectory` record, (B, M, 3) or, for
-    one start, (M, 3), graded as a batch of one.
+def grade_batch(flow, gains: ObserverGains, threshold: float):
+    """Grade a batch mark by mark as it runs: ``flow`` is ``(t, states)``, an
+    :func:`error_flow` or any iterable of (6, B) states at the M times ``t``.
 
     Returns three (B,) vectors: the time from which
     xi = sqrt(|verr|^2 + |terr|^2) stays below ``threshold`` (inf if it is
     still at or above it at the last mark), the margin 1 - max |terr|^2 / 4,
     and whether V never rises by over 1e-9 * max(1, V[0]).  Holds (B,)
     vectors only, such as each start's last mark at or above ``threshold``."""
-    if isinstance(traj, ErrorTrajectory):
-        t = traj.t
-        marks = zip(*(x.reshape(-1, len(t), 3).swapaxes(0, 1) for x in (traj.verr, traj.terr)))
-    else:  # the (6, B) states' .T views have the layout of a collected record
-        t, states = traj
-        marks = ((e[:3].T, e[3:].T) for e in states)
+    t, states = flow
     # a start that overflows reads inf here until the flow names its mark
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, (verr, terr) in enumerate(marks):
+        for j, e in enumerate(states):
+            verr, terr = e[:3].T, e[3:].T  # (B, 3) views of the (6, B) state
             sq = np.einsum("...i,...i->...", terr, terr)
             V = lyapunov(verr, terr, gains)
             if j == 0:
@@ -262,10 +241,9 @@ def error_flow(verr0, terr0, gains: ObserverGains, dt: float = 1e-3, duration: f
     (:func:`require_stable_step`).  The limit is necessary, not sufficient:
     just under it the Lyapunov function can still rise along some basin
     starts.  Also raises when the step count would be over its cap (see
-    :func:`step_count`); the flow holds no record, so no record cap binds.  The
-    generator raises ``RuntimeError`` naming the first mark whose state is
-    not finite when any start's run overflows, such as one from a huge
-    ``verr0``.
+    :func:`step_count`).  The generator raises ``RuntimeError`` naming the
+    first mark whose state is not finite when any start's run overflows,
+    such as one from a huge ``verr0``.
     """
     v = np.atleast_2d(np.asarray(verr0, dtype=float))
     u = EZ - np.atleast_2d(np.asarray(terr0, dtype=float))
@@ -288,16 +266,15 @@ def error_flow(verr0, terr0, gains: ObserverGains, dt: float = 1e-3, duration: f
 
 def integrate_error_ode(verr0, terr0, gains: ObserverGains, dt: float = 1e-3,
                         duration: float = 10.0, record_every: int = 1) -> ErrorTrajectory:
-    """:func:`error_flow` recorded: states (M, 3) for a (3,) start, (B, M, 3)
-    for (B, 3) starts.  Raises as the flow does, and, before the flow is
-    made, when the record would be over its cap (see :func:`record_marks`)."""
-    record_marks(step_count(duration, dt), record_every, len(np.atleast_2d(terr0)))
+    """:func:`error_flow` of one (3,) start, recorded.  Raises as the flow
+    does, and ``ValueError`` on a batch of starts, before anything is
+    allocated: a batch is graded as it runs, by ``grade_batch(error_flow(...))``."""
+    if max(np.ndim(verr0), np.ndim(terr0)) > 1:
+        raise ValueError("integrate_error_ode records one (3,) start; grade a batch "
+                         "as it runs with grade_batch(error_flow(...))")
     t, states = error_flow(verr0, terr0, gains, dt, duration, record_every)
-    rec = np.fromiter(states, dtype=(float, (6, len(np.atleast_2d(terr0)))), count=len(t))
-    err = rec.transpose(2, 0, 1)  # (B, M, 6)
-    if np.ndim(terr0) == 1:
-        err = err[0]
-    return ErrorTrajectory(t=t, verr=err[..., :3], terr=err[..., 3:])
+    err = np.fromiter(states, dtype=(float, (6, 1)), count=len(t))[..., 0]
+    return ErrorTrajectory(t=t, verr=err[:, :3], terr=err[:, 3:])
 
 
 # basin starts are drawn below this share of the flipped equilibrium's V

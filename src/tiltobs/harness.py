@@ -52,8 +52,8 @@ EFFECTIVE_CONFIG = "effective.cfg"  # the config a command saves beside its outp
 # noise basis block; the basis matmul's bits depend on its width, so no other value will do
 ROW_BLOCK = 1024
 # observer inputs (rad/s, m/s, m/s^2) past this magnitude come from no pendulum:
-# configs/noisy.cfg's stay under 11.  A run that diverges on them is blamed on the
-# mount.* and noise.* keys that make them, not on the gains or the step
+# configs/noisy.cfg's stay under 11.  A block whose inputs pass it is refused,
+# naming the mount.* and noise.* keys that make them, before the observer steps it
 INPUT_BOUND = 1e6
 
 
@@ -222,7 +222,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError(
             f"init.attitude_mode must be one of {ATTITUDE_MODES}, got {cfg.init.attitude_mode!r}"
         )
-    n = float(np.linalg.norm(cfg.init.tilt_err))
+    n = math.hypot(*cfg.init.tilt_err)  # no overflow to inf on a huge entry
     if n >= 2.0:
         raise ValueError(f"init.tilt_err norm must be < 2, got {n}")
     taken = [EFFECTIVE_CONFIG]  # the outputs are written side by side
@@ -438,17 +438,6 @@ def _run_cells(scene: Scene, cells) -> None:
         cell.observer = None  # hold the scene till the cyclic collector ran
 
 
-def _input_note(rows) -> str:
-    """What a divergence message says of the observer rows of its block:
-    their largest magnitude and, past :data:`INPUT_BOUND`, the keys that
-    make them."""
-    peak = float(np.abs(rows).max())
-    note = f"its inputs reach |{peak:.3g}|"
-    if not peak <= INPUT_BOUND:  # NaN too
-        note += f", past any pendulum's {INPUT_BOUND:g}: check the mount.* and noise.* keys"
-    return note
-
-
 class _Cell:
     """The run of ``cfg`` with ``gains`` on ``scene`` (built from ``cfg`` or
     from a config that differs only outside the scene), fed block by block by
@@ -496,6 +485,10 @@ class _Cell:
         marks = s.marks[i:j]  # the step boundaries of the block that are marks
         # unread rows to the last mark are walked at half tolist's cost; the rest wait, copied
         rows = np.concatenate([self.unread, rows])
+        if not (peak := float(np.abs(rows).max(initial=0.0))) <= INPUT_BOUND:  # NaN too
+            raise ValueError(f"mount.* and noise.* keys make the observer's inputs reach "
+                             f"|{peak:.3g}| in the block from t = {s.t_all[lo]:g} s, past "
+                             f"any pendulum's {INPUT_BOUND:g}")
         cut = len(rows) - steps.stop + marks[-1] if j > i else 0
         walk = self.walk = iter(memoryview(rows[:cut].ravel()))
         self.unread = rows[cut:].copy()
@@ -510,7 +503,7 @@ class _Cell:
         try:
             states = np.reshape(list(itertools.islice(self.observer, j - i)), (-1, 6))
         except RuntimeError as exc:
-            raise RuntimeError(f"{exc}; {_input_note(rows)}") from None
+            raise RuntimeError(f"{exc}; its inputs reach |{peak:.3g}|") from None
         next(walk, None)  # ends the walk, which would hold the block till the next
         self.timings["estimator"] += (t3 := time.perf_counter()) - t2
         if self.threshold is None:
@@ -567,24 +560,10 @@ def format_number(x: float) -> str:
 def csv_cell(v) -> str:
     """One CSV field of a row that may hold more than numbers: a number as
     :func:`format_number` writes it, ``None`` as an empty field and text as
-    it is.  It is the field-by-field oracle of :func:`csv_text`'s array path.
-
-    A finite float with a nonzero magnitude in [1e-300, 1e9) takes printf's
-    9 significant digits, at under half Dragon4's cost.  Both printers round the
-    exact binary value half to even; Dragon4 pads or trims only where the
-    last printed digit would be 0 (after a carry, on an exact short value
-    like 0.5, or where log10 is one off next to a power of ten), so any
-    printf string ending in "0" is written by :func:`format_number` instead.
-    """
-    if v.__class__ is float and 1e-300 <= (m := abs(v)) < 1e9:
-        s = "%.*f" % (8 - math.floor(math.log10(m)), v)
-        if s[-1] != "0":
-            return s
+    it is.  It is the field-by-field oracle of :func:`csv_text`'s array path."""
     if v is None:
         return ""
-    if isinstance(v, str):
-        return v
-    return format_number(v)
+    return v if isinstance(v, str) else format_number(v)
 
 
 # rows per numpy pass and printf of csv_text's array path: a pass over a whole
@@ -613,8 +592,8 @@ def _array_blocks(cols: np.ndarray):
     q mod 10 at or above 9.5, or at 0, with a margin of 1e-5 over the few
     ulps that q is off by: it flags a superset.  It also flags q at or past
     the edges of [1e8, 1e9), where np.log10 may be an ulp off next to a
-    power of ten, and, as :func:`csv_cell` does, zero, non-finite and
-    out-of-range values (|v| outside [1e-300, 1e9)).
+    power of ten, and zero, non-finite and out-of-range values (|v| outside
+    [1e-300, 1e9)).  It is the one place that picks printf over Dragon4.
     """
     for lo in range(0, len(cols), CSV_BLOCK):
         block = cols[lo : lo + CSV_BLOCK]
@@ -703,7 +682,10 @@ def sweep(cfg: ExperimentConfig, alphas, betas, threshold: float = TILT_THRESHOL
     condition are reported as rejected rows, and runs whose state diverges
     as diverged rows (the step and ``alpha*dt`` go to the log), instead of
     aborting the sweep.  The base config's own ``alpha`` and
-    ``beta`` are not checked; its ``g0``, which every cell keeps, is.
+    ``beta`` are not checked; its ``g0``, which every cell keeps, is.  Keys
+    that no cell replaces fail the whole sweep with a ``ValueError``: a scene
+    that overflows (``pivot.*``, ``mount.rate_*``) and observer inputs past
+    :data:`INPUT_BOUND` (``mount.*``, ``noise.*``).
     Returns one row per cell in grid order, a dict in :data:`SWEEP_HEADER` order.
     """
     require_positive("gains.g0", cfg.gains.g0)

@@ -124,8 +124,11 @@ class MountNoise:
         rng = np.random.default_rng(seed)
         m = np.arange(1, NOISE_HARMONICS + 1, dtype=float)
         self.omega = 2.0 * np.pi * m / NOISE_PERIOD
-        gain2 = 1.0 / (1.0 + (self.omega * tau) ** 2)
-        self.amp = std * np.sqrt(2.0 * gain2 / gain2.sum())
+        # a tau so large that every gain underflows to 0 makes NaN amplitudes,
+        # refused where they reach the observer's inputs
+        with np.errstate(all="ignore"):
+            gain2 = 1.0 / (1.0 + (self.omega * tau) ** 2)
+            self.amp = std * np.sqrt(2.0 * gain2 / gain2.sum())
         self.phase = rng.uniform(0.0, 2.0 * np.pi, size=(3, NOISE_HARMONICS))
         self.kp = None  # the kp of the weights made last, kept till kp changes
 

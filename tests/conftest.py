@@ -5,6 +5,9 @@ The acceptance tests in test_acceptance.py each measure a margin and record a
 one-line verdict.  Printing from inside a test gets swallowed by capture, so
 the lines are replayed in the terminal summary where they are always visible.
 
+Tests that need the record of a batch of error-dynamics starts collect it
+from the live flow with the ``collect`` fixture.
+
 The CLI tests hash the artifacts they write against ``golden_digests.json``,
 so a refactor that changes any output byte fails; a harness test hashes the
 RunLog arrays of two runs at full precision too.  After an intended output
@@ -16,9 +19,12 @@ import hashlib
 import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+from tiltobs.analysis import error_flow
 
 pytest_plugins = ["pytester"]  # runs pytest on a generated file
 
@@ -43,6 +49,22 @@ def criterion():
         line = f"criterion {num:2d}: {'PASS' if passed else 'FAIL'} - {detail}"
         ACCEPTANCE_LINES.append(line)
         assert passed, line
+
+    return record
+
+
+@pytest.fixture(scope="session")
+def collect():
+    """``collect(verr0, terr0, gains, **run)`` records the :func:`error_flow`
+    of (B, 3) starts: its M times ``t``, its (M, 6, B) ``states`` (so
+    ``(t, states)`` is a flow again) and their (B, M, 3) ``verr`` and
+    ``terr`` views."""
+
+    def record(verr0, terr0, gains, **run):
+        t, states = error_flow(verr0, terr0, gains, **run)
+        states = np.fromiter(states, dtype=(float, (6, len(verr0))), count=len(t))
+        err = states.transpose(2, 0, 1)
+        return SimpleNamespace(t=t, states=states, verr=err[..., :3], terr=err[..., 3:])
 
     return record
 

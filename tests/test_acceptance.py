@@ -57,11 +57,9 @@ def noisy_run():
 
 
 @pytest.fixture(scope="module")
-def basin_batch():
+def basin_batch(collect):
     verr0, terr0 = sample_basin(1000, GAINS, np.random.default_rng(7))
-    return integrate_error_ode(
-        verr0, terr0, GAINS, dt=1e-3, duration=10.0, record_every=10
-    )
+    return collect(verr0, terr0, GAINS, dt=1e-3, duration=10.0, record_every=10)
 
 
 def test_criterion_01_reference_convergence(reference_run, criterion):
@@ -204,7 +202,7 @@ def test_criterion_06_flipped_equilibrium_repels(criterion):
 
 def test_criterion_07_exponential_envelope(basin_batch, criterion):
     V = lyapunov(basin_batch.verr, basin_batch.terr, GAINS)
-    _, eps, _ = grade_batch(basin_batch, GAINS, 1e-3)
+    _, eps, _ = grade_batch((basin_batch.t, basin_batch.states), GAINS, 1e-3)
     worst = -np.inf
     for i in range(V.shape[0]):
         bound = exponential_bound(float(V[i, 0]), basin_batch.t, float(eps[i]), GAINS)

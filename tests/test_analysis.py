@@ -7,8 +7,6 @@ from numpy.testing import assert_allclose
 from tiltobs import analysis
 from tiltobs.analysis import (
     EZ,
-    MAX_RECORD_VALUES,
-    ErrorTrajectory,
     convergence_times,
     decay_rate,
     equilibria,
@@ -20,7 +18,6 @@ from tiltobs.analysis import (
     linearization,
     lyapunov,
     lyapunov_rate,
-    record_marks,
     sample_basin,
     unstable_root,
 )
@@ -179,20 +176,22 @@ def test_exponential_bound_values_and_validation():
 
 
 def test_grade_batch_epsilon_hand_values():
-    # one start per row; the last one touches the flipped point, |terr| = 2
+    # a hand-made flow of three starts over three marks, (M, 6, B) with zero
+    # verr; the last start touches the flipped point, |terr| = 2
     terr = np.array([
         [[0.0, 0.0, 1.0], [0.0, 0.0, 1.5], [0.1, 0.0, 0.0]],
         [[0.0, 0.0, 1.93065]] * 3,
         [[0.0, 0.0, 2.0]] * 3,
     ])
-    traj = ErrorTrajectory(t=np.arange(3.0), verr=np.zeros_like(terr), terr=terr)
-    _, eps, _ = grade_batch(traj, GAINS, 1e-3)
+    t = np.arange(3.0)
+    states = np.concatenate([np.zeros_like(terr), terr], axis=-1).transpose(1, 2, 0)
+    _, eps, _ = grade_batch((t, states), GAINS, 1e-3)
     assert_allclose(eps[0], 1.0 - 1.5**2 / 4.0, rtol=1e-12)
     assert_allclose(eps[1], 0.0681476, atol=1e-7)
     assert eps[2] == 0.0
     # no positive margin there, so no exponential envelope either
     with pytest.raises(ValueError):
-        exponential_bound(1.0, traj.t, eps[2], GAINS)
+        exponential_bound(1.0, t, eps[2], GAINS)
 
 
 def test_convergence_time_cases():
@@ -229,59 +228,46 @@ def test_convergence_rule_edge_cases_grade_alike_on_both_paths():
         [2.0, np.nan, 0.5, 0.5, 0.5],  # a NaN reads as below
         [2.0, 3.0, 1.5, 0.2, 0.1],  # above, then below for good
     ])
-    verr = np.zeros(xi.shape + (3,))
-    verr[..., 0] = xi
-    traj = ErrorTrajectory(t=0.5 * np.arange(5), verr=verr, terr=np.zeros_like(verr))
-    norms = np.sqrt(np.sum(traj.verr**2, axis=-1) + np.sum(traj.terr**2, axis=-1))
-    expected = convergence_times(traj.t, norms, 1.0)
+    t, states = 0.5 * np.arange(5), np.zeros((5, 6, 5))  # a hand-made (M, 6, B) flow
+    states[:, 0] = xi.T
+    expected = convergence_times(t, np.sqrt(np.sum(states**2, axis=1)).T, 1.0)
     assert expected.tolist() == [0.0, 0.5, np.inf, 0.5, 1.5]
-    assert grade_batch(traj, GAINS, 1.0)[0].tobytes() == expected.tobytes()
+    assert grade_batch((t, states), GAINS, 1.0)[0].tobytes() == expected.tobytes()
 
 
-def decaying_record(n: int, m: int, seed: int) -> ErrorTrajectory:
-    """Hand-built batch record: each start's errors shrink by exp(-k t) along
-    fixed directions, so xi falls and V strictly decreases, at rates k that
-    leave some starts above 1e-2 at the end."""
+def decaying_flow(n: int, m: int, seed: int):
+    """Hand-built batch flow ``(t, states)``, (M, 6, B): each start's errors
+    shrink by exp(-k t) along fixed directions, so xi falls and V strictly
+    decreases, at rates k that leave some starts above 1e-2 at the end."""
     rng = np.random.default_rng(seed)
     t = 0.1 * np.arange(m)
     decay = np.exp(-rng.uniform(0.2, 3.0, (n, 1)) * t)[..., None]
     verr = rng.standard_normal((n, 1, 3)) * decay
     terr = rng.uniform(-1.0, 1.0, (n, 1, 3)) * decay
-    return ErrorTrajectory(t=t, verr=verr, terr=terr)
+    return t, np.concatenate([verr, terr], axis=-1).transpose(1, 2, 0)
 
 
-def test_grade_batch_of_a_live_flow_is_its_record_graded():
+def test_grade_batch_of_a_live_flow_is_its_record_graded(collect):
     # 150 starts, 1 s at 5 ms: some still above 1e-2 at the last mark
     verr0, terr0 = on_manifold_samples(150, seed=4)
     run = dict(dt=5e-3, duration=1.0, record_every=2)
     live = grade_batch(error_flow(verr0, terr0, GAINS, **run), GAINS, 1e-2)
-    recorded = grade_batch(integrate_error_ode(verr0, terr0, GAINS, **run), GAINS, 1e-2)
+    rec = collect(verr0, terr0, GAINS, **run)
+    recorded = grade_batch((rec.t, rec.states), GAINS, 1e-2)
     for a, b in zip(live, recorded):
         assert a.shape == (150,) and a.tobytes() == b.tobytes()
     assert np.isinf(live[0]).any() and np.isfinite(live[0]).any()
-    # a hand-made record
-    traj = decaying_record(150, 60, seed=4)
-    conv, eps, monotone = grade_batch(traj, GAINS, 1e-2)
+    # a hand-made flow
+    t, states = decaying_flow(150, 60, seed=4)
+    conv, eps, monotone = grade_batch((t, states), GAINS, 1e-2)
     assert np.isinf(conv).any() and np.isfinite(conv).any()
-    xi = np.sqrt(np.sum(traj.verr**2 + traj.terr**2, axis=-1))
-    assert np.array_equal(np.isinf(conv), xi[:, -1] >= 1e-2)
-    assert_allclose(eps, 1.0 - np.max(np.sum(traj.terr**2, axis=-1), axis=1) / 4.0)
+    xi = np.sqrt(np.sum(states**2, axis=1))
+    assert np.array_equal(np.isinf(conv), xi[-1] >= 1e-2)
+    assert_allclose(eps, 1.0 - np.max(np.sum(states[:, 3:] ** 2, axis=1), axis=0) / 4.0)
     assert monotone.all()
-    # a V rise at one record of start 148
-    traj.verr[148, 30, 0] += 10.0
-    assert np.flatnonzero(~grade_batch(traj, GAINS, 1e-2)[2]).tolist() == [148]
-
-
-def test_grade_batch_of_one_start_record_is_a_batch_of_one():
-    # a (3,) start records (M, 3) states: graded as its flow is, with (1,) vectors
-    verr0, terr0 = on_manifold_samples(1, seed=6)
-    run = dict(dt=5e-3, duration=1.0, record_every=2)
-    traj = integrate_error_ode(verr0[0], terr0[0], GAINS, **run)
-    assert traj.verr.shape == (len(traj.t), 3)
-    recorded = grade_batch(traj, GAINS, 1e-2)
-    live = grade_batch(error_flow(verr0[0], terr0[0], GAINS, **run), GAINS, 1e-2)
-    for a, b in zip(recorded, live):
-        assert a.shape == (1,) and a.tobytes() == b.tobytes()
+    # a V rise at one mark of start 148
+    states[30, 0, 148] += 10.0
+    assert np.flatnonzero(~grade_batch((t, states), GAINS, 1e-2)[2]).tolist() == [148]
 
 
 def test_grading_a_live_flow_never_holds_its_record():
@@ -343,9 +329,6 @@ def test_flow_checks_its_input_at_call_time(monkeypatch):
     ):
         with pytest.raises(ValueError, match=match):
             error_flow(v, t, GAINS, **run)
-    # only integrate_error_ode makes a record, so only it checks the record cap
-    with pytest.raises(ValueError, match="over the cap"):
-        integrate_error_ode(np.zeros((9991, 3)), np.zeros((9991, 3)), GAINS, record_every=10)
     assert started == []
 
 
@@ -380,14 +363,19 @@ def test_error_point_rejects_off_manifold():
         (np.zeros(3), 0.5 * EZ),
         (np.zeros(3), np.array([3.0, 0.0, 0.0])),
         (np.zeros(2), np.zeros(3)),  # shapes disagree
-        # non-finite starts, also as one row of a batch
+        # non-finite starts
         (np.zeros(3), np.array([np.nan, 0.0, 0.0])),
         (np.array([np.inf, 0.0, 0.0]), np.zeros(3)),
-        (np.zeros((2, 3)), np.array([[0.0, 0.0, 0.0], [0.0, 0.0, np.nan]])),
-        (np.array([[0.0, 0.0, 0.0], [0.0, -np.inf, 0.0]]), np.zeros((2, 3))),
     ):
         with pytest.raises(ValueError):
             integrate_error_ode(verr0, terr0, GAINS, duration=0.01)
+    # a non-finite start as one row of a batch flow
+    for verr0, terr0 in (
+        (np.zeros((2, 3)), np.array([[0.0, 0.0, 0.0], [0.0, 0.0, np.nan]])),
+        (np.array([[0.0, 0.0, 0.0], [0.0, -np.inf, 0.0]]), np.zeros((2, 3))),
+    ):
+        with pytest.raises(ValueError, match="finite|manifold"):
+            error_flow(verr0, terr0, GAINS, duration=0.01)
 
 
 def test_integrator_stays_on_manifold_and_converges():
@@ -409,10 +397,9 @@ def test_integrator_self_convergence_under_refinement():
     assert np.abs(a.terr[-1] - b.terr[-1]).max() < 1e-4
 
 
-def test_integrator_batch_matches_single():
-    rng = np.random.default_rng(25)
+def test_integrator_batch_matches_single(collect):
     verr, terr = on_manifold_samples(4, seed=26, verr_scale=0.5)
-    batch = integrate_error_ode(verr, terr, GAINS, dt=1e-3, duration=0.2, record_every=20)
+    batch = collect(verr, terr, GAINS, dt=1e-3, duration=0.2, record_every=20)
     assert batch.verr.shape == (4, 11, 3)
     for i in range(4):
         single = integrate_error_ode(verr[i], terr[i], GAINS, dt=1e-3, duration=0.2, record_every=20)
@@ -421,26 +408,40 @@ def test_integrator_batch_matches_single():
     assert_allclose(batch.t, np.arange(11) * 0.02, atol=1e-12)
 
 
-def test_integrator_one_row_batch_is_the_single_start():
+def test_integrator_one_row_batch_is_the_single_start(collect):
     # `analyze --basin-samples 1`: a (1, 3) batch keeps its batch axis and
     # steps on floats, like the single start
     verr, terr = on_manifold_samples(1, seed=28, verr_scale=0.5)
-    batch = integrate_error_ode(verr, terr, GAINS, dt=1e-3, duration=0.2, record_every=20)
+    batch = collect(verr, terr, GAINS, dt=1e-3, duration=0.2, record_every=20)
     single = integrate_error_ode(verr[0], terr[0], GAINS, dt=1e-3, duration=0.2, record_every=20)
     assert batch.verr.shape == batch.terr.shape == (1, 11, 3)
     assert (batch.verr[0] == single.verr).all() and (batch.terr[0] == single.terr).all()
 
 
+def test_error_flow_is_exact_under_power_of_two_rescaling(collect):
+    """The kernel's exact rescaling (see test_observer.py) on 20 basin starts:
+    with powers of two c and k, (alpha, beta, g0, dt, duration, verr) mapped
+    to (alpha/c, beta*k/c, g0/(c*k), c*dt, c*duration, verr/k), the flow is
+    at times c*t with verr/k and the same terr, bit for bit.  It cannot catch
+    a wrong dimensionless coefficient, which keeps the scaling."""
+    verr0, terr0 = sample_basin(20, GAINS, np.random.default_rng(9))
+    base = collect(verr0, terr0, GAINS, dt=1e-3, duration=0.5, record_every=50)
+    for c, k in ((2.0, 4.0), (0.5, 8.0), (4.0, 0.25)):
+        gains = make_gains(GAINS.alpha / c, GAINS.beta * k / c, GAINS.g0 / (c * k))
+        scaled = collect(verr0 / k, terr0, gains, dt=c * 1e-3, duration=c * 0.5, record_every=50)
+        assert (c * base.t).tobytes() == scaled.t.tobytes()
+        assert (base.verr / k).tobytes() == scaled.verr.tobytes()
+        assert base.terr.tobytes() == scaled.terr.tobytes()
+
+
 def test_integrator_overflow_is_reported_as_divergence():
     # a huge velocity error overflows the tilt's rotation vector in step 1:
-    # both the float path (one start) and the array path (a batch, whose
-    # other start is fine) name the first recorded step past it, and leak no
-    # numpy warning
+    # both the float path (one start, recorded) and the array path (a batch
+    # flow graded as it runs, whose other start is fine) name the first
+    # recorded step past it, and leak no numpy warning
     verr0 = np.array([[1e300, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    for v, t in ((verr0[0], np.zeros(3)), (verr0, np.zeros((2, 3)))):
-        with pytest.raises(RuntimeError, match=r"diverged by step 10 \(t = 0\.01 s\)"):
-            integrate_error_ode(v, t, GAINS, duration=0.1, record_every=10)
-    # and a live batch flow, graded as it runs
+    with pytest.raises(RuntimeError, match=r"diverged by step 10 \(t = 0\.01 s\)"):
+        integrate_error_ode(verr0[0], np.zeros(3), GAINS, duration=0.1, record_every=10)
     flow = error_flow(verr0, np.zeros((2, 3)), GAINS, duration=0.1, record_every=10)
     with pytest.raises(RuntimeError, match=r"diverged by step 10 \(t = 0\.01 s\)"):
         grade_batch(flow, GAINS, 1e-3)
@@ -459,18 +460,14 @@ def test_integrator_rejects_steps_past_rk4_limit():
 
 
 def test_record_over_budget_is_rejected_before_allocating():
-    # 10 s at 1 ms, every 10th step: 1001 marks of 6 values per start
-    assert len(record_marks(10_000, 10, 9990)) == 1001
-    assert 1001 * 6 * 9991 > MAX_RECORD_VALUES
-    with pytest.raises(ValueError, match="batch of 9991 starts"):
-        record_marks(10_000, 10, 9991)
-    # 20000 starts, every step kept: a 9.6 GB record, refused with the
-    # starts as the only sizeable allocation
+    # integrate_error_ode keeps the record of one start only: 20000 starts,
+    # every step kept, would be a 9.6 GB record, refused with the starts as
+    # the only sizeable allocation
     verr0 = np.zeros((20_000, 3))
     terr0 = np.zeros((20_000, 3))
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="batch of 20000 starts"):
+        with pytest.raises(ValueError, match=r"one \(3,\) start; grade a batch"):
             integrate_error_ode(verr0, terr0, GAINS, duration=10.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

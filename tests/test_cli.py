@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import tiltobs
 from tiltobs.cli import main
-from tiltobs.harness import CSV_HEADER, SWEEP_HEADER, config_text, load_config
+from tiltobs.harness import CSV_HEADER, SCHEMA, SWEEP_HEADER, config_text, load_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -82,15 +83,37 @@ def test_scene_that_overflows_is_named_by_its_keys(tmp_path, capsys, key, group)
 ])
 def test_divergence_on_absurd_inputs_names_their_keys(tmp_path, capsys, line):
     # the observer's inputs stay finite, up to 1e301, but no pendulum makes them:
-    # the divergence they cause is blamed on the keys that make them
+    # the block is refused before the observer steps it, naming the keys that
+    # make them; every sweep cell shares those keys, so a sweep fails as a whole
     cfg_path = tmp_path / "absurd.cfg"
     cfg_path.write_text(f"duration = 1\n{line}\n")
-    rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
-    err = capsys.readouterr().err.splitlines()
-    assert rc == 1
-    assert len(err) == 1 and err[0].startswith("error: "), err
-    assert "mount." in err[0] or "noise." in err[0], err
-    assert not (tmp_path / "o").exists()
+    for argv in (["simulate"], ["sweep", "--alphas", "19.8,10", "--betas", "10"]):
+        rc = main([*argv, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "mount." in err[0] or "noise." in err[0], err
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key", [k for k, (_, _, parse) in SCHEMA.items() if parse is not str])
+def test_numeric_key_at_any_magnitude_runs_or_fails_in_one_line(tmp_path, capsys, key):
+    # every value, in both signs (for a vector, as its first or its last entry),
+    # runs cleanly or fails with one error: line; no numpy warning reaches stderr
+    vector = SCHEMA[key][2] is tiltobs.harness._parse_vec
+    bad = []
+    for value in (s + m for m in ("0", "1e-320", "1e-300", "1e160", "1e300") for s in "+-"):
+        for text in ((f"{value},0,0", f"0,0,{value}") if vector else (value,)):
+            (tmp_path / "fuzz.cfg").write_text(f"duration = 0.01\n{key} = {text}\n")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc = main(["simulate", "--config", str(tmp_path / "fuzz.cfg"),
+                           "--out", str(tmp_path / "o")])
+            err = capsys.readouterr().err.splitlines() + [str(w.message) for w in caught]
+            if not (rc == 0 and not err or rc == 1 and len(err) == 1
+                    and err[0].startswith("error: ")):
+                bad.append((text, rc, err))
+    assert bad == []
 
 
 def test_simulate_config_and_seed_override(tmp_path):
@@ -144,17 +167,6 @@ def test_analyze_never_holds_the_basin_record(tmp_path):
         tracemalloc.stop()
     assert rc == 0
     assert peak < 4_000_000
-
-
-def test_analyze_grades_a_basin_whose_record_would_be_over_the_cap(tmp_path, monkeypatch):
-    # analyze grades mark by mark and holds no record, so the record cap never binds it
-    monkeypatch.setattr(tiltobs.analysis, "MAX_RECORD_VALUES", 100)
-    cfg_path = tmp_path / "coarse.cfg"
-    cfg_path.write_text("dt = 0.01\n")
-    rc = main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
-               "--basin-samples", "5"])
-    assert rc == 0
-    assert read_report(tmp_path / "o" / "analysis.txt")["basin_samples"] == "5"
 
 
 def test_analyze_huge_basin_fails_cleanly(tmp_path, capsys):

@@ -3,6 +3,8 @@ from itertools import repeat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from tiltobs.observer import (
@@ -179,6 +181,41 @@ def test_step_over_a_block_is_the_one_row_steps_repeated(batch):
     assert all(np.shape(x) == shape for x in block)
     # an empty block leaves the state as it is
     assert step_floats(a, b, g0, dt, [], state0, rotate=rotate) == state0
+
+
+# values far from subnormals and overflow, where a power-of-two scaling is exact
+SCALABLE = st.one_of(st.just(0.0), st.floats(1e-6, 20.0), st.floats(-20.0, -1e-6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([0.25, 0.5, 2.0, 4.0]), st.sampled_from([0.125, 0.5, 4.0, 8.0]),
+       st.floats(0.5, 50.0), st.floats(0.01, 50.0), st.floats(0.5, 20.0), st.floats(1e-4, 0.05),
+       st.lists(st.tuples(*[SCALABLE] * 9), min_size=1, max_size=6),
+       st.tuples(*[SCALABLE] * 6), st.booleans())
+def test_step_is_exact_under_power_of_two_rescaling(c, k, a, b, g, dt, rows, state, batch):
+    """Powers of two c and k map (alpha, beta, g0, dt) to (alpha/c, beta*k/c,
+    g0/(c*k), c*dt), the pivot rate to 1/c, the measurement and the velocity
+    estimate to 1/k and the specific force to 1/(c*k).  Every stage of the
+    step then scales by 1/(c*k) exactly and the rotation vector -h*e is
+    unchanged, so the step gives the velocity over k and the same tilt, bit
+    for bit: on floats, and on (B,) arrays.  A dimensionally wrong edit, such
+    as a dropped g, h or gain factor, fails; a wrong dimensionless
+    coefficient (a 2 for a 3) keeps the scaling and passes."""
+
+    def step(a, b, g, dt, rows, state):
+        if not batch:  # Python floats, as run_observer feeds the float path
+            return np.array(step_floats(a, b, g, dt, rows.tolist(), tuple(state.tolist())))
+        cols = [1.0, -1.0, 0.5]  # three observers: the rows and state so scaled
+        return np.array(step_floats(a, b, g, dt, list(rows[..., None] * cols),
+                                    tuple(state[:, None] * cols), rotate=rotate_twice_arrays))
+
+    rows, state = np.array(rows), np.array(state)
+    base = step(a, b, g, dt, rows, state)
+    scaled = step(a / c, b * k / c, g / (c * k), c * dt,
+                  rows * ([1 / c] * 3 + [1 / k] * 3 + [1 / (c * k)] * 3),
+                  state * ([1 / k] * 3 + [1.0] * 3))
+    assert (base[:3] / k).tobytes() == scaled[:3].tobytes()
+    assert base[3:].tobytes() == scaled[3:].tobytes()
 
 
 def test_run_observer_overflow_names_the_step():
