@@ -52,8 +52,8 @@ EFFECTIVE_CONFIG = "effective.cfg"  # the config a command saves beside its outp
 # noise basis block; the basis matmul's bits depend on its width, so no other value will do
 ROW_BLOCK = 1024
 # observer inputs (rad/s, m/s, m/s^2) past this magnitude come from no pendulum:
-# configs/noisy.cfg's stay under 11.  A block whose inputs pass it is refused,
-# naming the mount.* and noise.* keys that make them, before the observer steps it
+# configs/noisy.cfg's stay under 11.  A block whose inputs pass it is refused, naming
+# the mount.* and noise.* keys that make them, before the observer steps it; so is init.vel_err
 INPUT_BOUND = 1e6
 
 
@@ -225,6 +225,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     n = math.hypot(*cfg.init.tilt_err)  # no overflow to inf on a huge entry
     if n >= 2.0:
         raise ValueError(f"init.tilt_err norm must be < 2, got {n}")
+    if np.abs(cfg.init.vel_err).max() > INPUT_BOUND:  # a start no pendulum has
+        raise ValueError(f"init.vel_err entries must be at most {INPUT_BOUND:g} in magnitude, "
+                         f"got {_format_value(cfg.init.vel_err)}")
     taken = [EFFECTIVE_CONFIG]  # the outputs are written side by side
     for key in (k for k in SCHEMA if k.startswith("output.")):
         name = _get(cfg, key)
@@ -336,8 +339,8 @@ class Scene:
     pivot's truth at the marks.  Built from ``duration``, ``dt``,
     ``decimation``, ``pivot.*``, the mount's rotation keys and the initial tilt
     keys.  Runs walk it in blocks of :data:`ROW_BLOCK` steps, a sweep's cells
-    in lockstep, and :func:`_run_cells` makes each block's other seed-free
-    truth (:func:`_block_truth`) as they go."""
+    in lockstep, each carrying only its observer state from block to block,
+    and :func:`_run_cells` makes each block's other seed-free truth."""
 
     t_all: np.ndarray  # step boundaries at even indices, step midpoints at odd
     marks: np.ndarray  # the recorded step boundaries
@@ -417,10 +420,10 @@ def run_simulation(cfg: ExperimentConfig) -> RunLog:
 def _run_cells(scene: Scene, cells) -> None:
     """Advance the :class:`_Cell` runs on ``scene`` in lockstep, a block of
     :data:`ROW_BLOCK` steps at a time, making each block's noise basis and
-    seed-free truth once for the cells still running (their configs share
-    the scene's keys).  A cell that diverges drops out, keeping its
-    ``RuntimeError``'s message as ``error``: its traceback, or its context's,
-    would hold the cell's last block."""
+    seed-free truth once for the cells still running (their configs share the
+    scene's keys); each carries only its observer state to the next.  A cell
+    that diverges drops out, keeping its ``RuntimeError``'s message as
+    ``error``: its traceback, or its context's, would hold its last block."""
     for lo in range(0, len(scene.t_all), 2 * ROW_BLOCK):
         if not (live := [cell for cell in cells if cell.error is None]):
             break
@@ -434,38 +437,30 @@ def _run_cells(scene: Scene, cells) -> None:
             except RuntimeError as exc:
                 cell.error = RuntimeError(*exc.args)
         del basis, truth  # freed before the next block's are made
-    for cell in cells:  # its observer's rows refer back to it: a cycle that would
-        cell.observer = None  # hold the scene till the cyclic collector ran
 
 
 class _Cell:
     """The run of ``cfg`` with ``gains`` on ``scene`` (built from ``cfg`` or
     from a config that differs only outside the scene), fed block by block by
-    :func:`_run_cells`.  It keeps its rows at the marks for :meth:`log` or,
-    given a ``threshold`` (a sweep's cells), only their ``grade``.  Phase
-    times count from ``wall0``, each shared basis in every cell's mount phase."""
+    :func:`_run_cells`, each from its observer ``state`` at the block's start.
+    It keeps its rows at the marks for :meth:`log` or, given a ``threshold`` (a
+    sweep's cells), only their ``grade``.  Phase times count from ``wall0``,
+    each shared basis in every cell's mount phase."""
 
     def __init__(self, cfg, scene: Scene, gains: ObserverGains, wall0, threshold=None):
         self.cfg, self.scene, self.gains, self.wall0, self.error = cfg, scene, gains, wall0, None
         self.noise = plant.MountNoise(cfg.mount.noise_std, cfg.mount.noise_tau, seed=[cfg.seed, 1])
         self.rng = np.random.default_rng([cfg.seed, 0])
-        self.observer, self.walk, self.unread = None, None, np.empty((0, 9))
+        self.state = None  # the observer's (6,) state at the start of the next block
         # per block: states, x1 truth, gyro, accel at the marks; or what the grade needs
         self.threshold, self.kept, self.last_above, self.final_norm = threshold, [], -1, None
         self.timings = dict.fromkeys(("rotation", "mount", "sensors", "estimator", "record"), 0.0)
         self.timings["rotation"] = time.perf_counter() - wall0
 
-    def _rows(self):
-        """The observer's rows, a walk a block, each ending where the observer stops."""
-        while self.walk is not None:
-            walk, self.walk = self.walk, None
-            yield from zip(*[walk] * 9)
-        raise RuntimeError("the observer read past the rows of the blocks run so far")
-
     def advance(self, lo: int, hi: int, basis, truth, since) -> None:
         """Run the steps whose samples lie in ``scene.t_all[lo:hi]``, given
-        their :func:`.plant.noise_basis` and :func:`_block_truth`, to the
-        block's last mark, and keep the rows or the grade of the block's marks."""
+        their :func:`.plant.noise_basis` and :func:`_block_truth`, from ``state``
+        to the block's end, and keep the rows or the grade of the block's marks."""
         s, cfg, (w, wm, alpha, gyro_true) = self.scene, self.cfg, truth
         steps = slice(lo // 2, hi // 2)  # boundaries at the even samples, midpoints at the odd
         pos, vel, acc = plant.mount_translation(cfg.mount, self.noise, s.t_all[lo:hi], basis)
@@ -483,28 +478,25 @@ class _Cell:
         rows = np.hstack([y1, x1, np.matmul(Rm_mid, accel_meas[:, :, None])[:, :, 0]])
         i, j = np.searchsorted(s.marks, (lo // 2, (hi + 1) // 2))
         marks = s.marks[i:j]  # the step boundaries of the block that are marks
-        # unread rows to the last mark are walked at half tolist's cost; the rest wait, copied
-        rows = np.concatenate([self.unread, rows])
         if not (peak := float(np.abs(rows).max(initial=0.0))) <= INPUT_BOUND:  # NaN too
             raise ValueError(f"mount.* and noise.* keys make the observer's inputs reach "
                              f"|{peak:.3g}| in the block from t = {s.t_all[lo]:g} s, past "
                              f"any pendulum's {INPUT_BOUND:g}")
-        cut = len(rows) - steps.stop + marks[-1] if j > i else 0
-        walk = self.walk = iter(memoryview(rows[:cut].ravel()))
-        self.unread = rows[cut:].copy()
         grid = 2 * marks - lo
         # a sweep cell reads the x1 truth only for its start
         x1_true = (plant.velocity_measurement(pos[grid], vel[grid], s.rate_loc[i:j])
-                   if self.threshold is None or self.observer is None else None)
-        if self.observer is None:  # mark 0 opens the first block
-            state0 = np.concatenate([x1_true[0] - cfg.init.vel_err, s.tilt_hat0])
-            self.observer = run_observer(self.gains, cfg.dt, self._rows(), state0, s.marks)
+                   if self.threshold is None or self.state is None else None)
+        if self.state is None:  # mark 0 opens the first block
+            self.state = np.concatenate([x1_true[0] - cfg.init.vel_err, s.tilt_hat0])
         self.timings["sensors"] += (t2 := time.perf_counter()) - t1
+        stops = sorted({steps.start, *marks.tolist(), steps.stop})  # np.union1d imports numpy.ma
+        walk = zip(*[iter(memoryview(rows.ravel()))] * 9)  # at half tolist's cost
         try:
-            states = np.reshape(list(itertools.islice(self.observer, j - i)), (-1, 6))
+            states = np.reshape(list(run_observer(self.gains, cfg.dt, walk, self.state, stops)),
+                                (-1, 6))
         except RuntimeError as exc:
             raise RuntimeError(f"{exc}; its inputs reach |{peak:.3g}|") from None
-        next(walk, None)  # ends the walk, which would hold the block till the next
+        self.state, states = states[-1], states[np.searchsorted(stops, marks)]
         self.timings["estimator"] += (t3 := time.perf_counter()) - t2
         if self.threshold is None:
             # the final mark repeats step n - 1's measurement, kept by the block of that step

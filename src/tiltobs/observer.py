@@ -161,16 +161,16 @@ def step_floats(a, b, g, dt, rows, state, rotate=rotate_twice):
 
 def run_observer(gains, dt, rows, state0, marks):
     """The one observer loop: a generator of the state at the step indices
-    ``marks`` (ascending, from 0), one :func:`step_floats` call over the
+    ``marks`` (ascending; the stops), one :func:`step_floats` call over the
     ``rows`` of inputs in between each.
 
     Each row holds the 9 inputs of one step: pivot rate, velocity
     measurement and robot-frame specific force (``mount_rot @ accel``).
-    ``state0`` is ``(vel_est, tilt_est)``: a (6,) start steps on Python
-    floats, a (6, B) one steps B observers at once on (B,) component arrays.
-    Yields a fresh (6,) or (6, B) array at each mark, which the caller owns.
+    ``state0`` is ``(vel_est, tilt_est)`` at step ``marks[0]``: a (6,) start
+    steps on Python floats, a (6, B) one steps B observers at once on (B,)
+    component arrays.  Yields a fresh array at each stop, the caller's own.
 
-    Raises ``RuntimeError`` naming the first mark whose state is not finite,
+    Raises ``RuntimeError`` naming the first stop whose state is not finite,
     its time and ``alpha*dt``: a state that overflows ends in a math-domain
     error inside the rotation on floats, or in inf and NaN on arrays.  The
     numpy error state is changed only while stepping, never across a yield.
@@ -183,7 +183,7 @@ def run_observer(gains, dt, rows, state0, marks):
         s, step = tuple(state0), partial(step_floats, rotate=rotate_twice_arrays)
         quiet, finite = partial(np.errstate, all="ignore"), lambda x: np.isfinite(x).all()
     rows = iter(rows)
-    done = 0
+    done = marks[0]
     for mark in marks:
         try:
             with quiet():

@@ -116,6 +116,22 @@ def test_numeric_key_at_any_magnitude_runs_or_fails_in_one_line(tmp_path, capsys
     assert bad == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate"], ["sweep", "--alphas", "19.8,10", "--betas", "10"], ["error-ode"],
+])
+def test_start_past_any_pendulum_is_named_as_the_start(tmp_path, capsys, argv):
+    # a start velocity error past INPUT_BOUND is refused before anything runs,
+    # naming its key, not the divergence it would cause; every sweep cell
+    # shares the key, so a sweep fails as a whole
+    for value in ("1e160,0,0", "0,0,-1e300", "0,1.5e6,0"):
+        (tmp_path / "start.cfg").write_text(f"duration = 0.01\ninit.vel_err = {value}\n")
+        rc = main([*argv, "--config", str(tmp_path / "start.cfg"), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: init.vel_err "), err
+        assert not (tmp_path / "o").exists()
+
+
 def test_simulate_config_and_seed_override(tmp_path):
     cfg_path = tmp_path / "my.cfg"
     cfg_path.write_text(
@@ -257,6 +273,24 @@ def test_sweep_diverged_cell_keeps_the_sweep(tmp_path, capsys):
     lines = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
     assert [line.split(",")[2] for line in lines[1:]] == ["ok", "diverged"]
     assert "1 diverged" in capsys.readouterr().out
+
+
+def test_divergence_is_named_at_a_block_end_before_the_next_mark(tmp_path, capsys, caplog):
+    # marks every 2000 steps, blocks of 1024: the state is checked at each
+    # block's end too, so a blow-up is named at step 1024, before mark 2000
+    cfg_path = tmp_path / "sparse.cfg"
+    cfg_path.write_text("duration = 2\ndecimation = 2000\ngains.alpha = 5000\ngains.beta = 1\n")
+    named = "estimator state diverged by step 1024 (t = 1.024 s) at alpha*dt = 5;"
+    rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith(f"error: {named}"), err
+    rc = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "s"),
+               "--alphas", "5000,19.8", "--betas", "1"])
+    assert rc == 0
+    lines = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
+    assert [line.split(",")[2] for line in lines[1:]] == ["diverged", "ok"]
+    assert f"sweep cell alpha=5000.0 beta=1.0: {named}" in caplog.text
 
 
 @pytest.mark.parametrize(

@@ -379,9 +379,9 @@ def test_run_csv_memory_peak():
 
 @pytest.mark.parametrize("command", ["run_simulation", "sweep"])
 def test_a_finished_run_frees_its_scene_without_the_cyclic_collector(monkeypatch, command):
-    # a cell's observer reads the cell's own rows generator, and a diverged
-    # cell's error could hold the frame that ran it: left as they were, either
-    # cycle would hold the scene until the cyclic collector ran
+    # a cell carries only its state from block to block, and a diverged cell
+    # keeps a fresh error, not the one whose traceback holds the frame that ran
+    # it: no cycle is left to hold the scene until the cyclic collector ran
     scenes = []
     build = harness.build_scene
 
@@ -637,8 +637,8 @@ def test_sweep_base_config_may_break_the_gain_rule():
 
 
 def test_observer_rows_are_converted_a_block_at_a_time(monkeypatch):
-    # the run's 10^4 input rows reach the loop as an iterator; by the first
-    # stepped mark, at most one block of them has become Python lists
+    # each block's input rows reach the loop as an iterator, one call a block;
+    # by the first stepped mark, at most one block of them has become Python lists
     real, seen = harness.run_observer, {}
 
     def spy(gains, dt, rows, state0, marks):
@@ -667,29 +667,32 @@ def test_observer_rows_are_converted_a_block_at_a_time(monkeypatch):
 
 
 def test_sweep_rows_are_the_runs_of_their_cells(monkeypatch):
-    # every cell's observer, stepped inside the sweep, reads the rows of a
-    # stand-alone run of that cell's config and yields its states, bit for
-    # bit, and the cell's row is that run's grade
+    # every cell's observer, stepped inside the sweep a block a call, reads
+    # the rows of a stand-alone run of that cell's config and yields its
+    # states, bit for bit, and the cell's row is that run's grade
     cfg = load_config(NOISY_CFG)
     alphas, betas = [19.8, 15.0], [10.0, 5.0]
-    runs, observer = [], harness.run_observer
+    runs, observer = {}, harness.run_observer
 
     def recording_observer(gains, dt, rows, state0, marks):
-        read, states = [], []
-        runs.append((read, states))
+        # one run's calls, concatenated: keyed by the gains, which differ by cell
+        read, states = runs.setdefault(gains, ([], []))
         for state in observer(gains, dt, (read.append(row) or row for row in rows), state0, marks):
             states.append(state)
             yield state
 
     monkeypatch.setattr(harness, "run_observer", recording_observer)
     rows = sweep(cfg, alphas, betas)
-    assert len(runs) == 4
-    for i, (row, (read, states)) in enumerate(zip(rows, runs[:4])):
+    cells = runs.copy()
+    assert len(cells) == 4
+    for i, row in enumerate(rows):
         sub = copy.deepcopy(cfg)
         sub.gains.alpha, sub.gains.beta = row["alpha"], row["beta"]
         sub.seed = cfg.seed ^ i
+        runs.clear()
         alone = run_simulation(sub)
-        read_alone, states_alone = runs[-1]
+        (gains, (read_alone, states_alone)), = runs.items()
+        read, states = cells[gains]
         assert len(read) == len(read_alone) == 10**4
         assert np.array(read).tobytes() == np.array(read_alone).tobytes()
         assert np.array(states).tobytes() == np.array(states_alone).tobytes()
@@ -697,6 +700,31 @@ def test_sweep_rows_are_the_runs_of_their_cells(monkeypatch):
         grade = report["tilt_convergence_time"], report["tilt_err_final_norm"]
         assert (row["convergence_time"], row["final_tilt_err_norm"]) == grade
         assert math.isfinite(grade[0])
+
+
+def test_a_run_is_one_observer_pass_over_all_its_rows(monkeypatch):
+    # the run steps its observer a block a call, carrying the state from each
+    # block's end to the next block's start; one real pass over every row it
+    # read, from the first block's start, to the scene's marks is its oracle,
+    # bit for bit, on any host: a state carried from anywhere but the block's
+    # end, or rows left unread, shows here
+    cfg = load_config(NOISY_CFG)
+    real, read, starts, stopped = harness.run_observer, [], [], {}
+
+    def spy(gains, dt, rows, state0, marks):
+        starts.append(np.array(state0))
+        states = real(gains, dt, (read.append(row) or row for row in rows), state0, marks)
+        for mark, state in zip(marks, states):
+            stopped[int(mark)] = state
+            yield state
+
+    monkeypatch.setattr(harness, "run_observer", spy)
+    log = run_simulation(cfg)
+    marks = build_scene(cfg).marks
+    assert len(read) == 10**4 and len(starts) == -(-10**4 // harness.ROW_BLOCK)
+    oracle = np.array(list(real(config_gains(cfg), cfg.dt, read, starts[0], marks)))
+    assert oracle[:, 3:].tobytes() == log.tilt_est.tobytes()
+    assert oracle.tobytes() == np.array([stopped[m] for m in marks.tolist()]).tobytes()
 
 
 @pytest.mark.parametrize("alphas", [[19.8], [19.8, 15.0, 12.0, 25.0]])

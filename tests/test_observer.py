@@ -221,7 +221,8 @@ def test_step_is_exact_under_power_of_two_rescaling(c, k, a, b, g, dt, rows, sta
 def test_run_observer_overflow_names_the_step():
     # alpha*dt = 5 is far outside RK4's stability region: the state overflows
     # and the math-domain error stops the loop.  The error names the first
-    # recorded step past the blow-up, on either mark grid.
+    # recorded step past the blow-up, on either mark grid, and from a start
+    # past step 0 still names it by its absolute step.
     g = make_gains(5000.0, 1.0)
     n = 2000
     row = (0.3, -0.4, 0.2, 0.0, 0.0, 0.0, 0.0, 0.5, 9.81)
@@ -233,6 +234,25 @@ def test_run_observer_overflow_names_the_step():
     every_10th = list(range(0, n + 1, 10))
     with pytest.raises(RuntimeError, match=rf"diverged by step {-(-first_bad // 10) * 10} "):
         list(run_observer(g, 1e-3, repeat(row, n), state0, every_10th))
+    k = first_bad // 2
+    start = list(run_observer(g, 1e-3, repeat(row, k), state0, [0, k]))[-1]
+    with pytest.raises(RuntimeError, match=rf"diverged by step {first_bad} "
+                                           rf"\(t = {first_bad * 1e-3:.6g} s\)"):
+        list(run_observer(g, 1e-3, repeat(row, n - k), start, list(range(k, n + 1))))
+
+
+def test_run_observer_starts_at_its_first_mark():
+    # state0 is the state at marks[0]: a start at step 70 with the rows from
+    # there gives the tail of the run from step 0
+    g = make_gains(19.8, 10.0)
+    rng = np.random.default_rng(16)
+    n = 200
+    rows = np.hstack([0.3 * rng.standard_normal((n, 3)), 0.1 * rng.standard_normal((n, 3)),
+                      g.g0 * EZ + rng.standard_normal((n, 3))]).tolist()
+    marks = [0, 30, 70, 71, 150, 200]
+    whole = np.array(list(run_observer(g, 1e-3, rows, [0.1, 0.2, 0.3, *EZ], marks)))
+    tail = np.array(list(run_observer(g, 1e-3, rows[70:], whole[2], marks[2:])))
+    assert tail.tobytes() == whole[2:].tobytes()
 
 
 def test_run_observer_batch_is_single_runs_column_by_column():
