@@ -100,18 +100,17 @@ def cmd_sweep(cfg, args):
 
 def cmd_error_ode(cfg, args):
     gains = harness.config_gains(cfg)
-    verr0 = cfg.init.vel_err if args.verr0 is None else args.verr0
-    if args.terr0 is None:
-        raw, name = cfg.init.tilt_err, "init.tilt_err"
-    else:
-        raw, name = args.terr0, "--terr0"
+    name = "init.tilt_err" if args.terr0 is None else "--terr0"
+    # each flag given replaces its config key, so effective.cfg reruns this run
+    for section, key, flag in ((cfg, "duration", args.duration), (cfg, "dt", args.dt),
+                               (cfg.init, "vel_err", args.verr0),
+                               (cfg.init, "tilt_err", args.terr0)):
+        if flag is not None:
+            setattr(section, key, flag)
     # place the tilt error on its sphere the same way the simulator does
-    _, terr0 = harness.project_tilt_error(analysis.EZ, raw, name)
-    duration = cfg.duration if args.duration is None else args.duration
-    dt = cfg.dt if args.dt is None else args.dt
-    traj = analysis.integrate_error_ode(
-        verr0, terr0, gains, duration=duration, dt=dt, record_every=cfg.decimation
-    )
+    _, terr0 = harness.project_tilt_error(analysis.EZ, cfg.init.tilt_err, name)
+    traj = analysis.integrate_error_ode(cfg.init.vel_err, terr0, gains, duration=cfg.duration,
+                                        dt=cfg.dt, record_every=cfg.decimation)
     V = analysis.lyapunov(traj.verr, traj.terr, gains)
     Vdot = analysis.lyapunov_rate(traj.verr, traj.terr, gains)
     cols = np.column_stack([traj.t, traj.verr, traj.terr, V, Vdot])

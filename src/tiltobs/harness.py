@@ -48,8 +48,9 @@ ERROR_ODE_HEADER = "t,verr_x,verr_y,verr_z,terr_x,terr_y,terr_z,V,Vdot"
 ATTITUDE_MODES = ("identity", "consistent", "rotvec")
 TILT_THRESHOLD = 0.05  # the tilt-error norm a run converges below, unless told otherwise
 EFFECTIVE_CONFIG = "effective.cfg"  # the config a command saves beside its outputs
-# steps per block of a run: block k is the samples [2048 k, 2048 (k + 1)) of t_all, one
-# noise basis block; the basis matmul's bits depend on its width, so no other value will do
+# steps per block of a run: block k is the samples [2048 k, 2048 (k + 1)) of its step
+# boundaries and midpoints, interleaved, one noise basis block; the basis matmul's bits
+# depend on its width, so no other value will do
 ROW_BLOCK = 1024
 # observer inputs (rad/s, m/s, m/s^2) past this magnitude come from no pendulum:
 # configs/noisy.cfg's stay under 11.  A block whose inputs pass it is refused, naming
@@ -284,8 +285,8 @@ class RunLog:
     config: ExperimentConfig
     gains: ObserverGains  # the checked gains the run used
     runtime: float
-    # wall seconds per phase: rotation (set-up and the scene), mount, sensors,
-    # estimator, record
+    # wall seconds per phase: rotation (set-up and both rotation paths, with each
+    # block's truth), mount, sensors, estimator, record
     timings: dict
     steps_per_s: float  # estimator steps per wall second
 
@@ -334,60 +335,31 @@ def project_tilt_error(tilt, tilt_err, name: str):
 @dataclass
 class Scene:
     """The part of a run that is free of seed, gains, noise and mount
-    translation, and that a run must keep whole: the time grid, the record
-    marks, the initial estimate and both midpoint rotation paths, plus the
-    pivot's truth at the marks.  Built from ``duration``, ``dt``,
-    ``decimation``, ``pivot.*``, the mount's rotation keys and the initial tilt
-    keys.  Runs walk it in blocks of :data:`ROW_BLOCK` steps, a sweep's cells
-    in lockstep, each carrying only its observer state from block to block,
-    and :func:`_run_cells` makes each block's other seed-free truth."""
+    translation, none of it growing with the run's length: the record marks
+    (the last is the step count), the initial pivot attitude and the initial
+    estimate.  Built from ``duration``, ``dt``, ``decimation``,
+    ``pivot.world_rotvec`` and the initial tilt keys.  Runs walk it in blocks
+    of :data:`ROW_BLOCK` steps, a sweep's cells in lockstep, each carrying
+    only its observer state from block to block, and :func:`_run_cells` makes
+    each block's seed-free truth, carrying both rotation paths' attitudes."""
 
-    t_all: np.ndarray  # step boundaries at even indices, step midpoints at odd
     marks: np.ndarray  # the recorded step boundaries
+    R0: np.ndarray  # pivot attitude at t = 0
     tilt_hat0: np.ndarray
     applied_tilt_err0: np.ndarray
-    Rp_mid: np.ndarray  # pivot attitude at the midpoints
-    Rm_mid: np.ndarray  # mount attitude at the midpoints
-    Rp: np.ndarray  # pivot attitude at the marks
-    rate_loc: np.ndarray  # pivot rate (robot frame) at the marks
-    x2_true: np.ndarray  # true tilt at the marks
 
 
 def build_scene(cfg: ExperimentConfig) -> Scene:
     """Build the scene of a config, checking its settings
-    (:func:`validate_config`) and that its rotation paths are finite, naming
-    the keys at fault.  The gains are not checked: they are not part of the
-    scene, and a sweep's base config need not keep the gain rule that its
-    cells keep."""
+    (:func:`validate_config`).  The gains are not checked: they are not part
+    of the scene, and a sweep's base config need not keep the gain rule that
+    its cells keep."""
     validate_config(cfg)
-    dt = cfg.dt
-    n_steps = step_count(cfg.duration, dt)
-    marks = np.array(record_marks(n_steps, cfg.decimation))
-    t_all = np.empty(2 * n_steps + 1)
-    t_all[0::2] = np.arange(n_steps + 1) * dt
-    t_all[1::2] = (np.arange(n_steps) + 0.5) * dt
-    t_mid = t_all[1::2]
-    # each path is integrated at the closed-form rate on the step midpoints;
-    # an overflow anywhere in it leaves it non-finite, and is reported once
-    with np.errstate(all="ignore"):
+    marks = np.array(record_marks(step_count(cfg.duration, cfg.dt), cfg.decimation))
+    with np.errstate(all="ignore"):  # a non-finite R0 makes a non-finite pivot path
         R0, tilt_hat0, applied_err0 = _initial_conditions(
             cfg, rotation_exp(cfg.pivot.world_rotvec))
-        Rp_mid, Rp = plant.rotation_path(R0, plant.pivot_rate(cfg.pivot, t_mid), dt)
-        Rp = Rp[marks]  # freed past the marks before the mount path is made
-        Rm_mid, _ = plant.rotation_path(np.eye(3), plant.mount_rate(cfg.mount, t_mid), dt)
-    _require_finite("pivot.*", Rp_mid, Rp)
-    _require_finite("mount.rate_*", Rm_mid)
-    return Scene(
-        t_all=t_all,
-        marks=marks,
-        tilt_hat0=tilt_hat0,
-        applied_tilt_err0=applied_err0,
-        Rp_mid=Rp_mid,
-        Rm_mid=Rm_mid,
-        Rp=Rp,
-        rate_loc=np.einsum("nji,nj->ni", Rp, plant.pivot_rate(cfg.pivot, t_all[2 * marks])),
-        x2_true=Rp[:, 2, :],
-    )
+    return Scene(marks=marks, R0=R0, tilt_hat0=tilt_hat0, applied_tilt_err0=applied_err0)
 
 
 def _require_finite(keys: str, *path) -> None:
@@ -395,14 +367,28 @@ def _require_finite(keys: str, *path) -> None:
         raise ValueError(f"{keys} keys make a rotation path overflow to a non-finite attitude")
 
 
-def _block_truth(cfg: ExperimentConfig, scene: Scene, steps: slice):
-    """The seed-free truth of a block's steps at their midpoints, from the
-    closed forms: pivot rate and angular acceleration (world frame), mount
-    rate, and the noise-free gyro reading."""
-    t = scene.t_all[2 * steps.start + 1 : 2 * steps.stop : 2]
-    w, wm = plant.pivot_rate(cfg.pivot, t), plant.mount_rate(cfg.mount, t)
-    gyro = plant.gyro_stream(scene.Rp_mid[steps], w, scene.Rm_mid[steps], wm)
-    return w, wm, plant.pivot_accel(cfg.pivot, t), gyro
+def _block_truth(cfg: ExperimentConfig, scene: Scene, lo: int, hi: int, R):
+    """The seed-free truth of the block of samples ``lo:hi`` (step boundaries
+    at even indices, midpoints at odd), from the closed forms and from both
+    rotation paths, each integrated from its attitude in ``R`` (pivot, mount)
+    at the block's start: the samples' times; at the midpoints, the pivot
+    rate and angular acceleration (world frame), the mount rate, both
+    attitudes and the noise-free gyro reading; the block's marks, with the
+    pivot attitude and robot-frame rate there.  Also returns both attitudes
+    at the block's end; a path that overflows is refused, naming its keys."""
+    t = np.arange(lo, hi) * (0.5 * cfg.dt)  # the bits of k * dt and (k + 0.5) * dt
+    at = slice(*np.searchsorted(scene.marks, (lo // 2, (hi + 1) // 2)))  # the block's marks
+    marks = scene.marks[at]
+    with np.errstate(all="ignore"):  # each path at the closed-form rate on the midpoints
+        w, wm = plant.pivot_rate(cfg.pivot, t[1::2]), plant.mount_rate(cfg.mount, t[1::2])
+        (Rp_mid, Rp), (Rm_mid, Rm) = (plant.rotation_path(R0, rate, cfg.dt)
+                                      for R0, rate in zip(R, (w, wm)))
+    _require_finite("pivot.*", Rp_mid, Rp)
+    _require_finite("mount.rate_*", Rm_mid)
+    R, Rp = (Rp[-1], Rm[-1]), Rp[marks - lo // 2]
+    rate = np.einsum("nji,nj->ni", Rp, plant.pivot_rate(cfg.pivot, marks * cfg.dt))
+    return (t, w, wm, plant.pivot_accel(cfg.pivot, t[1::2]), Rp_mid, Rm_mid,
+            plant.gyro_stream(Rp_mid, w, Rm_mid, wm), at, Rp, rate), R
 
 
 def run_simulation(cfg: ExperimentConfig) -> RunLog:
@@ -419,21 +405,25 @@ def run_simulation(cfg: ExperimentConfig) -> RunLog:
 
 def _run_cells(scene: Scene, cells) -> None:
     """Advance the :class:`_Cell` runs on ``scene`` in lockstep, a block of
-    :data:`ROW_BLOCK` steps at a time, making each block's noise basis and
-    seed-free truth once for the cells still running (their configs share the
+    :data:`ROW_BLOCK` steps at a time, making each block's seed-free truth,
+    from the pivot and mount attitudes carried from the block before, and its
+    noise basis once for the cells still running (their configs share the
     scene's keys); each carries only its observer state to the next.  A cell
     that diverges drops out, keeping its ``RuntimeError``'s message as
     ``error``: its traceback, or its context's, would hold its last block."""
-    for lo in range(0, len(scene.t_all), 2 * ROW_BLOCK):
+    n, R = int(scene.marks[-1]), (scene.R0, np.eye(3))  # the last mark is the step count
+    for lo in range(0, 2 * n + 1, 2 * ROW_BLOCK):
         if not (live := [cell for cell in cells if cell.error is None]):
             break
-        wall, hi = time.perf_counter(), min(lo + 2 * ROW_BLOCK, len(scene.t_all))
-        basis = plant.noise_basis(scene.t_all[lo:hi])
-        truth = _block_truth(live[0].cfg, scene, slice(lo // 2, hi // 2))
-        shared_s = time.perf_counter() - wall
+        wall, hi = time.perf_counter(), min(lo + 2 * ROW_BLOCK, 2 * n + 1)
+        truth, R = _block_truth(live[0].cfg, scene, lo, hi, R)
+        t1 = time.perf_counter()
+        basis = plant.noise_basis(truth[0])
+        basis_s = time.perf_counter() - t1
         for cell in live:
+            cell.timings["rotation"] += t1 - wall
             try:
-                cell.advance(lo, hi, basis, truth, time.perf_counter() - shared_s)
+                cell.advance(lo, hi, basis, truth, time.perf_counter() - basis_s)
             except RuntimeError as exc:
                 cell.error = RuntimeError(*exc.args)
         del basis, truth  # freed before the next block's are made
@@ -443,31 +433,33 @@ class _Cell:
     """The run of ``cfg`` with ``gains`` on ``scene`` (built from ``cfg`` or
     from a config that differs only outside the scene), fed block by block by
     :func:`_run_cells`, each from its observer ``state`` at the block's start.
-    It keeps its rows at the marks for :meth:`log` or, given a ``threshold`` (a
-    sweep's cells), only their ``grade``.  Phase times count from ``wall0``,
-    each shared basis in every cell's mount phase."""
+    It keeps its rows and pivot attitudes at the marks for :meth:`log` or,
+    given a ``threshold`` (a sweep's cells), only their ``grade``.  Phase times
+    count from ``wall0``, each shared truth in every cell's rotation phase and
+    each shared basis in its mount phase."""
 
     def __init__(self, cfg, scene: Scene, gains: ObserverGains, wall0, threshold=None):
         self.cfg, self.scene, self.gains, self.wall0, self.error = cfg, scene, gains, wall0, None
         self.noise = plant.MountNoise(cfg.mount.noise_std, cfg.mount.noise_tau, seed=[cfg.seed, 1])
         self.rng = np.random.default_rng([cfg.seed, 0])
         self.state = None  # the observer's (6,) state at the start of the next block
-        # per block: states, x1 truth, gyro, accel at the marks; or what the grade needs
+        # per block: states, x1 truth, pivot attitude, gyro, accel at the marks; or the grade's
         self.threshold, self.kept, self.last_above, self.final_norm = threshold, [], -1, None
         self.timings = dict.fromkeys(("rotation", "mount", "sensors", "estimator", "record"), 0.0)
         self.timings["rotation"] = time.perf_counter() - wall0
 
     def advance(self, lo: int, hi: int, basis, truth, since) -> None:
-        """Run the steps whose samples lie in ``scene.t_all[lo:hi]``, given
-        their :func:`.plant.noise_basis` and :func:`_block_truth`, from ``state``
-        to the block's end, and keep the rows or the grade of the block's marks."""
-        s, cfg, (w, wm, alpha, gyro_true) = self.scene, self.cfg, truth
+        """Run the steps whose samples are ``lo:hi``, given their
+        :func:`.plant.noise_basis` and :func:`_block_truth`, from ``state`` to
+        the block's end, and keep the rows or the grade of the block's marks."""
+        s, cfg, (t, w, wm, alpha, Rp_mid, Rm_mid, gyro_true, at, Rp, rate) = (
+            self.scene, self.cfg, truth)
+        marks = s.marks[at]
         steps = slice(lo // 2, hi // 2)  # boundaries at the even samples, midpoints at the odd
-        pos, vel, acc = plant.mount_translation(cfg.mount, self.noise, s.t_all[lo:hi], basis)
+        pos, vel, acc = plant.mount_translation(cfg.mount, self.noise, t, basis)
         self.timings["mount"] += (t1 := time.perf_counter()) - since
-        Rm_mid = s.Rm_mid[steps]
-        accel_true = plant.accel_stream(s.Rp_mid[steps], w, alpha, pos[1::2], vel[1::2],
-                                        acc[1::2], Rm_mid, cfg.gains.g0)
+        accel_true = plant.accel_stream(Rp_mid, w, alpha, pos[1::2], vel[1::2], acc[1::2], Rm_mid,
+                                        cfg.gains.g0)
         # per-sample draw order is gyro, then accel (C-order fill), block after block
         draws = self.rng.standard_normal((len(accel_true), 2, 3))
         gyro_meas = gyro_true + cfg.noise.gyro_std * draws[:, 0]
@@ -476,15 +468,13 @@ class _Cell:
         y1 = plant.pivot_rate_from_gyro(gyro_meas, Rm_mid, wm)
         x1 = plant.velocity_measurement(pos[1::2], vel[1::2], y1)
         rows = np.hstack([y1, x1, np.matmul(Rm_mid, accel_meas[:, :, None])[:, :, 0]])
-        i, j = np.searchsorted(s.marks, (lo // 2, (hi + 1) // 2))
-        marks = s.marks[i:j]  # the step boundaries of the block that are marks
         if not (peak := float(np.abs(rows).max(initial=0.0))) <= INPUT_BOUND:  # NaN too
             raise ValueError(f"mount.* and noise.* keys make the observer's inputs reach "
-                             f"|{peak:.3g}| in the block from t = {s.t_all[lo]:g} s, past "
+                             f"|{peak:.3g}| in the block from t = {t[0]:g} s, past "
                              f"any pendulum's {INPUT_BOUND:g}")
         grid = 2 * marks - lo
         # a sweep cell reads the x1 truth only for its start
-        x1_true = (plant.velocity_measurement(pos[grid], vel[grid], s.rate_loc[i:j])
+        x1_true = (plant.velocity_measurement(pos[grid], vel[grid], rate)
                    if self.threshold is None or self.state is None else None)
         if self.state is None:  # mark 0 opens the first block
             self.state = np.concatenate([x1_true[0] - cfg.init.vel_err, s.tilt_hat0])
@@ -500,14 +490,14 @@ class _Cell:
         self.timings["estimator"] += (t3 := time.perf_counter()) - t2
         if self.threshold is None:
             # the final mark repeats step n - 1's measurement, kept by the block of that step
-            n = len(s.Rp_mid)
+            n = int(s.marks[-1])
             end = np.searchsorted(s.marks, steps.stop + (steps.start < steps.stop == n))
-            held = np.minimum(s.marks[i:end], n - 1) - steps.start
-            self.kept.append((states, x1_true, gyro_meas[held], accel_meas[held]))
-        elif j > i:  # the last mark at or above threshold so far, and the last norm
-            norms = np.linalg.norm(s.x2_true[i:j] - states[:, 3:], axis=-1)
+            held = np.minimum(s.marks[at.start : end], n - 1) - steps.start
+            self.kept.append((states, x1_true, Rp, gyro_meas[held], accel_meas[held]))
+        elif len(marks):  # the last mark at or above threshold so far, and the last norm
+            norms = np.linalg.norm(Rp[:, 2] - states[:, 3:], axis=-1)
             above = np.flatnonzero(norms >= self.threshold)
-            self.last_above = i + above[-1] if len(above) else self.last_above
+            self.last_above = at.start + above[-1] if len(above) else self.last_above
             self.final_norm = float(norms[-1])
         self.timings["record"] += time.perf_counter() - t3
 
@@ -515,27 +505,27 @@ class _Cell:
         """A sweep cell's report grade, once every block has been advanced:
         its tilt convergence time (``None`` if never reached) and final
         tilt-error norm."""
-        conv = float(_time_after(self.scene.t_all[2 * self.scene.marks], self.last_above))
+        conv = float(_time_after(self.scene.marks * self.cfg.dt, self.last_above))
         return (None if math.isinf(conv) else conv), self.final_norm
 
     def log(self) -> RunLog:
         """The record of the run, once every block has been advanced."""
         wall = time.perf_counter()
         s, gains = self.scene, self.gains
-        states, x1_true, gyro, accel = (np.concatenate(kept) for kept in zip(*self.kept))
-        x1err, x2err = x1_true - states[:, :3], s.x2_true - states[:, 3:]
+        states, x1_true, Rp, gyro, accel = (np.concatenate(kept) for kept in zip(*self.kept))
+        x1err, x2err = x1_true - states[:, :3], Rp[:, 2] - states[:, 3:]
         # pivot-rotated errors: one batched matmul on the (m, 3, 2) error pairs
-        z = np.matmul(s.Rp, np.stack([x1err, x2err], axis=-1))
+        z = np.matmul(Rp, np.stack([x1err, x2err], axis=-1))
         z1, z2 = z[..., 0], z[..., 1]
         V, Vdot = lyapunov(z1, z2, gains), lyapunov_rate(z1, z2, gains)
         wall_end = time.perf_counter()
         self.timings["record"] += wall_end - wall
         return RunLog(
-            t=s.t_all[2 * s.marks], tilt=s.x2_true.copy(), tilt_est=states[:, 3:], vel_err=x1err,
+            t=s.marks * self.cfg.dt, tilt=Rp[:, 2].copy(), tilt_est=states[:, 3:], vel_err=x1err,
             tilt_err=x2err, verr_world=z1, terr_world=z2, V=V, Vdot=Vdot, gyro=gyro, accel=accel,
             applied_tilt_err0=s.applied_tilt_err0.copy(), config=self.cfg, gains=gains,
             runtime=wall_end - self.wall0, timings=dict(self.timings),
-            steps_per_s=len(s.Rp_mid) / self.timings["estimator"],
+            steps_per_s=int(s.marks[-1]) / self.timings["estimator"],
         )
 
 
@@ -668,16 +658,16 @@ def sweep(cfg: ExperimentConfig, alphas, betas, threshold: float = TILT_THRESHOL
 
     The cells run on one scene, built once from the base config
     (:func:`build_scene`), in lockstep, block by block, sharing each block's
-    mount-noise basis; each draws its own mount and measurement noise from
-    its own seed (base seed XOR cell index), so noisy cells stay
-    independent.  Gain pairs that are not finite or violate the stability
+    truth, rotation paths included, and mount-noise basis; each draws its own
+    mount and measurement noise from its own seed (base seed XOR cell index),
+    so noisy cells stay independent.  Gain pairs that are not finite or violate the stability
     condition are reported as rejected rows, and runs whose state diverges
     as diverged rows (the step and ``alpha*dt`` go to the log), instead of
     aborting the sweep.  The base config's own ``alpha`` and
     ``beta`` are not checked; its ``g0``, which every cell keeps, is.  Keys
-    that no cell replaces fail the whole sweep with a ``ValueError``: a scene
-    that overflows (``pivot.*``, ``mount.rate_*``) and observer inputs past
-    :data:`INPUT_BOUND` (``mount.*``, ``noise.*``).
+    that no cell replaces fail the whole sweep with a ``ValueError``: a
+    rotation path that overflows (``pivot.*``, ``mount.rate_*``) and observer
+    inputs past :data:`INPUT_BOUND` (``mount.*``, ``noise.*``).
     Returns one row per cell in grid order, a dict in :data:`SWEEP_HEADER` order.
     """
     require_positive("gains.g0", cfg.gains.g0)

@@ -379,6 +379,19 @@ def test_error_ode_dyadic_step_matches_golden_digest(tmp_path, golden):
     assert any(line.startswith("0.50781250,") for line in lines)
 
 
+def test_error_ode_effective_config_reruns_its_flags(tmp_path):
+    # --duration, --dt, --verr0 and --terr0 replace their config keys, so the
+    # saved config alone writes the same rows again
+    rc = main(["error-ode", "--out", str(tmp_path / "a"), "--dt", "0.0009765625",
+               "--duration", "1", "--verr0", "0.1,0,0", "--terr0", "0,0.5,0"])
+    assert rc == 0
+    rerun = ["error-ode", "--config", str(tmp_path / "a" / "effective.cfg")]
+    assert main(rerun + ["--out", str(tmp_path / "b")]) == 0
+    first = (tmp_path / "a" / "error_ode.csv").read_bytes()
+    assert len(first.splitlines()) == 1 + 104
+    assert (tmp_path / "b" / "error_ode.csv").read_bytes() == first
+
+
 def test_error_ode_degenerate_start_fails_cleanly(tmp_path, capsys):
     rc = main(["error-ode", "--out", str(tmp_path), "--terr0", "0,0,1"])
     assert rc == 1

@@ -729,6 +729,8 @@ def test_a_run_is_one_observer_pass_over_all_its_rows(monkeypatch):
 
 @pytest.mark.parametrize("alphas", [[19.8], [19.8, 15.0, 12.0, 25.0]])
 def test_sweep_builds_the_rotation_paths_once(monkeypatch, alphas):
+    # 2100 steps: three blocks, each integrating its pivot and mount paths
+    # once for every cell, whatever the number of cells run
     calls = []
 
     def counting_path(*args):
@@ -738,10 +740,10 @@ def test_sweep_builds_the_rotation_paths_once(monkeypatch, alphas):
     rotation_path = plant.rotation_path
     monkeypatch.setattr(plant, "rotation_path", counting_path)
     cfg = ExperimentConfig()
-    cfg.duration = 0.2
+    cfg.duration = 2.1
     rows = sweep(cfg, alphas, [10.0], threshold=0.5)
     assert [r["status"] for r in rows] == ["ok"] * len(alphas)
-    assert len(calls) == 2  # pivot and mount, once per sweep
+    assert len(calls) == 6  # pivot and mount, once per block
 
 
 @pytest.mark.parametrize("alphas", [[19.8], [19.8, 15.0, 1.0, 12.0, 25.0]])
@@ -791,9 +793,10 @@ def resting_observer(gains, dt, rows, state0, marks):
         yield np.array(state0)
 
 
-def test_run_memory_grows_by_under_450_bytes_a_step(monkeypatch):
-    # the traced peak of a whole run, scene build included: the scene keeps
-    # its two midpoint rotation paths (144 B a step) and the run one block
+def test_run_memory_grows_by_under_100_bytes_a_step(monkeypatch):
+    # the traced peak of a whole run, scene build included: each block makes
+    # its own rotation paths, so only the record at the marks grows with the
+    # run (about 20 B a step at decimation 10), never a per-step path
     monkeypatch.setattr(harness, "run_observer", resting_observer)
 
     def peak(duration):
@@ -808,7 +811,51 @@ def test_run_memory_grows_by_under_450_bytes_a_step(monkeypatch):
 
     peak(1.0)  # first-call set-up, traced apart
     growth = (peak(40.0) - peak(20.0)) / 20_000
-    assert growth < 450, growth
+    assert growth < 100, growth
+
+
+def test_run_memory_peak_at_ten_to_the_five_steps(monkeypatch):
+    # the traced peak of a 10^5-step run, scene build included: one block's
+    # truth and rows, plus the record at the marks
+    monkeypatch.setattr(harness, "run_observer", resting_observer)
+    cfg = load_config(NOISY_CFG)
+    cfg.duration = 100.0
+    run_simulation(cfg)  # first-call set-up, untraced
+    tracemalloc.start()
+    try:
+        run_simulation(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20, peak
+
+
+@pytest.mark.parametrize("duration", [2.048, 100.0])  # a one-sample last block; 98 blocks
+def test_block_rotation_paths_join_into_the_whole_run_path(monkeypatch, duration):
+    # each block integrates its pivot and mount paths from the attitudes that
+    # the block before it ended at: joined, the blocks' midpoint attitudes are
+    # one whole-run rotation_path, to roundoff; a block that restarts from R0
+    # or from the identity is off by a turn of the path
+    calls, rotation_path = [], plant.rotation_path
+
+    def spy(R0, w_held, dt):
+        calls.append(rotation_path(R0, w_held, dt))
+        return calls[-1]
+
+    monkeypatch.setattr(plant, "rotation_path", spy)
+    monkeypatch.setattr(harness, "run_observer", resting_observer)
+    cfg = load_config(NOISY_CFG)
+    cfg.duration = duration
+    run_simulation(cfg)
+    n = round(duration / cfg.dt)
+    assert len(calls) == 2 * -(-(2 * n + 1) // (2 * harness.ROW_BLOCK))
+    t_mid = (np.arange(n) + 0.5) * cfg.dt
+    whole = (rotation_path(build_scene(cfg).R0, plant.pivot_rate(cfg.pivot, t_mid), cfg.dt),
+             rotation_path(np.eye(3), plant.mount_rate(cfg.mount, t_mid), cfg.dt))
+    for k, (R_mid, _) in enumerate(whole):
+        joined = np.concatenate([mid for mid, _ in calls[k::2]])
+        assert joined.shape == R_mid.shape
+        assert_allclose(joined, R_mid, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("run", [
