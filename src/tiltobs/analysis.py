@@ -45,8 +45,8 @@ MANIFOLD_TOL = 1e-9
 RK4_REAL_LIMIT = 2.785
 
 # the most steps one run may take: 1000 s at the default 1 ms step.  A
-# `simulate` of configs/noisy.cfg peaks at about 82 MB RSS at 10^5 steps and
-# 430 MB at 10^6 (Python 3.11, numpy 2.4), so this also bounds its memory.
+# `simulate` of configs/noisy.cfg peaks at about 47 MB RSS at 10^5 steps and
+# 130 MB at 10^6 (Python 3.11, numpy 2.4), so this also bounds its memory.
 MAX_STEPS = 10**6
 
 # the most start-steps (basin starts times steps each) one stability report

@@ -660,11 +660,11 @@ def sweep(cfg: ExperimentConfig, alphas, betas, threshold: float = TILT_THRESHOL
     (:func:`build_scene`), in lockstep, block by block, sharing each block's
     truth, rotation paths included, and mount-noise basis; each draws its own
     mount and measurement noise from its own seed (base seed XOR cell index),
-    so noisy cells stay independent.  Gain pairs that are not finite or violate the stability
-    condition are reported as rejected rows, and runs whose state diverges
-    as diverged rows (the step and ``alpha*dt`` go to the log), instead of
-    aborting the sweep.  The base config's own ``alpha`` and
-    ``beta`` are not checked; its ``g0``, which every cell keeps, is.  Keys
+    so noisy cells stay independent.  Gain pairs that are not finite or
+    violate the stability condition are reported as rejected rows, and runs
+    whose state diverges as diverged rows (the step and ``alpha*dt`` go to
+    the log), instead of aborting the sweep.  The base config's own ``alpha``
+    and ``beta`` are not checked; its ``g0``, which every cell keeps, is.  Keys
     that no cell replaces fail the whole sweep with a ``ValueError``: a
     rotation path that overflows (``pivot.*``, ``mount.rate_*``) and observer
     inputs past :data:`INPUT_BOUND` (``mount.*``, ``noise.*``).
