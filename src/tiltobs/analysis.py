@@ -12,10 +12,10 @@ with ``S(w)`` the cross-product matrix, so the observer's convergence can be
 studied independently of any particular robot motion.  The module provides
 the vector field, its Lyapunov function with a closed-form decay rate, the
 two equilibria with their linearizations, an exponential convergence bound,
-and the error flow, graded mark by mark as it runs or, for one start,
-recorded for cross-checks against the full simulation;
-:func:`stability_report` gathers the facts of a gain set that ``analyze``
-reports, its basin sample included.
+and the error flow, the one product of these dynamics: ``analyze`` grades
+it mark by mark as it runs (:func:`stability_report` gathers the facts of a
+gain set, its basin sample included) and ``error-ode`` writes the marks of
+one start.
 The flow has no loop of its own: these dynamics are the observer at rest, so
 it runs :func:`observer.run_observer`, the loop the closed-loop simulation
 runs too, on rest inputs: on Python floats for one start and on (B,) arrays
@@ -24,7 +24,6 @@ for a batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -186,15 +185,6 @@ def _time_after(t, last):
     return np.where(after < len(t), t[np.minimum(after, len(t) - 1)], np.inf)
 
 
-@dataclass
-class ErrorTrajectory:
-    """Recorded error-dynamics run of one start: (M,) times, (M, 3) states."""
-
-    t: np.ndarray
-    verr: np.ndarray
-    terr: np.ndarray
-
-
 def grade_batch(flow, gains: ObserverGains, threshold: float):
     """Grade a batch mark by mark as it runs: ``flow`` is ``(t, states)``, an
     :func:`error_flow` or any iterable of (6, B) states at the M times ``t``.
@@ -226,7 +216,9 @@ def error_flow(verr0, terr0, gains: ObserverGains, dt: float = 1e-3, duration: f
                record_every: int = 1):
     """The error dynamics from (B, 3) or (3,) starts as a flow of marks:
     ``(t, states)``, the M mark times and a generator of the (6, B) error
-    states (``verr`` rows, then ``terr`` rows) at them, each a fresh array.
+    states (``verr`` rows, then ``terr`` rows) at them, each a fresh array;
+    a (3,) start gives (6, 1) states.  The flow holds no record: a caller
+    that keeps every mark, as ``error-ode`` does, collects it.
 
     These dynamics are the observer at rest (tilt ``e_z``, zero pivot rate,
     ``vel_meas = 0``, specific force ``g0 * e_z``) with ``vel_est = -verr``
@@ -262,19 +254,6 @@ def error_flow(verr0, terr0, gains: ObserverGains, dt: float = 1e-3, duration: f
     # one start steps on floats: on (1,) arrays each step costs 50 times more
     states = run_observer(gains, dt, rest, state0[:, 0] if len(u) == 1 else state0, marks)
     return np.array(marks) * dt, (_ERROR_ORIGIN - s.reshape(6, -1) for s in states)
-
-
-def integrate_error_ode(verr0, terr0, gains: ObserverGains, dt: float = 1e-3,
-                        duration: float = 10.0, record_every: int = 1) -> ErrorTrajectory:
-    """:func:`error_flow` of one (3,) start, recorded.  Raises as the flow
-    does, and ``ValueError`` on a batch of starts, before anything is
-    allocated: a batch is graded as it runs, by ``grade_batch(error_flow(...))``."""
-    if max(np.ndim(verr0), np.ndim(terr0)) > 1:
-        raise ValueError("integrate_error_ode records one (3,) start; grade a batch "
-                         "as it runs with grade_batch(error_flow(...))")
-    t, states = error_flow(verr0, terr0, gains, dt, duration, record_every)
-    err = np.fromiter(states, dtype=(float, (6, 1)), count=len(t))[..., 0]
-    return ErrorTrajectory(t=t, verr=err[:, :3], terr=err[:, 3:])
 
 
 # basin starts are drawn below this share of the flipped equilibrium's V

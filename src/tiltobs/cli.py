@@ -107,15 +107,17 @@ def cmd_error_ode(cfg, args):
                                (cfg.init, "tilt_err", args.terr0)):
         if flag is not None:
             setattr(section, key, flag)
+    harness.validate_config(cfg)  # the flags are held to their keys' bounds
     # place the tilt error on its sphere the same way the simulator does
     _, terr0 = harness.project_tilt_error(analysis.EZ, cfg.init.tilt_err, name)
-    traj = analysis.integrate_error_ode(cfg.init.vel_err, terr0, gains, duration=cfg.duration,
-                                        dt=cfg.dt, record_every=cfg.decimation)
-    V = analysis.lyapunov(traj.verr, traj.terr, gains)
-    Vdot = analysis.lyapunov_rate(traj.verr, traj.terr, gains)
-    cols = np.column_stack([traj.t, traj.verr, traj.terr, V, Vdot])
-    files = {"error_ode.csv": harness.csv_text(harness.ERROR_ODE_HEADER, cols)}
-    return files, f"{len(traj.t)} rows, final V {float(V[-1]):.3g}"
+    t, states = analysis.error_flow(cfg.init.vel_err, terr0, gains, dt=cfg.dt,
+                                    duration=cfg.duration, record_every=cfg.decimation)
+    err = np.fromiter(states, dtype=(float, (6, 1)), count=len(t))[..., 0]  # verr, terr
+    V = analysis.lyapunov(err[:, :3], err[:, 3:], gains)
+    Vdot = analysis.lyapunov_rate(err[:, :3], err[:, 3:], gains)
+    files = {"error_ode.csv": harness.csv_text(harness.ERROR_ODE_HEADER,
+                                               np.column_stack([t, err, V, Vdot]))}
+    return files, f"{len(t)} rows, final V {float(V[-1]):.3g}"
 
 
 def build_parser() -> argparse.ArgumentParser:

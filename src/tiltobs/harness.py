@@ -240,9 +240,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
 def _format_value(value) -> str:
     if isinstance(value, np.ndarray):
         return ", ".join(repr(float(x)) for x in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return str(value)  # a float's str is its repr; a numpy scalar's is its number
 
 
 def key_value_text(values: dict) -> str:
@@ -440,7 +438,8 @@ class _Cell:
 
     def __init__(self, cfg, scene: Scene, gains: ObserverGains, wall0, threshold=None):
         self.cfg, self.scene, self.gains, self.wall0, self.error = cfg, scene, gains, wall0, None
-        self.noise = plant.MountNoise(cfg.mount.noise_std, cfg.mount.noise_tau, seed=[cfg.seed, 1])
+        self.noise = plant.MountNoise(cfg.mount.noise_std, cfg.mount.noise_tau, cfg.mount.kp,
+                                      seed=[cfg.seed, 1])
         self.rng = np.random.default_rng([cfg.seed, 0])
         self.state = None  # the observer's (6,) state at the start of the next block
         # per block: states, x1 truth, pivot attitude, gyro, accel at the marks; or the grade's

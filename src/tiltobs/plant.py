@@ -120,7 +120,7 @@ class MountNoise:
     whole process is deterministic given the seed.
     """
 
-    def __init__(self, std: float, tau: float, seed) -> None:
+    def __init__(self, std: float, tau: float, kp: float, seed) -> None:
         rng = np.random.default_rng(seed)
         m = np.arange(1, NOISE_HARMONICS + 1, dtype=float)
         self.omega = 2.0 * np.pi * m / NOISE_PERIOD
@@ -130,33 +130,29 @@ class MountNoise:
             gain2 = 1.0 / (1.0 + (self.omega * tau) ** 2)
             self.amp = std * np.sqrt(2.0 * gain2 / gain2.sum())
         self.phase = rng.uniform(0.0, 2.0 * np.pi, size=(3, NOISE_HARMONICS))
-        self.kp = None  # the kp of the weights made last, kept till kp changes
+        w, a = self.omega[:, None], self.amp[:, None]
+        cp, sp = np.cos(self.phase).T, np.sin(self.phase).T
+        lag = a / (kp * kp + w**2)
+        # value: a sin(wt+p); deriv: a w cos(wt+p);
+        # lag: a (kp sin(wt+p) - w cos(wt+p)) / (kp^2 + w^2)
+        w_sin = np.hstack([a * cp, -a * w * sp, lag * (kp * cp + w * sp)])
+        w_cos = np.hstack([a * sp, a * w * cp, lag * (kp * sp - w * cp)])
+        self.weights = np.vstack([w_sin, w_cos])
+        self.lag0 = w_cos[:, 6:9].sum(axis=0)
 
-    def series(self, t, kp: float, basis):
+    def series(self, t, basis):
         """``(value, deriv, lag)`` at time(s) t, plus ``lag`` at t = 0.
 
         ``value`` is the disturbance, ``deriv`` its time derivative, and
         ``lag`` the particular solution of ``qdot + kp q = value``, per axis.
         One sin/cos basis of ``omega * t``, :func:`noise_basis`, serves all
         three: angle addition, ``sin(w t + p) = sin(w t) cos(p) + cos(w t)
-        sin(p)``, folds the phases, amplitudes and per-signal factors into
-        (128, 9) weights, so the signals come from one matmul.  ``basis`` is
+        sin(p)``, folds the phases, amplitudes, ``kp`` and per-signal factors
+        into (128, 9) weights, made with the noise, so one matmul gives them.  ``basis`` is
         that basis at t; it is free of the seed, so the caller makes it once
         for every noise on the same times (a sweep's cells share each block's).
         At t = 0 the basis is exactly ``sin = 0``, ``cos = 1``.
         """
-        if kp != self.kp:
-            w = self.omega[:, None]
-            a = self.amp[:, None]
-            cp = np.cos(self.phase).T
-            sp = np.sin(self.phase).T
-            lag = a / (kp * kp + w**2)
-            # value: a sin(wt+p); deriv: a w cos(wt+p);
-            # lag: a (kp sin(wt+p) - w cos(wt+p)) / (kp^2 + w^2)
-            w_sin = np.hstack([a * cp, -a * w * sp, lag * (kp * cp + w * sp)])
-            w_cos = np.hstack([a * sp, a * w * cp, lag * (kp * sp - w * cp)])
-            self.kp, self.weights = kp, np.vstack([w_sin, w_cos])
-            self.lag0 = w_cos[:, 6:9].sum(axis=0)
         t = np.asarray(t, dtype=float)
         out = (self.weights.T @ basis).T.reshape(t.shape + (9,))
         return out[..., 0:3], out[..., 3:6], out[..., 6:9], self.lag0
@@ -199,7 +195,7 @@ def mount_translation(mount: MountSettings, noise: MountNoise, t, basis):
     ``noise_basis(t)`` (see :meth:`MountNoise.series`).
     """
     t = np.asarray(t, dtype=float)
-    value, deriv, q, q0 = noise.series(t, mount.kp, basis)
+    value, deriv, q, q0 = noise.series(t, basis)
     decay = np.exp(-mount.kp * t)[..., None]
     pos = mount.p_ref + (mount.p0 - mount.p_ref - q0) * decay + q
     vel = value + mount.kp * (mount.p_ref - pos)

@@ -5,8 +5,8 @@ The acceptance tests in test_acceptance.py each measure a margin and record a
 one-line verdict.  Printing from inside a test gets swallowed by capture, so
 the lines are replayed in the terminal summary where they are always visible.
 
-Tests that need the record of a batch of error-dynamics starts collect it
-from the live flow with the ``collect`` fixture.
+Tests that need the record of error-dynamics starts, one start or many,
+collect it from the live flow with the ``collect`` fixture.
 
 The CLI tests hash the artifacts they write against ``golden_digests.json``,
 so a refactor that changes any output byte fails; a harness test hashes the
@@ -56,13 +56,13 @@ def criterion():
 @pytest.fixture(scope="session")
 def collect():
     """``collect(verr0, terr0, gains, **run)`` records the :func:`error_flow`
-    of (B, 3) starts: its M times ``t``, its (M, 6, B) ``states`` (so
-    ``(t, states)`` is a flow again) and their (B, M, 3) ``verr`` and
-    ``terr`` views."""
+    of (B, 3) starts, or of a (3,) start as a batch of one: its M times
+    ``t``, its (M, 6, B) ``states`` (so ``(t, states)`` is a flow again) and
+    their (B, M, 3) ``verr`` and ``terr`` views."""
 
     def record(verr0, terr0, gains, **run):
         t, states = error_flow(verr0, terr0, gains, **run)
-        states = np.fromiter(states, dtype=(float, (6, len(verr0))), count=len(t))
+        states = np.fromiter(states, dtype=(float, (6, np.size(verr0) // 3)), count=len(t))
         err = states.transpose(2, 0, 1)
         return SimpleNamespace(t=t, states=states, verr=err[..., :3], terr=err[..., 3:])
 

@@ -14,7 +14,6 @@ from tiltobs.analysis import (
     error_flow,
     exponential_bound,
     grade_batch,
-    integrate_error_ode,
     linearization,
     lyapunov,
     lyapunov_rate,
@@ -343,10 +342,10 @@ def reference_start():
 
 def test_integrator_rejects_off_manifold_start():
     with pytest.raises(ValueError):
-        integrate_error_ode(np.zeros(3), 0.3 * EZ, GAINS, duration=0.01)
+        error_flow(np.zeros(3), 0.3 * EZ, GAINS, duration=0.01)
 
 
-def test_error_point_accepts_manifold_points():
+def test_error_point_accepts_manifold_points(collect):
     # error states on the tilt-error sphere, the flipped point included, are
     # valid starts and are recorded as given
     for verr0, terr0 in (
@@ -354,8 +353,8 @@ def test_error_point_accepts_manifold_points():
         (np.zeros(3), 2.0 * EZ),
         (np.zeros(3), EZ - np.array([1.0, 0.0, 0.0])),
     ):
-        traj = integrate_error_ode(verr0, terr0, GAINS, duration=0.01)
-        assert (traj.verr[0] == verr0).all() and (traj.terr[0] == terr0).all()
+        traj = collect(verr0, terr0, GAINS, duration=0.01)
+        assert (traj.verr[0, 0] == verr0).all() and (traj.terr[0, 0] == terr0).all()
 
 
 def test_error_point_rejects_off_manifold():
@@ -368,7 +367,7 @@ def test_error_point_rejects_off_manifold():
         (np.array([np.inf, 0.0, 0.0]), np.zeros(3)),
     ):
         with pytest.raises(ValueError):
-            integrate_error_ode(verr0, terr0, GAINS, duration=0.01)
+            error_flow(verr0, terr0, GAINS, duration=0.01)
     # a non-finite start as one row of a batch flow
     for verr0, terr0 in (
         (np.zeros((2, 3)), np.array([[0.0, 0.0, 0.0], [0.0, 0.0, np.nan]])),
@@ -378,23 +377,24 @@ def test_error_point_rejects_off_manifold():
             error_flow(verr0, terr0, GAINS, duration=0.01)
 
 
-def test_integrator_stays_on_manifold_and_converges():
+def test_integrator_stays_on_manifold_and_converges(collect):
     verr0, terr0 = reference_start()
-    traj = integrate_error_ode(verr0, terr0, GAINS, dt=1e-3, duration=10.0, record_every=100)
-    drift = np.abs(np.linalg.norm(EZ - traj.terr, axis=-1) - 1.0)
+    traj = collect(verr0, terr0, GAINS, dt=1e-3, duration=10.0, record_every=100)
+    verr, terr = traj.verr[0], traj.terr[0]
+    drift = np.abs(np.linalg.norm(EZ - terr, axis=-1) - 1.0)
     assert drift.max() < 1e-12
-    assert np.linalg.norm(traj.verr[-1]) < 1e-9
-    assert np.linalg.norm(traj.terr[-1]) < 1e-9
-    V = lyapunov(traj.verr, traj.terr, GAINS)
+    assert np.linalg.norm(verr[-1]) < 1e-9
+    assert np.linalg.norm(terr[-1]) < 1e-9
+    V = lyapunov(verr, terr, GAINS)
     assert np.all(np.diff(V) <= 1e-9 * V[0])
 
 
-def test_integrator_self_convergence_under_refinement():
+def test_integrator_self_convergence_under_refinement(collect):
     verr0, terr0 = reference_start()
-    a = integrate_error_ode(verr0, terr0, GAINS, dt=1e-3, duration=1.0, record_every=1000)
-    b = integrate_error_ode(verr0, terr0, GAINS, dt=1e-4, duration=1.0, record_every=10000)
-    assert np.abs(a.verr[-1] - b.verr[-1]).max() < 1e-4
-    assert np.abs(a.terr[-1] - b.terr[-1]).max() < 1e-4
+    a = collect(verr0, terr0, GAINS, dt=1e-3, duration=1.0, record_every=1000)
+    b = collect(verr0, terr0, GAINS, dt=1e-4, duration=1.0, record_every=10000)
+    assert np.abs(a.verr[0, -1] - b.verr[0, -1]).max() < 1e-4
+    assert np.abs(a.terr[0, -1] - b.terr[0, -1]).max() < 1e-4
 
 
 def test_integrator_batch_matches_single(collect):
@@ -402,20 +402,21 @@ def test_integrator_batch_matches_single(collect):
     batch = collect(verr, terr, GAINS, dt=1e-3, duration=0.2, record_every=20)
     assert batch.verr.shape == (4, 11, 3)
     for i in range(4):
-        single = integrate_error_ode(verr[i], terr[i], GAINS, dt=1e-3, duration=0.2, record_every=20)
-        assert_allclose(batch.verr[i], single.verr, atol=1e-14)
-        assert_allclose(batch.terr[i], single.terr, atol=1e-14)
+        single = collect(verr[i], terr[i], GAINS, dt=1e-3, duration=0.2, record_every=20)
+        assert_allclose(batch.verr[i], single.verr[0], atol=1e-14)
+        assert_allclose(batch.terr[i], single.terr[0], atol=1e-14)
     assert_allclose(batch.t, np.arange(11) * 0.02, atol=1e-12)
 
 
 def test_integrator_one_row_batch_is_the_single_start(collect):
-    # `analyze --basin-samples 1`: a (1, 3) batch keeps its batch axis and
-    # steps on floats, like the single start
+    # `analyze --basin-samples 1` and `error-ode`: a (3,) start's flow is a
+    # (1, 3) batch's, bit for bit; both step on floats
     verr, terr = on_manifold_samples(1, seed=28, verr_scale=0.5)
     batch = collect(verr, terr, GAINS, dt=1e-3, duration=0.2, record_every=20)
-    single = integrate_error_ode(verr[0], terr[0], GAINS, dt=1e-3, duration=0.2, record_every=20)
-    assert batch.verr.shape == batch.terr.shape == (1, 11, 3)
-    assert (batch.verr[0] == single.verr).all() and (batch.terr[0] == single.terr).all()
+    single = collect(verr[0], terr[0], GAINS, dt=1e-3, duration=0.2, record_every=20)
+    assert batch.states.shape == single.states.shape == (11, 6, 1)
+    assert batch.t.tobytes() == single.t.tobytes()
+    assert batch.states.tobytes() == single.states.tobytes()
 
 
 def test_error_flow_is_exact_under_power_of_two_rescaling(collect):
@@ -434,45 +435,29 @@ def test_error_flow_is_exact_under_power_of_two_rescaling(collect):
         assert base.terr.tobytes() == scaled.terr.tobytes()
 
 
-def test_integrator_overflow_is_reported_as_divergence():
+def test_integrator_overflow_is_reported_as_divergence(collect):
     # a huge velocity error overflows the tilt's rotation vector in step 1:
     # both the float path (one start, recorded) and the array path (a batch
     # flow graded as it runs, whose other start is fine) name the first
     # recorded step past it, and leak no numpy warning
     verr0 = np.array([[1e300, 0.0, 0.0], [0.0, 0.0, 0.0]])
     with pytest.raises(RuntimeError, match=r"diverged by step 10 \(t = 0\.01 s\)"):
-        integrate_error_ode(verr0[0], np.zeros(3), GAINS, duration=0.1, record_every=10)
+        collect(verr0[0], np.zeros(3), GAINS, duration=0.1, record_every=10)
     flow = error_flow(verr0, np.zeros((2, 3)), GAINS, duration=0.1, record_every=10)
     with pytest.raises(RuntimeError, match=r"diverged by step 10 \(t = 0\.01 s\)"):
         grade_batch(flow, GAINS, 1e-3)
 
 
-def test_integrator_rejects_steps_past_rk4_limit():
+def test_integrator_rejects_steps_past_rk4_limit(collect):
     verr0, terr0 = reference_start()
     # alpha*dt = 3.96: RK4 multiplies the -alpha mode by R(-3.96) = 4.8 per step
     with pytest.raises(ValueError, match=r"dt = 0\.2 .*alpha\*dt = 3\.96"):
-        integrate_error_ode(verr0, terr0, GAINS, dt=0.2, duration=4.0)
+        error_flow(verr0, terr0, GAINS, dt=0.2, duration=4.0)
     with pytest.raises(ValueError, match="alpha\\*dt"):
-        integrate_error_ode(verr0, terr0, GAINS, dt=2.786 / GAINS.alpha, duration=1.0)
+        error_flow(verr0, terr0, GAINS, dt=2.786 / GAINS.alpha, duration=1.0)
     # just under the limit the run is bounded
-    traj = integrate_error_ode(verr0, terr0, GAINS, dt=2.78 / GAINS.alpha, duration=4.0)
-    assert np.isfinite(traj.verr).all() and np.isfinite(traj.terr).all()
-
-
-def test_record_over_budget_is_rejected_before_allocating():
-    # integrate_error_ode keeps the record of one start only: 20000 starts,
-    # every step kept, would be a 9.6 GB record, refused with the starts as
-    # the only sizeable allocation
-    verr0 = np.zeros((20_000, 3))
-    terr0 = np.zeros((20_000, 3))
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=r"one \(3,\) start; grade a batch"):
-            integrate_error_ode(verr0, terr0, GAINS, duration=10.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10 * verr0.nbytes
+    traj = collect(verr0, terr0, GAINS, dt=2.78 / GAINS.alpha, duration=4.0)
+    assert np.isfinite(traj.states).all()
 
 
 # --- basin sampling --------------------------------------------------------
@@ -491,17 +476,18 @@ def test_sample_basin_respects_level_set():
     assert (verr == v2).all() and (terr == t2).all()
 
 
-def test_start_outside_basin_still_converges():
+def test_start_outside_basin_still_converges(collect):
     # start near the flipped point (tilt error norm ~1.99): V0 exceeds the
     # basin level, so no decay bound applies, yet the run still converges
     theta = 0.2
     u0 = np.array([np.sin(theta), 0.0, -np.cos(theta)])
     terr0 = EZ - u0
-    traj = integrate_error_ode(np.zeros(3), terr0, GAINS, duration=10.0, record_every=10)
-    V = lyapunov(traj.verr, traj.terr, GAINS)
+    traj = collect(np.zeros(3), terr0, GAINS, duration=10.0, record_every=10)
+    verr, terr = traj.verr[0], traj.terr[0]
+    V = lyapunov(verr, terr, GAINS)
     assert V[0] > 2.0 * GAINS.g0**2
     assert V[-1] < 1e-9
-    norms = np.maximum(np.linalg.norm(traj.verr, axis=-1), np.linalg.norm(traj.terr, axis=-1))
+    norms = np.maximum(np.linalg.norm(verr, axis=-1), np.linalg.norm(terr, axis=-1))
     assert np.isfinite(convergence_times(traj.t, norms, 1e-3))
 
 

@@ -398,16 +398,20 @@ def test_error_ode_degenerate_start_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_error_ode_overflow_fails_as_divergence(tmp_path, capsys):
-    # the start overflows in step 1; the error names the first recorded step
-    # and the step size, which is well inside the stable range
-    rc = main(["error-ode", "--out", str(tmp_path), "--verr0", "1e300,0,0"])
+@pytest.mark.parametrize("flag,key", [
+    ("--verr0=2e6,0,0", "init.vel_err"),
+    ("--verr0=1e300,0,0", "init.vel_err"),
+    ("--terr0=0,0,3", "init.tilt_err"),
+], ids=["verr0-past-bound", "verr0-overflowing", "terr0-past-bound"])
+def test_error_ode_flag_is_held_to_its_key_bound(tmp_path, capsys, flag, key):
+    # a flag replaces its config key and gets that key's checks, so a value the
+    # config refuses is refused as the key before the run, and nothing is
+    # written; a start that would overflow in step 1 is refused here too
+    rc = main(["error-ode", flag, "--duration", "0.1", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: estimator state diverged by step 10 ")
-    assert "alpha*dt = 0.0198" in err and "check gains" not in err
-    assert not (tmp_path / "error_ode.csv").exists()
-    assert not (tmp_path / "effective.cfg").exists()
+    assert len(err) == 1 and err[0].startswith(f"error: {key} "), err
+    assert not (tmp_path / "o").exists()
 
 
 def test_error_ode_step_past_rk4_limit_fails_cleanly(tmp_path, capsys):

@@ -176,8 +176,12 @@ def test_config_text_round_trip():
     cfg.seed = 42
     cfg.init.tilt_err = np.array([0.3, -0.1, 1.7])
     cfg.mount.noise_std = 0.0125
-    text = config_text(cfg)
-    assert config_text(parse_config(text)) == text
+    # a hand-built config may hold numpy scalars; they are written as numbers
+    scalars = ExperimentConfig(duration=np.float64(0.5), seed=np.int64(3))
+    for cfg in (cfg, scalars):
+        text = config_text(cfg)
+        assert config_text(parse_config(text)) == text
+    assert "duration = 0.5\n" in text and "seed = 3\n" in text
 
 
 @st.composite

@@ -103,7 +103,7 @@ def test_velocity_measurement_example():
 def test_accel_matches_finite_difference_of_world_position():
     # oracle: second central difference of the IMU world position along a
     # finely integrated trajectory; the model must match at O(h^2)
-    noise = MountNoise(NOISE_STD, NOISE_TAU, seed=7)
+    noise = MountNoise(NOISE_STD, NOISE_TAU, MOUNT.kp, seed=7)
     fine = 2e-6
     n = int(round(0.21 / fine))
     tg = np.arange(n) * fine
@@ -137,7 +137,7 @@ def test_accel_matches_finite_difference_of_world_position():
 
 def test_mount_setpoint_approach_is_exact_exponential():
     mount = MountSettings(kp=1.0, p_ref=np.array([0.0, 0.0, 1.3]), p0=np.array([0.0, 0.0, 1.0]))
-    noise = MountNoise(0.0, NOISE_TAU, seed=0)
+    noise = MountNoise(0.0, NOISE_TAU, mount.kp, seed=0)
     t = np.array([0.0, 0.5, 1.0, 3.0])
     pos, vel, acc = mount_translation(mount, noise, t, noise_basis(t))
     assert_allclose(pos[:, 2], 1.3 - 0.3 * np.exp(-t), rtol=1e-14)
@@ -147,7 +147,7 @@ def test_mount_setpoint_approach_is_exact_exponential():
 
 
 def test_mount_translation_derivatives_consistent():
-    noise = MountNoise(NOISE_STD, NOISE_TAU, seed=8)
+    noise = MountNoise(NOISE_STD, NOISE_TAU, MOUNT.kp, seed=8)
     h = 1e-5
     for t0 in (0.1, 0.9, 2.3):
         pp, vp, _ = mount_translation(MOUNT, noise, t0 + h, noise_basis(t0 + h))
@@ -158,17 +158,17 @@ def test_mount_translation_derivatives_consistent():
 
 
 def test_mount_noise_statistics_and_smoothness():
-    noise = MountNoise(0.05, 0.2, seed=9)
     kp = 2.0
+    noise = MountNoise(0.05, 0.2, kp, seed=9)
 
     def value(t):
-        return noise.series(t, kp, noise_basis(t))[0]
+        return noise.series(t, noise_basis(t))[0]
 
     def deriv(t):
-        return noise.series(t, kp, noise_basis(t))[1]
+        return noise.series(t, noise_basis(t))[1]
 
     def lag(t):
-        return noise.series(t, kp, noise_basis(t))[2]
+        return noise.series(t, noise_basis(t))[2]
 
     # over one full period of the harmonic series the empirical power equals
     # the requested variance exactly (cross terms integrate away)
@@ -182,17 +182,17 @@ def test_mount_noise_statistics_and_smoothness():
     # returned on its own
     q_fd = (lag(0.37 + h) - lag(0.37 - h)) / (2 * h)
     assert_allclose(q_fd + kp * lag(0.37), value(0.37), atol=1e-5)
-    assert_allclose(noise.series(0.37, kp, noise_basis(0.37))[3], lag(0.0), atol=1e-15)
+    assert_allclose(noise.series(0.37, noise_basis(0.37))[3], lag(0.0), atol=1e-15)
 
 
 def test_mount_noise_deterministic_and_zero():
     t = np.linspace(0, 5, 7)
-    a = MountNoise(0.05, 0.2, seed=9).series(t, 2.0, noise_basis(t))[0]
-    b = MountNoise(0.05, 0.2, seed=9).series(t, 2.0, noise_basis(t))[0]
+    a = MountNoise(0.05, 0.2, 2.0, seed=9).series(t, noise_basis(t))[0]
+    b = MountNoise(0.05, 0.2, 2.0, seed=9).series(t, noise_basis(t))[0]
     assert (a == b).all()
-    c = MountNoise(0.05, 0.2, seed=10).series(t, 2.0, noise_basis(t))[0]
+    c = MountNoise(0.05, 0.2, 2.0, seed=10).series(t, noise_basis(t))[0]
     assert np.abs(a - c).max() > 1e-3
-    assert (MountNoise(0.0, 0.2, seed=9).series(t, 2.0, noise_basis(t))[0] == 0.0).all()
+    assert (MountNoise(0.0, 0.2, 2.0, seed=9).series(t, noise_basis(t))[0] == 0.0).all()
 
 
 def direct_series(noise: MountNoise, t, kp: float):
@@ -209,31 +209,20 @@ def direct_series(noise: MountNoise, t, kp: float):
 def test_mount_noise_doubled_basis_matches_direct_evaluation(shape):
     # harmonics filled by angle doubling from the fundamental agree with a
     # direct sin/cos(omega t) on t in [0, 10] s
-    noise = MountNoise(0.05, 0.2, seed=[0, 1])
     kp = 2.0
+    noise = MountNoise(0.05, 0.2, kp, seed=[0, 1])
     t = np.linspace(0.0, 10.0, int(np.prod(shape))).reshape(shape) if shape else 7.3
-    value, deriv, lag, lag0 = noise.series(t, kp, noise_basis(t))
+    value, deriv, lag, lag0 = noise.series(t, noise_basis(t))
     d_value, d_deriv, d_lag = direct_series(noise, t, kp)
     assert value.shape == deriv.shape == lag.shape == np.shape(t) + (3,)
     assert np.abs(value - d_value).max() <= 1e-14
     assert np.abs(deriv - d_deriv).max() <= 1e-13
     assert np.abs(lag - d_lag).max() <= 1e-14
     # at t = 0 the basis is exactly sin = 0, cos = 1
-    at_zero = noise.series(0.0, kp, noise_basis(0.0))[2]
+    at_zero = noise.series(0.0, noise_basis(0.0))[2]
     assert_allclose(at_zero, direct_series(noise, 0.0, kp)[2], rtol=0, atol=1e-17)
     assert_allclose(lag0, at_zero, rtol=0, atol=1e-17)
 
-
-
-def test_mount_noise_outputs_hold_across_a_kp_change():
-    # the weights made for one kp serve its calls until kp changes
-    t = np.linspace(0.0, 3.0, 301)
-    basis = noise_basis(t)
-    noise = MountNoise(0.05, 0.2, seed=[3, 1])
-    for kp in (2.0, 2.0, 0.5, 2.0, 0.0, 0.0):
-        got = noise.series(t, kp, basis)
-        fresh = MountNoise(0.05, 0.2, seed=[3, 1]).series(t, kp, basis)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in fresh], kp
 
 # --- rotation paths ----------------------------------------------------------
 
@@ -348,7 +337,7 @@ def test_block_scan_matches_sequential_steps_for_random_rates(n, seed, scale):
 def test_mount_step_and_midstate():
     # the harness evaluates the mount once on the interleaved grid of step
     # boundaries and midpoints; slicing it must give each grid on its own
-    noise = MountNoise(NOISE_STD, NOISE_TAU, seed=11)
+    noise = MountNoise(NOISE_STD, NOISE_TAU, MOUNT.kp, seed=11)
     dt = 1e-3
     n = 100
     t_all = np.arange(2 * n + 1) * (0.5 * dt)
@@ -371,7 +360,7 @@ def test_world_rotation_about_z_leaves_measurements_unchanged():
     # rotating the whole scene about gravity must not change what the IMU sees
     yaw = rotation_exp(np.array([0.0, 0.0, 1.1]))
     pivot_rot = PivotSettings(world_rotvec=np.array([0.0, 0.0, 1.1]))
-    noise = MountNoise(NOISE_STD, NOISE_TAU, seed=12)
+    noise = MountNoise(NOISE_STD, NOISE_TAU, MOUNT.kp, seed=12)
     dt = 1e-3
     gyro_a, accel_a = midpoint_readings(PIVOT, I3, noise, 200, dt)
     gyro_b, accel_b = midpoint_readings(pivot_rot, yaw, noise, 200, dt)
@@ -386,7 +375,7 @@ def test_world_rotation_about_z_leaves_measurements_unchanged():
 def test_world_rotation_off_vertical_changes_accel():
     # negative control: the same rotation about x is visible to the sensors
     pivot_rot = PivotSettings(world_rotvec=np.array([1.1, 0.0, 0.0]))
-    noise = MountNoise(NOISE_STD, NOISE_TAU, seed=12)
+    noise = MountNoise(NOISE_STD, NOISE_TAU, MOUNT.kp, seed=12)
     _, accel_a = midpoint_readings(PIVOT, I3, noise, 1, 1e-3)
     _, accel_b = midpoint_readings(pivot_rot, rotation_exp(pivot_rot.world_rotvec), noise, 1, 1e-3)
     assert np.abs(accel_b - accel_a).max() > 1.0
