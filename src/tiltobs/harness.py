@@ -48,9 +48,9 @@ ERROR_ODE_HEADER = "t,verr_x,verr_y,verr_z,terr_x,terr_y,terr_z,V,Vdot"
 ATTITUDE_MODES = ("identity", "consistent", "rotvec")
 TILT_THRESHOLD = 0.05  # the tilt-error norm a run converges below, unless told otherwise
 EFFECTIVE_CONFIG = "effective.cfg"  # the config a command saves beside its outputs
-# steps per block of a run: block k is the samples [2048 k, 2048 (k + 1)) of its step
-# boundaries and midpoints, interleaved, one noise basis block; the basis matmul's bits
-# depend on its width, so no other value will do
+# steps per block of a run; output bits depend on it twice: rotation_path scans a block
+# in blocks of sqrt(1024) = 32 steps, and the noise basis matmul's bits move with its width
+# (most of its values on 1- or 2-column products, a few on wide ones)
 ROW_BLOCK = 1024
 # observer inputs (rad/s, m/s, m/s^2) past this magnitude come from no pendulum:
 # configs/noisy.cfg's stay under 11.  A block whose inputs pass it is refused, naming
@@ -337,9 +337,9 @@ class Scene:
     (the last is the step count), the initial pivot attitude and the initial
     estimate.  Built from ``duration``, ``dt``, ``decimation``,
     ``pivot.world_rotvec`` and the initial tilt keys.  Runs walk it in blocks
-    of :data:`ROW_BLOCK` steps, a sweep's cells in lockstep, each carrying
-    only its observer state from block to block, and :func:`_run_cells` makes
-    each block's seed-free truth, carrying both rotation paths' attitudes."""
+    of steps ``lo:hi`` (:data:`ROW_BLOCK`, the last fewer), a sweep's cells in
+    lockstep, each carrying only its observer state from block to block, and
+    :func:`_run_cells` samples each block's truth at its midpoints and marks."""
 
     marks: np.ndarray  # the recorded step boundaries
     R0: np.ndarray  # pivot attitude at t = 0
@@ -366,26 +366,27 @@ def _require_finite(keys: str, *path) -> None:
 
 
 def _block_truth(cfg: ExperimentConfig, scene: Scene, lo: int, hi: int, R):
-    """The seed-free truth of the block of samples ``lo:hi`` (step boundaries
-    at even indices, midpoints at odd), from the closed forms and from both
-    rotation paths, each integrated from its attitude in ``R`` (pivot, mount)
-    at the block's start: the samples' times; at the midpoints, the pivot
-    rate and angular acceleration (world frame), the mount rate, both
-    attitudes and the noise-free gyro reading; the block's marks, with the
-    pivot attitude and robot-frame rate there.  Also returns both attitudes
-    at the block's end; a path that overflows is refused, naming its keys."""
-    t = np.arange(lo, hi) * (0.5 * cfg.dt)  # the bits of k * dt and (k + 0.5) * dt
-    at = slice(*np.searchsorted(scene.marks, (lo // 2, (hi + 1) // 2)))  # the block's marks
+    """The seed-free truth of the steps ``lo:hi``, from the closed forms and
+    from both rotation paths, each integrated from its attitude in ``R``
+    (pivot, mount) at the block's start: the times of the steps' midpoints,
+    then of the block's marks (the final mark joins the last block); at the
+    midpoints, the pivot rate and angular acceleration (world frame), the
+    mount rate, both attitudes and the noise-free gyro reading; the block's
+    marks, with the pivot attitude and robot-frame rate there.  Also returns
+    both attitudes at the block's end; a path that overflows is refused,
+    naming its keys."""
+    at = slice(*np.searchsorted(scene.marks, (lo, hi + (hi == scene.marks[-1]))))
     marks = scene.marks[at]
+    mid = np.arange(2 * lo + 1, 2 * hi, 2) * (0.5 * cfg.dt)  # the bits of (k + 0.5) * dt
     with np.errstate(all="ignore"):  # each path at the closed-form rate on the midpoints
-        w, wm = plant.pivot_rate(cfg.pivot, t[1::2]), plant.mount_rate(cfg.mount, t[1::2])
+        w, wm = plant.pivot_rate(cfg.pivot, mid), plant.mount_rate(cfg.mount, mid)
         (Rp_mid, Rp), (Rm_mid, Rm) = (plant.rotation_path(R0, rate, cfg.dt)
                                       for R0, rate in zip(R, (w, wm)))
     _require_finite("pivot.*", Rp_mid, Rp)
     _require_finite("mount.rate_*", Rm_mid)
-    R, Rp = (Rp[-1], Rm[-1]), Rp[marks - lo // 2]
-    rate = np.einsum("nji,nj->ni", Rp, plant.pivot_rate(cfg.pivot, marks * cfg.dt))
-    return (t, w, wm, plant.pivot_accel(cfg.pivot, t[1::2]), Rp_mid, Rm_mid,
+    R, Rp, t = (Rp[-1], Rm[-1]), Rp[marks - lo], np.concatenate([mid, marks * cfg.dt])
+    rate = np.einsum("nji,nj->ni", Rp, plant.pivot_rate(cfg.pivot, t[hi - lo:]))
+    return (t, w, wm, plant.pivot_accel(cfg.pivot, mid), Rp_mid, Rm_mid,
             plant.gyro_stream(Rp_mid, w, Rm_mid, wm), at, Rp, rate), R
 
 
@@ -403,17 +404,17 @@ def run_simulation(cfg: ExperimentConfig) -> RunLog:
 
 def _run_cells(scene: Scene, cells) -> None:
     """Advance the :class:`_Cell` runs on ``scene`` in lockstep, a block of
-    :data:`ROW_BLOCK` steps at a time, making each block's seed-free truth,
-    from the pivot and mount attitudes carried from the block before, and its
-    noise basis once for the cells still running (their configs share the
-    scene's keys); each carries only its observer state to the next.  A cell
-    that diverges drops out, keeping its ``RuntimeError``'s message as
-    ``error``: its traceback, or its context's, would hold its last block."""
+    steps ``lo:hi`` (:data:`ROW_BLOCK`, or the rest) at a time, making each
+    block's truth, from the attitudes the block before ended at, and its noise
+    basis once for the cells still running (their configs share the scene's
+    keys); each carries only its observer state to the next.  A cell that
+    diverges drops out, keeping its ``RuntimeError``'s message as ``error``:
+    its traceback, or its context's, would hold its last block."""
     n, R = int(scene.marks[-1]), (scene.R0, np.eye(3))  # the last mark is the step count
-    for lo in range(0, 2 * n + 1, 2 * ROW_BLOCK):
+    for lo in range(0, n, ROW_BLOCK):
         if not (live := [cell for cell in cells if cell.error is None]):
             break
-        wall, hi = time.perf_counter(), min(lo + 2 * ROW_BLOCK, 2 * n + 1)
+        wall, hi = time.perf_counter(), min(lo + ROW_BLOCK, n)
         truth, R = _block_truth(live[0].cfg, scene, lo, hi, R)
         t1 = time.perf_counter()
         basis = plant.noise_basis(truth[0])
@@ -429,8 +430,8 @@ def _run_cells(scene: Scene, cells) -> None:
 
 class _Cell:
     """The run of ``cfg`` with ``gains`` on ``scene`` (built from ``cfg`` or
-    from a config that differs only outside the scene), fed block by block by
-    :func:`_run_cells`, each from its observer ``state`` at the block's start.
+    from a config that differs only outside the scene), fed a block of steps
+    ``lo:hi`` a call by :func:`_run_cells`, from its observer ``state`` at ``lo``.
     It keeps its rows and pivot attitudes at the marks for :meth:`log` or,
     given a ``threshold`` (a sweep's cells), only their ``grade``.  Phase times
     count from ``wall0``, each shared truth in every cell's rotation phase and
@@ -448,37 +449,34 @@ class _Cell:
         self.timings["rotation"] = time.perf_counter() - wall0
 
     def advance(self, lo: int, hi: int, basis, truth, since) -> None:
-        """Run the steps whose samples are ``lo:hi``, given their
-        :func:`.plant.noise_basis` and :func:`_block_truth`, from ``state`` to
-        the block's end, and keep the rows or the grade of the block's marks."""
+        """Run the steps ``lo:hi``, given their :func:`.plant.noise_basis` and
+        :func:`_block_truth`, from ``state`` to the block's end, and keep the
+        rows or the grade of the block's marks."""
         s, cfg, (t, w, wm, alpha, Rp_mid, Rm_mid, gyro_true, at, Rp, rate) = (
             self.scene, self.cfg, truth)
-        marks = s.marks[at]
-        steps = slice(lo // 2, hi // 2)  # boundaries at the even samples, midpoints at the odd
+        marks, k, n = s.marks[at], hi - lo, int(s.marks[-1])
+        # the k midpoints, then the marks
         pos, vel, acc = plant.mount_translation(cfg.mount, self.noise, t, basis)
         self.timings["mount"] += (t1 := time.perf_counter()) - since
-        accel_true = plant.accel_stream(Rp_mid, w, alpha, pos[1::2], vel[1::2], acc[1::2], Rm_mid,
+        accel_true = plant.accel_stream(Rp_mid, w, alpha, pos[:k], vel[:k], acc[:k], Rm_mid,
                                         cfg.gains.g0)
         # per-sample draw order is gyro, then accel (C-order fill), block after block
-        draws = self.rng.standard_normal((len(accel_true), 2, 3))
+        draws = self.rng.standard_normal((k, 2, 3))
         gyro_meas = gyro_true + cfg.noise.gyro_std * draws[:, 0]
         accel_meas = accel_true + cfg.noise.accel_std * draws[:, 1]
         # measured pivot rate and velocity-type measurement, robot frame
         y1 = plant.pivot_rate_from_gyro(gyro_meas, Rm_mid, wm)
-        x1 = plant.velocity_measurement(pos[1::2], vel[1::2], y1)
+        x1 = plant.velocity_measurement(pos[:k], vel[:k], y1)
         rows = np.hstack([y1, x1, np.matmul(Rm_mid, accel_meas[:, :, None])[:, :, 0]])
         if not (peak := float(np.abs(rows).max(initial=0.0))) <= INPUT_BOUND:  # NaN too
             raise ValueError(f"mount.* and noise.* keys make the observer's inputs reach "
-                             f"|{peak:.3g}| in the block from t = {t[0]:g} s, past "
+                             f"|{peak:.3g}| in the block from t = {lo * cfg.dt:g} s, past "
                              f"any pendulum's {INPUT_BOUND:g}")
-        grid = 2 * marks - lo
-        # a sweep cell reads the x1 truth only for its start
-        x1_true = (plant.velocity_measurement(pos[grid], vel[grid], rate)
-                   if self.threshold is None or self.state is None else None)
+        x1_true = plant.velocity_measurement(pos[k:], vel[k:], rate)
         if self.state is None:  # mark 0 opens the first block
             self.state = np.concatenate([x1_true[0] - cfg.init.vel_err, s.tilt_hat0])
         self.timings["sensors"] += (t2 := time.perf_counter()) - t1
-        stops = sorted({steps.start, *marks.tolist(), steps.stop})  # np.union1d imports numpy.ma
+        stops = sorted({lo, *marks.tolist(), hi})  # np.union1d imports numpy.ma
         walk = zip(*[iter(memoryview(rows.ravel()))] * 9)  # at half tolist's cost
         try:
             states = np.reshape(list(run_observer(self.gains, cfg.dt, walk, self.state, stops)),
@@ -488,10 +486,7 @@ class _Cell:
         self.state, states = states[-1], states[np.searchsorted(stops, marks)]
         self.timings["estimator"] += (t3 := time.perf_counter()) - t2
         if self.threshold is None:
-            # the final mark repeats step n - 1's measurement, kept by the block of that step
-            n = int(s.marks[-1])
-            end = np.searchsorted(s.marks, steps.stop + (steps.start < steps.stop == n))
-            held = np.minimum(s.marks[at.start : end], n - 1) - steps.start
+            held = np.minimum(marks, n - 1) - lo  # the final mark repeats step n - 1's measurement
             self.kept.append((states, x1_true, Rp, gyro_meas[held], accel_meas[held]))
         elif len(marks):  # the last mark at or above threshold so far, and the last norm
             norms = np.linalg.norm(Rp[:, 2] - states[:, 3:], axis=-1)

@@ -45,9 +45,8 @@ def test_simulate_outputs_match_golden_digests(tmp_path, golden, config, seed):
         golden(f"simulate {config}.cfg seed {seed}: {name}", tmp_path / name)
 
 
-def test_simulate_whose_last_basis_block_is_one_sample_matches_golden_digest(tmp_path, golden):
-    # 2048 steps: the 4097 interleaved samples split into blocks of 2048 as
-    # [0, 2048), [2048, 4096) and the final step boundary on its own
+def test_simulate_of_whole_blocks_matches_golden_digest(tmp_path, golden):
+    # 2048 steps: two whole blocks of 1024, the final mark joining the second
     cfg_path = tmp_path / "n2048.cfg"
     cfg_path.write_text("duration = 2.048\nnoise.gyro_std = 0.04\nnoise.accel_std = 0.2\n")
     rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])

@@ -731,6 +731,39 @@ def test_a_run_is_one_observer_pass_over_all_its_rows(monkeypatch):
     assert oracle.tobytes() == np.array([stopped[m] for m in marks.tolist()]).tobytes()
 
 
+@pytest.mark.parametrize("decimation", [1, 7])
+@pytest.mark.parametrize("steps", [1, 7, 1023, 1024, 1025, 2048])
+def test_blocks_cover_each_step_once_and_record_each_mark_once(monkeypatch, steps, decimation):
+    # a block is the steps lo:hi, the final mark joining the last block: on
+    # either side of a block's edge, each block steps its observer at least
+    # once from where the block before ended, every row is read once, and the
+    # log holds every mark once, at marks * dt, with the state that one pass
+    # over all the rows has there, bit for bit
+    cfg = load_config(NOISY_CFG)
+    cfg.duration, cfg.decimation = steps * cfg.dt, decimation
+    real, read, starts, stopped = harness.run_observer, [], [], {}
+
+    def spy(gains, dt, rows, state0, stops):
+        starts.append((stops[0], stops[-1], np.array(state0)))
+        states = real(gains, dt, (read.append(row) or row for row in rows), state0, stops)
+        for stop, state in zip(stops, states):
+            stopped[int(stop)] = state
+            yield state
+
+    monkeypatch.setattr(harness, "run_observer", spy)
+    log = run_simulation(cfg)
+    marks = build_scene(cfg).marks
+    assert marks[-1] == steps and len(read) == steps
+    assert [(lo, hi) for lo, hi, _ in starts] == [
+        (lo, min(lo + harness.ROW_BLOCK, steps)) for lo in range(0, steps, harness.ROW_BLOCK)]
+    assert log.t.tobytes() == (marks * cfg.dt).tobytes()
+    oracle = np.array(list(real(config_gains(cfg), cfg.dt, read, starts[0][2], marks)))
+    assert oracle[:, 3:].tobytes() == log.tilt_est.tobytes()
+    assert oracle.tobytes() == np.array([stopped[m] for m in marks.tolist()]).tobytes()
+    for (_, hi, _), (lo, _, state0) in zip(starts, starts[1:]):
+        assert hi == lo and state0.tobytes() == stopped[lo].tobytes()
+
+
 @pytest.mark.parametrize("alphas", [[19.8], [19.8, 15.0, 12.0, 25.0]])
 def test_sweep_builds_the_rotation_paths_once(monkeypatch, alphas):
     # 2100 steps: three blocks, each integrating its pivot and mount paths
@@ -752,8 +785,9 @@ def test_sweep_builds_the_rotation_paths_once(monkeypatch, alphas):
 
 @pytest.mark.parametrize("alphas", [[19.8], [19.8, 15.0, 1.0, 12.0, 25.0]])
 def test_sweep_makes_each_noise_basis_block_once(monkeypatch, alphas):
-    # 2100 steps: 4201 interleaved samples, three basis blocks shared by
-    # every cell, whatever the number of cells run
+    # 2100 steps: three basis blocks shared by every cell, whatever the number
+    # of cells run, each at its block's midpoints, then its marks (1024 + 103,
+    # 1024 + 102, and 52 + 6 with the final mark)
     sizes = []
 
     def counting_basis(x, m):
@@ -766,7 +800,7 @@ def test_sweep_makes_each_noise_basis_block_once(monkeypatch, alphas):
     cfg.duration = 2.1
     rows = sweep(cfg, alphas, [10.0], threshold=0.5)
     assert [r["status"] for r in rows].count("ok") == min(len(alphas), 4)
-    assert sizes == [2048, 2048, 105]
+    assert sizes == [1127, 1126, 58]
 
 
 @pytest.mark.parametrize("alphas,betas,status,blocks", [
@@ -834,7 +868,7 @@ def test_run_memory_peak_at_ten_to_the_five_steps(monkeypatch):
     assert peak <= 12 * 2**20, peak
 
 
-@pytest.mark.parametrize("duration", [2.048, 100.0])  # a one-sample last block; 98 blocks
+@pytest.mark.parametrize("duration", [2.048, 100.0])  # two whole blocks; 98 blocks
 def test_block_rotation_paths_join_into_the_whole_run_path(monkeypatch, duration):
     # each block integrates its pivot and mount paths from the attitudes that
     # the block before it ended at: joined, the blocks' midpoint attitudes are
@@ -852,7 +886,7 @@ def test_block_rotation_paths_join_into_the_whole_run_path(monkeypatch, duration
     cfg.duration = duration
     run_simulation(cfg)
     n = round(duration / cfg.dt)
-    assert len(calls) == 2 * -(-(2 * n + 1) // (2 * harness.ROW_BLOCK))
+    assert len(calls) == 2 * -(-n // harness.ROW_BLOCK)
     t_mid = (np.arange(n) + 0.5) * cfg.dt
     whole = (rotation_path(build_scene(cfg).R0, plant.pivot_rate(cfg.pivot, t_mid), cfg.dt),
              rotation_path(np.eye(3), plant.mount_rate(cfg.mount, t_mid), cfg.dt))
@@ -879,7 +913,7 @@ def test_runs_never_hold_two_noise_basis_blocks(monkeypatch, run):
     noise_basis = plant.noise_basis
     monkeypatch.setattr(plant, "noise_basis", watched_basis)
     cfg = ExperimentConfig()
-    cfg.duration = 3.0  # 6001 interleaved samples: three blocks
+    cfg.duration = 3.0  # 3000 steps: three blocks
     run(cfg)
     assert len(made) == 3
 

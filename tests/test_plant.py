@@ -335,19 +335,19 @@ def test_block_scan_matches_sequential_steps_for_random_rates(n, seed, scale):
 
 
 def test_mount_step_and_midstate():
-    # the harness evaluates the mount once on the interleaved grid of step
-    # boundaries and midpoints; slicing it must give each grid on its own
+    # the harness evaluates the mount once a block, at its step midpoints,
+    # then at its marks; slicing it must give each set of times on its own
     noise = MountNoise(NOISE_STD, NOISE_TAU, MOUNT.kp, seed=11)
     dt = 1e-3
     n = 100
-    t_all = np.arange(2 * n + 1) * (0.5 * dt)
+    t_mid, t_marks = np.arange(1, 2 * n, 2) * (0.5 * dt), np.arange(0, n + 1, 10) * dt
+    t_all = np.concatenate([t_mid, t_marks])
     joint = mount_translation(MOUNT, noise, t_all, noise_basis(t_all))
-    t_mid, t_grid = (np.arange(n) + 0.5) * dt, np.arange(n + 1) * dt
     mid = mount_translation(MOUNT, noise, t_mid, noise_basis(t_mid))
-    bound = mount_translation(MOUNT, noise, t_grid, noise_basis(t_grid))
-    for j, m, b in zip(joint, mid, bound):
-        assert_allclose(j[1::2], m, atol=1e-15)
-        assert_allclose(j[0::2], b, atol=1e-15)
+    at_marks = mount_translation(MOUNT, noise, t_marks, noise_basis(t_marks))
+    for j, m, b in zip(joint, mid, at_marks):
+        assert_allclose(j[:n], m, atol=1e-15)
+        assert_allclose(j[n:], b, atol=1e-15)
     # the mount attitude stays orthonormal along its path
     _, Rm = rotation_path(I3, mount_rate(MOUNT, (np.arange(n) + 0.5) * dt), dt)
     assert np.abs(np.swapaxes(Rm, 1, 2) @ Rm - I3).max() < 1e-12
