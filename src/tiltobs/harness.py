@@ -313,6 +313,7 @@ def _initial_conditions(cfg: ExperimentConfig, world_rot):
         return world_rot @ rotation_between(tilt0, ez_local), tilt_hat0, requested.copy()
 
     R_base = np.eye(3) if mode == "identity" else rotation_exp(cfg.init.attitude_rotvec)
+    _require_finite("init.attitude_rotvec", R_base)  # its squared angle overflows past 1e308
     R0 = world_rot @ R_base
     tilt0 = R0[2]  # row of R = R^T e_z
     return (R0, *project_tilt_error(tilt0, requested, "init.tilt_err"))
@@ -362,7 +363,7 @@ def build_scene(cfg: ExperimentConfig) -> Scene:
 
 def _require_finite(keys: str, *path) -> None:
     if not all(np.isfinite(part).all() for part in path):
-        raise ValueError(f"{keys} keys make a rotation path overflow to a non-finite attitude")
+        raise ValueError(f"a rotation made by {keys} overflows to a non-finite attitude")
 
 
 def _block_truth(cfg: ExperimentConfig, scene: Scene, lo: int, hi: int, R):
@@ -382,8 +383,8 @@ def _block_truth(cfg: ExperimentConfig, scene: Scene, lo: int, hi: int, R):
         w, wm = plant.pivot_rate(cfg.pivot, mid), plant.mount_rate(cfg.mount, mid)
         (Rp_mid, Rp), (Rm_mid, Rm) = (plant.rotation_path(R0, rate, cfg.dt)
                                       for R0, rate in zip(R, (w, wm)))
-    _require_finite("pivot.*", Rp_mid, Rp)
-    _require_finite("mount.rate_*", Rm_mid)
+    _require_finite("pivot.* keys", Rp_mid, Rp)
+    _require_finite("mount.rate_* keys", Rm_mid)
     R, Rp, t = (Rp[-1], Rm[-1]), Rp[marks - lo], np.concatenate([mid, marks * cfg.dt])
     rate = np.einsum("nji,nj->ni", Rp, plant.pivot_rate(cfg.pivot, t[hi - lo:]))
     return (t, w, wm, plant.pivot_accel(cfg.pivot, mid), Rp_mid, Rm_mid,

@@ -72,6 +72,24 @@ def test_scene_that_overflows_is_named_by_its_keys(tmp_path, capsys, key, group)
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [["simulate"], ["sweep", "--alphas", "19.8,10", "--betas", "10"]])
+def test_initial_attitude_that_overflows_is_named_by_its_key(tmp_path, capsys, argv):
+    # a rotvec whose squared angle overflows makes a non-finite initial
+    # attitude, which no pivot.* key made: the error names init.attitude_rotvec,
+    # while one under the overflow runs
+    for value, rc_want in (("0,0,1e155", 1), ("-1e300,0,0", 1), ("0,0,1e154", 0)):
+        (tmp_path / "rv.cfg").write_text(
+            f"duration = 0.01\ninit.attitude_mode = rotvec\ninit.attitude_rotvec = {value}\n")
+        out = tmp_path / f"o{rc_want}"
+        rc = main([*argv, "--config", str(tmp_path / "rv.cfg"), "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == rc_want, (value, err)
+        if rc_want:
+            assert len(err) == 1 and err[0].startswith("error: "), err
+            assert "init.attitude_rotvec" in err[0] and "pivot" not in err[0], err
+            assert not out.exists()
+
+
 @pytest.mark.parametrize("line", [
     "mount.noise_std = 1e300",
     "noise.accel_std = 1e300",
