@@ -19,7 +19,6 @@ the single config seed: child stream 0 feeds measurement noise, child stream
 
 from __future__ import annotations
 
-import copy
 import itertools
 import logging
 import math
@@ -337,10 +336,10 @@ class Scene:
     translation, none of it growing with the run's length: the record marks
     (the last is the step count), the initial pivot attitude and the initial
     estimate.  Built from ``duration``, ``dt``, ``decimation``,
-    ``pivot.world_rotvec`` and the initial tilt keys.  Runs walk it in blocks
-    of steps ``lo:hi`` (:data:`ROW_BLOCK`, the last fewer), a sweep's cells in
-    lockstep, each carrying only its observer state from block to block, and
-    :func:`_run_cells` samples each block's truth at its midpoints and marks."""
+    ``pivot.world_rotvec`` and the initial tilt keys.  :func:`_run_cells`
+    walks it in blocks of steps ``lo:hi`` (:data:`ROW_BLOCK`, the last
+    fewer), making each block's inputs once, at its midpoints and marks, for
+    every observer on it: a run's one, or a sweep's cells in lockstep."""
 
     marks: np.ndarray  # the recorded step boundaries
     R0: np.ndarray  # pivot attitude at t = 0
@@ -366,18 +365,20 @@ def _require_finite(keys: str, *path) -> None:
         raise ValueError(f"a rotation made by {keys} overflows to a non-finite attitude")
 
 
-def _block_truth(cfg: ExperimentConfig, scene: Scene, lo: int, hi: int, R):
-    """The seed-free truth of the steps ``lo:hi``, from the closed forms and
-    from both rotation paths, each integrated from its attitude in ``R``
-    (pivot, mount) at the block's start: the times of the steps' midpoints,
-    then of the block's marks (the final mark joins the last block); at the
-    midpoints, the pivot rate and angular acceleration (world frame), the
-    mount rate, both attitudes and the noise-free gyro reading; the block's
-    marks, with the pivot attitude and robot-frame rate there.  Also returns
-    both attitudes at the block's end; a path that overflows is refused,
-    naming its keys."""
+def _block_inputs(cfg, scene: Scene, noise, rng, lo: int, hi: int, R, timings: dict):
+    """The observer inputs of the steps ``lo:hi``, sampled at their midpoints,
+    and the truth at the block's marks (the final mark joins the last block),
+    booking phase times in ``timings``: both rotation paths integrated from
+    their attitudes ``R`` (pivot, mount) at ``lo``, the mount translation of
+    ``noise``, measurement noise drawn from ``rng``.  Returns ``(rows, peak,
+    stops, pick, at, x1, Rp, gyro, accel)``: the (k, 9) rows and their largest
+    magnitude; the block's ends and marks, and the marks' places there and in
+    ``scene.marks``; the true x1, pivot attitude and held gyro and accel at
+    the marks.  Then both attitudes at ``hi``.  A path that overflows, or
+    rows past :data:`INPUT_BOUND`, are refused naming their keys."""
+    wall = time.perf_counter()
     at = slice(*np.searchsorted(scene.marks, (lo, hi + (hi == scene.marks[-1]))))
-    marks = scene.marks[at]
+    marks, k = scene.marks[at], hi - lo
     mid = np.arange(2 * lo + 1, 2 * hi, 2) * (0.5 * cfg.dt)  # the bits of (k + 0.5) * dt
     with np.errstate(all="ignore"):  # each path at the closed-form rate on the midpoints
         w, wm = plant.pivot_rate(cfg.pivot, mid), plant.mount_rate(cfg.mount, mid)
@@ -386,9 +387,32 @@ def _block_truth(cfg: ExperimentConfig, scene: Scene, lo: int, hi: int, R):
     _require_finite("pivot.* keys", Rp_mid, Rp)
     _require_finite("mount.rate_* keys", Rm_mid)
     R, Rp, t = (Rp[-1], Rm[-1]), Rp[marks - lo], np.concatenate([mid, marks * cfg.dt])
-    rate = np.einsum("nji,nj->ni", Rp, plant.pivot_rate(cfg.pivot, t[hi - lo:]))
-    return (t, w, wm, plant.pivot_accel(cfg.pivot, mid), Rp_mid, Rm_mid,
-            plant.gyro_stream(Rp_mid, w, Rm_mid, wm), at, Rp, rate), R
+    rate = np.einsum("nji,nj->ni", Rp, plant.pivot_rate(cfg.pivot, t[k:]))
+    gyro_true = plant.gyro_stream(Rp_mid, w, Rm_mid, wm)
+    timings["rotation"] += (t1 := time.perf_counter()) - wall
+    # the k midpoints, then the marks
+    pos, vel, acc = plant.mount_translation(cfg.mount, noise, t, plant.noise_basis(t))
+    timings["mount"] += (t2 := time.perf_counter()) - t1
+    accel_true = plant.accel_stream(Rp_mid, w, plant.pivot_accel(cfg.pivot, mid), pos[:k],
+                                    vel[:k], acc[:k], Rm_mid, cfg.gains.g0)
+    # per-sample draw order is gyro, then accel (C-order fill), block after block
+    draws = rng.standard_normal((k, 2, 3))
+    gyro_meas = gyro_true + cfg.noise.gyro_std * draws[:, 0]
+    accel_meas = accel_true + cfg.noise.accel_std * draws[:, 1]
+    # measured pivot rate and velocity-type measurement, robot frame
+    y1 = plant.pivot_rate_from_gyro(gyro_meas, Rm_mid, wm)
+    x1 = plant.velocity_measurement(pos[:k], vel[:k], y1)
+    rows = np.hstack([y1, x1, np.matmul(Rm_mid, accel_meas[:, :, None])[:, :, 0]])
+    if not (peak := float(np.abs(rows).max(initial=0.0))) <= INPUT_BOUND:  # NaN too
+        raise ValueError(f"mount.* and noise.* keys make the observer's inputs reach "
+                         f"|{peak:.3g}| in the block from t = {lo * cfg.dt:g} s, past "
+                         f"any pendulum's {INPUT_BOUND:g}")
+    x1_true = plant.velocity_measurement(pos[k:], vel[k:], rate)
+    held = np.minimum(marks, scene.marks[-1] - 1) - lo  # the final mark repeats step n - 1's
+    stops = sorted({lo, *marks.tolist(), hi})  # np.union1d imports numpy.ma
+    timings["sensors"] += time.perf_counter() - t2
+    return (rows, peak, stops, np.searchsorted(stops, marks), at, x1_true, Rp, gyro_meas[held],
+            accel_meas[held]), R
 
 
 def run_simulation(cfg: ExperimentConfig) -> RunLog:
@@ -396,132 +420,101 @@ def run_simulation(cfg: ExperimentConfig) -> RunLog:
     (:func:`.observer.run_observer`).  Pure function of the config: no files,
     no globals."""
     wall0 = time.perf_counter()
-    cell = _Cell(cfg, build_scene(cfg), config_gains(cfg), wall0)
-    _run_cells(cell.scene, [cell])
+    s, cell = build_scene(cfg), _Cell(config_gains(cfg))
+    timings = _run_cells(cfg, s, [cell], wall0)
     if cell.error:
         raise cell.error
-    return cell.log()
+    wall = time.perf_counter()
+    states, x1_true, Rp, gyro, accel = (np.concatenate(kept) for kept in zip(*cell.kept))
+    x1err, x2err = x1_true - states[:, :3], Rp[:, 2] - states[:, 3:]
+    # pivot-rotated errors: one batched matmul on the (m, 3, 2) error pairs
+    z = np.matmul(Rp, np.stack([x1err, x2err], axis=-1))
+    z1, z2 = z[..., 0], z[..., 1]
+    V, Vdot = lyapunov(z1, z2, cell.gains), lyapunov_rate(z1, z2, cell.gains)
+    timings["record"] += (wall_end := time.perf_counter()) - wall
+    return RunLog(
+        t=s.marks * cfg.dt, tilt=Rp[:, 2].copy(), tilt_est=states[:, 3:], vel_err=x1err,
+        tilt_err=x2err, verr_world=z1, terr_world=z2, V=V, Vdot=Vdot, gyro=gyro, accel=accel,
+        applied_tilt_err0=s.applied_tilt_err0.copy(), config=cfg, gains=cell.gains,
+        runtime=wall_end - wall0, timings=timings,
+        steps_per_s=int(s.marks[-1]) / timings["estimator"],
+    )
 
 
-def _run_cells(scene: Scene, cells) -> None:
-    """Advance the :class:`_Cell` runs on ``scene`` in lockstep, a block of
-    steps ``lo:hi`` (:data:`ROW_BLOCK`, or the rest) at a time, making each
-    block's truth, from the attitudes the block before ended at, and its noise
-    basis once for the cells still running (their configs share the scene's
-    keys); each carries only its observer state to the next.  A cell that
+def _run_cells(cfg: ExperimentConfig, scene: Scene, cells, wall0) -> dict:
+    """Step the :class:`_Cell` observers in lockstep over the one input stream
+    of ``cfg`` on ``scene``: one mount noise (seed ``[seed, 1]``), one
+    measurement-noise stream (``[seed, 0]``), and each block's inputs
+    (:func:`_block_inputs`, steps ``lo:hi`` of :data:`ROW_BLOCK`, or the
+    rest) made once, freed before the next block's, until no cell runs.
+    Cells start from one state at mark 0 and carry their own.  A cell that
     diverges drops out, keeping its ``RuntimeError``'s message as ``error``:
-    its traceback, or its context's, would hold its last block."""
+    its traceback would hold its last block.  Returns the wall seconds per
+    phase since ``wall0``, set-up as rotation, the cells' estimator and record summed."""
+    noise = plant.MountNoise(cfg.mount.noise_std, cfg.mount.noise_tau, cfg.mount.kp,
+                             seed=[cfg.seed, 1])
+    rng = np.random.default_rng([cfg.seed, 0])
+    timings = dict.fromkeys(("rotation", "mount", "sensors", "estimator", "record"), 0.0)
+    timings["rotation"] = time.perf_counter() - wall0
     n, R = int(scene.marks[-1]), (scene.R0, np.eye(3))  # the last mark is the step count
     for lo in range(0, n, ROW_BLOCK):
         if not (live := [cell for cell in cells if cell.error is None]):
             break
-        wall, hi = time.perf_counter(), min(lo + ROW_BLOCK, n)
-        truth, R = _block_truth(live[0].cfg, scene, lo, hi, R)
-        t1 = time.perf_counter()
-        basis = plant.noise_basis(truth[0])
-        basis_s = time.perf_counter() - t1
+        inputs, R = _block_inputs(cfg, scene, noise, rng, lo, min(lo + ROW_BLOCK, n), R, timings)
+        if lo == 0:  # mark 0 opens the first block, each cell's start: x1 truth, estimate
+            start = np.concatenate([inputs[5][0] - cfg.init.vel_err, scene.tilt_hat0])
+            for cell in cells:
+                cell.state = start
         for cell in live:
-            cell.timings["rotation"] += t1 - wall
             try:
-                cell.advance(lo, hi, basis, truth, time.perf_counter() - basis_s)
+                cell.advance(cfg.dt, inputs, timings)
             except RuntimeError as exc:
                 cell.error = RuntimeError(*exc.args)
-        del basis, truth  # freed before the next block's are made
+        del inputs  # freed before the next block's are made
+    return timings
 
 
 class _Cell:
-    """The run of ``cfg`` with ``gains`` on ``scene`` (built from ``cfg`` or
-    from a config that differs only outside the scene), fed a block of steps
-    ``lo:hi`` a call by :func:`_run_cells`, from its observer ``state`` at ``lo``.
-    It keeps its rows and pivot attitudes at the marks for :meth:`log` or,
-    given a ``threshold`` (a sweep's cells), only their ``grade``.  Phase times
-    count from ``wall0``, each shared truth in every cell's rotation phase and
-    each shared basis in its mount phase."""
+    """One observer on a run's input stream: its ``gains`` and its ``state``
+    at the start of the next block, stepped a block a call by
+    :func:`_run_cells`.  It keeps its states with the truth at the marks for
+    the run's log or, given a ``threshold`` (a sweep's cells), only their
+    grade."""
 
-    def __init__(self, cfg, scene: Scene, gains: ObserverGains, wall0, threshold=None):
-        self.cfg, self.scene, self.gains, self.wall0, self.error = cfg, scene, gains, wall0, None
-        self.noise = plant.MountNoise(cfg.mount.noise_std, cfg.mount.noise_tau, cfg.mount.kp,
-                                      seed=[cfg.seed, 1])
-        self.rng = np.random.default_rng([cfg.seed, 0])
-        self.state = None  # the observer's (6,) state at the start of the next block
+    def __init__(self, gains: ObserverGains, threshold=None):
+        self.gains, self.state, self.error = gains, None, None
         # per block: states, x1 truth, pivot attitude, gyro, accel at the marks; or the grade's
         self.threshold, self.kept, self.last_above, self.final_norm = threshold, [], -1, None
-        self.timings = dict.fromkeys(("rotation", "mount", "sensors", "estimator", "record"), 0.0)
-        self.timings["rotation"] = time.perf_counter() - wall0
 
-    def advance(self, lo: int, hi: int, basis, truth, since) -> None:
-        """Run the steps ``lo:hi``, given their :func:`.plant.noise_basis` and
-        :func:`_block_truth`, from ``state`` to the block's end, and keep the
-        rows or the grade of the block's marks."""
-        s, cfg, (t, w, wm, alpha, Rp_mid, Rm_mid, gyro_true, at, Rp, rate) = (
-            self.scene, self.cfg, truth)
-        marks, k, n = s.marks[at], hi - lo, int(s.marks[-1])
-        # the k midpoints, then the marks
-        pos, vel, acc = plant.mount_translation(cfg.mount, self.noise, t, basis)
-        self.timings["mount"] += (t1 := time.perf_counter()) - since
-        accel_true = plant.accel_stream(Rp_mid, w, alpha, pos[:k], vel[:k], acc[:k], Rm_mid,
-                                        cfg.gains.g0)
-        # per-sample draw order is gyro, then accel (C-order fill), block after block
-        draws = self.rng.standard_normal((k, 2, 3))
-        gyro_meas = gyro_true + cfg.noise.gyro_std * draws[:, 0]
-        accel_meas = accel_true + cfg.noise.accel_std * draws[:, 1]
-        # measured pivot rate and velocity-type measurement, robot frame
-        y1 = plant.pivot_rate_from_gyro(gyro_meas, Rm_mid, wm)
-        x1 = plant.velocity_measurement(pos[:k], vel[:k], y1)
-        rows = np.hstack([y1, x1, np.matmul(Rm_mid, accel_meas[:, :, None])[:, :, 0]])
-        if not (peak := float(np.abs(rows).max(initial=0.0))) <= INPUT_BOUND:  # NaN too
-            raise ValueError(f"mount.* and noise.* keys make the observer's inputs reach "
-                             f"|{peak:.3g}| in the block from t = {lo * cfg.dt:g} s, past "
-                             f"any pendulum's {INPUT_BOUND:g}")
-        x1_true = plant.velocity_measurement(pos[k:], vel[k:], rate)
-        if self.state is None:  # mark 0 opens the first block
-            self.state = np.concatenate([x1_true[0] - cfg.init.vel_err, s.tilt_hat0])
-        self.timings["sensors"] += (t2 := time.perf_counter()) - t1
-        stops = sorted({lo, *marks.tolist(), hi})  # np.union1d imports numpy.ma
+    def advance(self, dt: float, inputs, timings: dict) -> None:
+        """Step the block of :func:`_block_inputs` ``inputs`` from ``state``
+        to the block's end, carrying a copy of the state there, and keep the
+        states or the grade of the block's marks."""
+        rows, peak, stops, pick, at, x1_true, Rp, gyro, accel = inputs
+        t0 = time.perf_counter()
         walk = zip(*[iter(memoryview(rows.ravel()))] * 9)  # at half tolist's cost
         try:
-            states = np.reshape(list(run_observer(self.gains, cfg.dt, walk, self.state, stops)),
-                                (-1, 6))
+            states = np.array(list(run_observer(self.gains, dt, walk, self.state, stops)))
         except RuntimeError as exc:
             raise RuntimeError(f"{exc}; its inputs reach |{peak:.3g}|") from None
-        self.state, states = states[-1], states[np.searchsorted(stops, marks)]
-        self.timings["estimator"] += (t3 := time.perf_counter()) - t2
+        # a copy: a view would hold the block's whole (stops, 6) array
+        self.state, states = states[-1].copy(), states[pick]
+        timings["estimator"] += (t1 := time.perf_counter()) - t0
         if self.threshold is None:
-            held = np.minimum(marks, n - 1) - lo  # the final mark repeats step n - 1's measurement
-            self.kept.append((states, x1_true, Rp, gyro_meas[held], accel_meas[held]))
-        elif len(marks):  # the last mark at or above threshold so far, and the last norm
+            self.kept.append((states, x1_true, Rp, gyro, accel))
+        elif len(states):  # the last mark at or above threshold so far, and the last norm
             norms = np.linalg.norm(Rp[:, 2] - states[:, 3:], axis=-1)
             above = np.flatnonzero(norms >= self.threshold)
             self.last_above = at.start + above[-1] if len(above) else self.last_above
             self.final_norm = float(norms[-1])
-        self.timings["record"] += time.perf_counter() - t3
+        timings["record"] += time.perf_counter() - t1
 
-    def grade(self):
-        """A sweep cell's report grade, once every block has been advanced:
-        its tilt convergence time (``None`` if never reached) and final
-        tilt-error norm."""
-        conv = float(_time_after(self.scene.marks * self.cfg.dt, self.last_above))
+    def grade(self, t):
+        """A sweep cell's report grade, once every block has been advanced,
+        on its marks' times ``t``: its tilt convergence time (``None`` if
+        never reached) and final tilt-error norm."""
+        conv = float(_time_after(t, self.last_above))
         return (None if math.isinf(conv) else conv), self.final_norm
-
-    def log(self) -> RunLog:
-        """The record of the run, once every block has been advanced."""
-        wall = time.perf_counter()
-        s, gains = self.scene, self.gains
-        states, x1_true, Rp, gyro, accel = (np.concatenate(kept) for kept in zip(*self.kept))
-        x1err, x2err = x1_true - states[:, :3], Rp[:, 2] - states[:, 3:]
-        # pivot-rotated errors: one batched matmul on the (m, 3, 2) error pairs
-        z = np.matmul(Rp, np.stack([x1err, x2err], axis=-1))
-        z1, z2 = z[..., 0], z[..., 1]
-        V, Vdot = lyapunov(z1, z2, gains), lyapunov_rate(z1, z2, gains)
-        wall_end = time.perf_counter()
-        self.timings["record"] += wall_end - wall
-        return RunLog(
-            t=s.marks * self.cfg.dt, tilt=Rp[:, 2].copy(), tilt_est=states[:, 3:], vel_err=x1err,
-            tilt_err=x2err, verr_world=z1, terr_world=z2, V=V, Vdot=Vdot, gyro=gyro, accel=accel,
-            applied_tilt_err0=s.applied_tilt_err0.copy(), config=self.cfg, gains=gains,
-            runtime=wall_end - self.wall0, timings=dict(self.timings),
-            steps_per_s=int(s.marks[-1]) / self.timings["estimator"],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -651,25 +644,27 @@ def run_report(log: RunLog, threshold: float = TILT_THRESHOLD) -> dict:
 def sweep(cfg: ExperimentConfig, alphas, betas, threshold: float = TILT_THRESHOLD):
     """Run the scenario over a grid of gains.
 
-    The cells run on one scene, built once from the base config
-    (:func:`build_scene`), in lockstep, block by block, sharing each block's
-    truth, rotation paths included, and mount-noise basis; each draws its own
-    mount and measurement noise from its own seed (base seed XOR cell index),
-    so noisy cells stay independent.  Gain pairs that are not finite or
-    violate the stability condition are reported as rejected rows, and runs
-    whose state diverges as diverged rows (the step and ``alpha*dt`` go to
-    the log), instead of aborting the sweep.  The base config's own ``alpha``
-    and ``beta`` are not checked; its ``g0``, which every cell keeps, is.  Keys
-    that no cell replaces fail the whole sweep with a ``ValueError``: a
-    rotation path that overflows (``pivot.*``, ``mount.rate_*``) and observer
-    inputs past :data:`INPUT_BOUND` (``mount.*``, ``noise.*``).
+    The cells are observers on one run of the base config: one scene
+    (:func:`build_scene`) and one input stream, each block's made once
+    (:func:`_run_cells`), every cell stepping its own gains over it in
+    lockstep.  So a row is the grade of :func:`run_simulation` on the base
+    config with that cell's gains, and every cell sees the same noise
+    (common random numbers: cells differ by their gains alone).  Gain pairs
+    that are not finite or violate the stability condition are reported as
+    rejected rows, and runs whose state diverges as diverged rows (the step
+    and ``alpha*dt`` go to the log), instead of aborting the sweep.  The base
+    config's own ``alpha`` and ``beta`` are not checked; its ``g0``, which
+    every cell keeps, is.  Keys that no cell replaces fail the whole sweep
+    with a ``ValueError``: a rotation path that overflows (``pivot.*``,
+    ``mount.rate_*``) and observer inputs past :data:`INPUT_BOUND`
+    (``mount.*``, ``noise.*``).
     Returns one row per cell in grid order, a dict in :data:`SWEEP_HEADER` order.
     """
     require_positive("gains.g0", cfg.gains.g0)
     wall0 = time.perf_counter()
     scene = build_scene(cfg)
     rows, cells = [], []
-    for i, (a, b) in enumerate(itertools.product(alphas, betas)):
+    for a, b in itertools.product(alphas, betas):
         row = dict.fromkeys(SWEEP_HEADER.split(",")) | {"alpha": a, "beta": b, "status": "ok"}
         rows.append(row)
         try:
@@ -677,14 +672,12 @@ def sweep(cfg: ExperimentConfig, alphas, betas, threshold: float = TILT_THRESHOL
         except ValueError:
             row["status"] = "rejected"
             continue
-        sub = copy.deepcopy(cfg)
-        sub.gains.alpha, sub.gains.beta, sub.seed = a, b, cfg.seed ^ i
         row["gain_ratio"] = gains.gain_ratio
-        cells.append((row, _Cell(sub, scene, gains, wall0, threshold)))
-    _run_cells(scene, [cell for _, cell in cells])
+        cells.append((row, _Cell(gains, threshold)))
+    _run_cells(cfg, scene, [cell for _, cell in cells], wall0)
     for row, cell in cells:
         if cell.error is None:
-            row["convergence_time"], row["final_tilt_err_norm"] = cell.grade()
+            row["convergence_time"], row["final_tilt_err_norm"] = cell.grade(scene.marks * cfg.dt)
             continue
         logger.warning("sweep cell alpha=%r beta=%r: %s", row["alpha"], row["beta"], cell.error)
         row["status"] = "diverged"

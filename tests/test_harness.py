@@ -596,9 +596,11 @@ def test_sweep_deterministic_and_seed_varied():
     assert [r["final_tilt_err_norm"] for r in rows1] == [
         r["final_tilt_err_norm"] for r in rows2
     ]
-    # cells get different seeds, so equal gains in different cells would
-    # see different noise; spot-check the seeds actually differ
+    # every cell runs on the base seed's noise: another base seed moves every row
     assert rows1[0]["final_tilt_err_norm"] != rows1[1]["final_tilt_err_norm"]
+    cfg.seed = 1
+    rows3 = sweep(cfg, alphas=[19.8, 15.0], betas=[10.0], threshold=0.5)
+    assert all(a["final_tilt_err_norm"] != b["final_tilt_err_norm"] for a, b in zip(rows1, rows3))
 
 
 def test_sweep_reports_diverged_cell(caplog):
@@ -672,8 +674,9 @@ def test_observer_rows_are_converted_a_block_at_a_time(monkeypatch):
 
 def test_sweep_rows_are_the_runs_of_their_cells(monkeypatch):
     # every cell's observer, stepped inside the sweep a block a call, reads
-    # the rows of a stand-alone run of that cell's config and yields its
-    # states, bit for bit, and the cell's row is that run's grade
+    # the rows of a stand-alone run of the base config with that cell's gains,
+    # the same rows for every cell, and yields that run's states, bit for
+    # bit, and the cell's row is that run's grade
     cfg = load_config(NOISY_CFG)
     alphas, betas = [19.8, 15.0], [10.0, 5.0]
     runs, observer = {}, harness.run_observer
@@ -689,10 +692,12 @@ def test_sweep_rows_are_the_runs_of_their_cells(monkeypatch):
     rows = sweep(cfg, alphas, betas)
     cells = runs.copy()
     assert len(cells) == 4
-    for i, row in enumerate(rows):
+    first = np.array(next(iter(cells.values()))[0]).tobytes()
+    assert all(np.array(read).tobytes() == first for read, _ in cells.values())
+    for row in rows:
         sub = copy.deepcopy(cfg)
         sub.gains.alpha, sub.gains.beta = row["alpha"], row["beta"]
-        sub.seed = cfg.seed ^ i
+        sub.seed = cfg.seed
         runs.clear()
         alone = run_simulation(sub)
         (gains, (read_alone, states_alone)), = runs.items()
@@ -785,20 +790,27 @@ def test_sweep_builds_the_rotation_paths_once(monkeypatch, alphas):
 def test_sweep_makes_each_noise_basis_block_once(monkeypatch, alphas):
     # 2100 steps: three basis blocks shared by every cell, whatever the number
     # of cells run, each at its block's midpoints, then its marks (1024 + 103,
-    # 1024 + 102, and 52 + 6 with the final mark)
-    sizes = []
+    # 1024 + 102, and 52 + 6 with the final mark), and so is each block's
+    # mount translation, the first of the inputs that the cells share
+    sizes, translations = [], []
 
     def counting_basis(x, m):
         sizes.append(x.size)
         return harmonic_basis(x, m)
 
-    harmonic_basis = plant._harmonic_basis
+    def counting_translation(*args):
+        translations.append(1)
+        return mount_translation(*args)
+
+    harmonic_basis, mount_translation = plant._harmonic_basis, plant.mount_translation
     monkeypatch.setattr(plant, "_harmonic_basis", counting_basis)
+    monkeypatch.setattr(plant, "mount_translation", counting_translation)
     cfg = ExperimentConfig()
     cfg.duration = 2.1
     rows = sweep(cfg, alphas, [10.0], threshold=0.5)
     assert [r["status"] for r in rows].count("ok") == min(len(alphas), 4)
     assert sizes == [1127, 1126, 58]
+    assert len(translations) == 3
 
 
 @pytest.mark.parametrize("alphas,betas,status,blocks", [
@@ -919,8 +931,10 @@ def test_runs_never_hold_two_noise_basis_blocks(monkeypatch, run):
 @pytest.mark.parametrize("decimation", [1, ExperimentConfig().decimation])
 def test_sweep_memory_does_not_grow_with_the_cell_count(monkeypatch, decimation):
     # the traced peak past the shared scene, with 2 and with 8 cells of 10^4
-    # steps: each extra cell holds less than one block of observer rows,
-    # never a series as long as the run, nor one as long as its marks
+    # steps: each extra cell holds its gains, its (6,) state and its grade,
+    # under 4 KiB, never a block's inputs or states (a (stops, 6) array whose
+    # last row it carried as a view held 68 KB at decimation 1), nor a series
+    # as long as the run or its marks
     def scene_then_reset(cfg):
         scene = build(cfg)
         tracemalloc.reset_peak()
@@ -945,8 +959,7 @@ def test_sweep_memory_does_not_grow_with_the_cell_count(monkeypatch, decimation)
 
     sweep(cfg, [19.8], [10.0], threshold=0.5)  # first-call set-up, untraced
     growth = (peak(8) - peak(2)) / 6
-    one_block = harness.ROW_BLOCK * 9 * 8
-    assert growth < one_block, (growth, one_block)
+    assert growth < 4096, growth
 
 
 def test_scene_ignores_seed_gains_and_noise():
