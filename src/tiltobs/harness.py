@@ -146,9 +146,9 @@ def _get(cfg: ExperimentConfig, key: str):
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse config text (``key = value`` lines, ``#`` comments), then check
-    its settings (:func:`validate_config`).  A malformed line, an unknown key
-    or a bad value is named by line number and key."""
-    cfg = ExperimentConfig()
+    its settings (:func:`validate_config`).  A malformed line, an unknown key,
+    a key set twice or a bad value is named by line number and key."""
+    cfg, seen = ExperimentConfig(), {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -158,6 +158,8 @@ def parse_config(text: str) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in SCHEMA:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        if (first := seen.setdefault(key, lineno)) != lineno:
+            raise ValueError(f"line {lineno}: config key {key!r} is already set on line {first}")
         section, name, parser = SCHEMA[key]
         try:
             parsed = parser(value)

@@ -121,6 +121,14 @@ def test_bad_config_names_the_problem(line, fragment):
     assert fragment in str(info.value)
 
 
+def test_config_key_set_twice_is_refused_naming_both_lines():
+    # a repeated key would silently take its last value
+    text = "# gains\ngains.alpha = 19.8\ngains.alpha = 5\n"
+    with pytest.raises(ValueError) as info:
+        parse_config(text)
+    assert str(info.value) == "line 3: config key 'gains.alpha' is already set on line 2"
+
+
 @pytest.mark.parametrize(
     "line,key",
     [
