@@ -390,13 +390,13 @@ def _block_inputs(cfg, scene: Scene, noise, rng, lo: int, hi: int, R, timings: d
     _require_finite("mount.rate_* keys", Rm_mid)
     R, Rp, t = (Rp[-1], Rm[-1]), Rp[marks - lo], np.concatenate([mid, marks * cfg.dt])
     rate = np.einsum("nji,nj->ni", Rp, plant.pivot_rate(cfg.pivot, t[k:]))
-    gyro_true = plant.gyro_stream(Rp_mid, w, Rm_mid, wm)
+    gyro_true, alpha = plant.gyro_stream(Rp_mid, w, Rm_mid, wm), plant.pivot_accel(cfg.pivot, mid)
     timings["rotation"] += (t1 := time.perf_counter()) - wall
     # the k midpoints, then the marks
     pos, vel, acc = plant.mount_translation(cfg.mount, noise, t, plant.noise_basis(t))
     timings["mount"] += (t2 := time.perf_counter()) - t1
-    accel_true = plant.accel_stream(Rp_mid, w, plant.pivot_accel(cfg.pivot, mid), pos[:k],
-                                    vel[:k], acc[:k], Rm_mid, cfg.gains.g0)
+    accel_true = plant.accel_stream(Rp_mid, w, alpha, pos[:k], vel[:k], acc[:k], Rm_mid,
+                                    cfg.gains.g0)
     # per-sample draw order is gyro, then accel (C-order fill), block after block
     draws = rng.standard_normal((k, 2, 3))
     gyro_meas = gyro_true + cfg.noise.gyro_std * draws[:, 0]
